@@ -12,7 +12,8 @@ import numpy as np
 from . import quadrature as quad
 from .estimator import (EstimatorReport, estimate, estimate_frozen,
                         modified_eta)
-from .mesh import Triangulation, bisect, nesting_sets, refinement_ratio
+from .mesh import (NestingSets, Triangulation, bisect, nesting_sets,
+                   refinement_ratio)
 from .problems import LoadFunction
 from .spaces import (DiscreteSolution, assemble_saddle, broken_grad_norm_sq,
                      cr_gradients, galerkin_residual, max_element_divergence,
@@ -149,7 +150,9 @@ def anfem_loop(mesh0: Triangulation, load: LoadFunction,
         raise ValueError("eps must be nonnegative")
     trace = AdaptiveTrace()
     mesh = mesh0
-    prev: tuple[DiscreteSolution, EstimatorReport] | None = None
+    # previous solution and estimator, and the nesting of the current mesh
+    # in the previous one
+    prev: tuple[DiscreteSolution, EstimatorReport, NestingSets] | None = None
     prev_lam = np.nan
     gamma = 1.0
 
@@ -213,7 +216,7 @@ def anfem_loop(mesh0: Triangulation, load: LoadFunction,
                 raise AssertionError(
                     f"volume-term reduction violated at step {it}")
 
-        prev = (sol, report)
+        prev = (sol, report, ns)
         mesh = refined
     else:
         trace.truncated = mesh.num_triangles >= p.element_cap
@@ -236,8 +239,7 @@ def _check_solve_invariants(system, sol):
 
 def _cross_level_monitors(prev, sol, mesh, load, rec):
     """Empirical quasi-orthogonality constants between consecutive levels."""
-    sol_prev, report_prev = prev
-    ns = nesting_sets(sol_prev.mesh, mesh)
+    sol_prev, report_prev, ns = prev
     vol_refined = float(report_prev.vol_sq[ns.refined].sum())
     G_cur = cr_gradients(mesh, sol.u)
     G_prev = cr_gradients(sol_prev.mesh, sol_prev.u)[ns.ancestors]

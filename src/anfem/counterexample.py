@@ -32,29 +32,21 @@ def build_family(n: int) -> CrissCrossFamily:
         raise ValueError("family parameter must be an odd integer >= 1")
     k = (n - 1) // 2
     # lattice in rotated coordinates u = x + y, v = y - x, both in [-1, 1]
-    # vertex (i, j) at u = -1 + 2i/n, v = -1 + 2j/n
-    vid = {}
-    verts = []
-    for i in range(n + 1):
-        for j in range(n + 1):
-            u = -1.0 + 2.0 * i / n
-            v = -1.0 + 2.0 * j / n
-            vid[(i, j)] = len(verts)
-            verts.append(((u - v) / 2.0, (u + v) / 2.0))
-    tris = []
-    for i in range(n):
-        for j in range(n):
-            p00 = vid[(i, j)]
-            p10 = vid[(i + 1, j)]
-            p01 = vid[(i, j + 1)]
-            p11 = vid[(i + 1, j + 1)]
-            # vertical diagonal p00 - p11 (equal x, differing y)
-            tris.append((p00, p10, p11))
-            tris.append((p00, p11, p01))
-    fine = build_initial(np.array(verts), np.array(tris))
+    # vertex (i, j) at u = -1 + 2i/n, v = -1 + 2j/n has id ids[i, j]
+    i, j = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
+    u = -1.0 + 2.0 * i.ravel() / n
+    v = -1.0 + 2.0 * j.ravel() / n
+    verts = np.stack([(u - v) / 2.0, (u + v) / 2.0], axis=1)
+    ids = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)
+    p00, p10 = ids[:-1, :-1].ravel(), ids[1:, :-1].ravel()
+    p01, p11 = ids[:-1, 1:].ravel(), ids[1:, 1:].ravel()
+    # vertical diagonal p00 - p11 (equal x, differing y)
+    tris = np.stack([p00, p10, p11, p00, p11, p01], axis=1).reshape(-1, 3)
+    fine = build_initial(verts, tris)
 
-    sign_nodes = np.array([vid[(k + 1 + i, k + i)] for i in range(-k, k + 1)])
-    ac_col = np.array([vid[(a, a)] for a in range(n + 1)])
+    i = np.arange(-k, k + 1)
+    sign_nodes = ids[k + 1 + i, k + i]
+    ac_col = np.diagonal(ids).copy()
     # reindex through build_initial: vertices are passed through unchanged
     fam = CrissCrossFamily(n=n, coarse=diamond(), fine=fine,
                            sign_nodes=sign_nodes, ac_vertex_col=ac_col)
@@ -93,26 +85,16 @@ def _p1_gradients(fam: CrissCrossFamily, nodal: np.ndarray) -> np.ndarray:
 def ac_segments(fam: CrissCrossFamily):
     """Fine edges along AC with their left/right incident elements."""
     fine = fam.fine
-    on_ac = set()
-    col = set(fam.ac_vertex_col.tolist())
-    segs = []
-    for e in range(fine.num_edges):
-        a, b = fine.edges[e]
-        if a in col and b in col:
-            segs.append(e)
-            on_ac.add(e)
+    segs = np.flatnonzero(np.isin(fine.edges, fam.ac_vertex_col).all(axis=1))
     assert len(segs) == fam.n
-    out = []
-    for e in segs:
-        t0, t1 = fine.edge_tris[e]
-        c0 = fine.centroids()[t0]
-        if t1 < 0:
-            raise RuntimeError("AC segment on the boundary")
-        left, right = (t0, t1) if c0[0] < 0 else (t1, t0)
-        ymid = fine.edge_midpoints()[e][1]
-        out.append((e, left, right, ymid))
-    out.sort(key=lambda r: r[3])
-    return out
+    t0, t1 = fine.edge_tris[segs].T
+    if np.any(t1 < 0):
+        raise RuntimeError("AC segment on the boundary")
+    t0_left = fine.centroids()[t0, 0] < 0
+    left, right = np.where(t0_left, t0, t1), np.where(t0_left, t1, t0)
+    ymid = fine.edge_midpoints()[segs, 1]
+    order = np.argsort(ymid, kind="stable")
+    return list(zip(segs[order], left[order], right[order], ymid[order]))
 
 
 def boundary_sum(fam: CrissCrossFamily, nodal: np.ndarray) -> float:

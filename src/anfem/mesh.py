@@ -5,10 +5,17 @@ signed area.  The refinement edge is always (v0, v1); v2 plays the role of
 the newest vertex.  Bisection inserts the midpoint m of (v0, v1) and produces
 the children (v2, v0, m) and (v1, v2, m), so the new vertex becomes the peak
 of both children and the remaining parent edges become their refinement edges.
+
+`bisect` is the single source of genealogy: every mesh it returns records,
+per bisection back to its initial mesh, the token of the mesh it was refined
+from, the element parent map and the fine-edge -> coarse-edge map.  Nesting
+queries compose these maps; `build_initial` and `read_mesh` start a new
+genealogy.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +28,8 @@ class MeshError(ValueError):
 # local edge i is opposite local vertex i
 _LOCAL_EDGES = ((1, 2), (2, 0), (0, 1))
 
+_TOKENS = itertools.count()
+
 
 @dataclass
 class Triangulation:
@@ -29,7 +38,11 @@ class Triangulation:
     level: np.ndarray               # (nt,) generation count (bisections from root)
     parent: np.ndarray | None = None  # (nt,) index into the mesh bisect() was called on
     root: np.ndarray | None = None    # (nt,) index of the initial-mesh ancestor
+    # one (ancestor token, element map, edge map) step per bisection, nearest
+    # ancestor first; integer arrays only, so no ancestor mesh is kept alive
+    lineage: tuple = ()
 
+    token: int = field(init=False)               # process-unique genealogy id
     # derived connectivity, filled by _build_topology
     edges: np.ndarray = field(init=False)        # (ne, 2) vertex pairs, sorted
     tri_edges: np.ndarray = field(init=False)    # (nt, 3) edge id of local edge i
@@ -49,6 +62,7 @@ class Triangulation:
         self.level = np.asarray(self.level, dtype=np.int64)
         if self.root is None:
             self.root = np.arange(len(self.triangles))
+        self.token = next(_TOKENS)
         self._build_topology()
 
     # -- basic counts ------------------------------------------------------
@@ -85,34 +99,27 @@ class Triangulation:
             raise MeshError(f"degenerate or misoriented triangle {bad[0]}")
         self.h = np.sqrt(self.area)
 
-        # unique edges
-        raw = np.concatenate(
-            [tris[:, [a, b]] for a, b in _LOCAL_EDGES], axis=0)
-        raw_sorted = np.sort(raw, axis=1)
-        self.edges, inverse = np.unique(raw_sorted, axis=0,
-                                        return_inverse=True)
+        # unique edges, lexicographic in the sorted vertex pair a < b < nv
+        nt, nv = len(tris), len(v)
+        raw = np.sort(np.concatenate(
+            [tris[:, [a, b]] for a, b in _LOCAL_EDGES], axis=0), axis=1)
+        keys, inverse = np.unique(raw[:, 0] * nv + raw[:, 1],
+                                  return_inverse=True)
+        self.edges = np.stack([keys // nv, keys % nv], axis=1)
         self.tri_edges = inverse.reshape(3, -1).T.copy()
 
         ne = len(self.edges)
         counts = np.bincount(inverse, minlength=ne)
         if counts.max() > 2:
             raise MeshError("edge shared by more than two triangles")
+        # incident triangles, ascending triangle id per edge; row r of `raw`
+        # belongs to triangle r % nt
+        tri_sorted = np.argsort(inverse * nt + np.arange(3 * nt) % nt) % nt
+        start = np.cumsum(counts) - counts
         self.edge_tris = np.full((ne, 2), -1, dtype=np.int64)
-        # fill incident triangles, ascending triangle id per edge
-        order = np.argsort(inverse, kind="stable")
-        tri_of_row = np.tile(np.arange(len(tris)), 3)[order]
-        eid = inverse[order]
-        first = np.ones(ne, dtype=bool)
-        for t, e in zip(tri_of_row, eid):
-            if first[e]:
-                self.edge_tris[e, 0] = t
-                first[e] = False
-            else:
-                if t < self.edge_tris[e, 0]:
-                    self.edge_tris[e, 1] = self.edge_tris[e, 0]
-                    self.edge_tris[e, 0] = t
-                else:
-                    self.edge_tris[e, 1] = t
+        self.edge_tris[:, 0] = tri_sorted[start]
+        two = counts == 2
+        self.edge_tris[two, 1] = tri_sorted[start[two] + 1]
         self.boundary_edge = self.edge_tris[:, 1] < 0
 
         # hanging-node check: every vertex of an interior edge must be a
@@ -173,6 +180,16 @@ def _barycentric_gradients(v, tris, area):
     return g
 
 
+def barycentric(mesh: Triangulation, elems, points) -> np.ndarray:
+    """Barycentric coordinates (..., 3) of points[i] in element elems[i]."""
+    p = mesh.vertices[mesh.triangles[elems]]      # (..., 3, 2)
+    T = np.stack([p[..., 1, :] - p[..., 0, :], p[..., 2, :] - p[..., 0, :]],
+                 axis=-1)
+    ab = np.linalg.solve(T, (np.asarray(points) - p[..., 0, :])[..., None])
+    a, b = ab[..., 0, 0], ab[..., 1, 0]
+    return np.stack([1.0 - a - b, a, b], axis=-1)
+
+
 def build_initial(vertices, triangle_connectivity) -> Triangulation:
     """Build an oriented initial mesh with refinement edges assigned.
 
@@ -184,33 +201,31 @@ def build_initial(vertices, triangle_connectivity) -> Triangulation:
     tris = np.asarray(triangle_connectivity, dtype=np.int64).copy()
     if tris.ndim != 2 or tris.shape[1] != 3:
         raise MeshError("connectivity must be (nt, 3)")
-    for k, t in enumerate(tris):
-        if len(set(t.tolist())) != 3:
-            raise MeshError(f"degenerate triangle {k}: repeated vertex")
-        a = _signed_area(v, t)
-        if a == 0:
-            raise MeshError(f"degenerate triangle {k}: zero area")
-        if a < 0:
-            tris[k] = t[[0, 2, 1]]
-    # rotate so that the refinement edge (longest; tie -> smallest opposite
-    # vertex id) sits at local positions (0, 1)
-    for k, t in enumerate(tris):
-        p = v[t]
-        lengths = np.array([np.linalg.norm(p[(i + 2) % 3] - p[(i + 1) % 3])
-                            for i in range(3)])
-        best = min(range(3),
-                   key=lambda i: (-round(lengths[i], 14), t[i]))
-        # refinement edge opposite local vertex `best`; want it as (v0, v1)
-        tris[k] = np.roll(t, -((best + 1) % 3))
+    repeated = ((tris[:, 0] == tris[:, 1]) | (tris[:, 1] == tris[:, 2])
+                | (tris[:, 2] == tris[:, 0]))
+    p = v[tris]
+    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    bad = np.flatnonzero(repeated | (area == 0))
+    if bad.size:
+        k = bad[0]
+        raise MeshError(f"degenerate triangle {k}: " + (
+            "repeated vertex" if repeated[k] else "zero area"))
+    tris[area < 0] = tris[area < 0][:, [0, 2, 1]]
+    # rotate so that the refinement edge (longest, rounded to 14 digits; tie
+    # -> smallest opposite vertex id) sits at local positions (0, 1)
+    p = v[tris]
+    lengths = np.round(np.stack(
+        [np.linalg.norm(p[:, (i + 2) % 3] - p[:, (i + 1) % 3], axis=1)
+         for i in range(3)], axis=1), 14)
+    longest = lengths == lengths.max(axis=1, keepdims=True)
+    best = np.argmin(np.where(longest, tris, np.iinfo(np.int64).max), axis=1)
+    # refinement edge opposite local vertex `best`; want it as (v0, v1)
+    shift = (best + 1) % 3
+    tris = np.take_along_axis(tris, (np.arange(3) + shift[:, None]) % 3, 1)
     mesh = Triangulation(v, tris, np.zeros(len(tris), dtype=np.int64))
     _check_cover(mesh)
     return mesh
-
-
-def _signed_area(v, t):
-    e1 = v[t[1]] - v[t[0]]
-    e2 = v[t[2]] - v[t[0]]
-    return 0.5 * (e1[0] * e2[1] - e1[1] * e2[0])
 
 
 def _check_cover(mesh: Triangulation):
@@ -226,27 +241,34 @@ def _check_cover(mesh: Triangulation):
 
 
 def bisect(tri: Triangulation, marked) -> Triangulation:
-    """Refine all marked elements by newest vertex bisection with completion."""
-    marked = np.asarray(sorted(set(int(m) for m in np.atleast_1d(marked))),
-                        dtype=np.int64) if len(np.atleast_1d(marked)) else \
-        np.empty(0, dtype=np.int64)
-    if len(marked) and (marked.min() < 0 or marked.max() >= tri.num_triangles):
-        raise MeshError("marked set contains invalid element ids")
-    if len(marked) == 0:
-        return Triangulation(tri.vertices.copy(), tri.triangles.copy(),
-                             tri.level.copy(),
-                             parent=np.arange(tri.num_triangles),
-                             root=tri.root.copy())
+    """Refine all marked elements by newest vertex bisection with completion.
 
+    `marked` holds integer element ids; the result records its genealogy.
+    """
+    marked = np.atleast_1d(np.asarray(marked)).ravel()
+    if marked.size and marked.dtype.kind not in "iu":
+        raise MeshError("marked must hold integer element ids, got dtype "
+                        f"{marked.dtype}")
+    marked = np.unique(marked.astype(np.int64))
+    if len(marked) and (marked[0] < 0 or marked[-1] >= tri.num_triangles):
+        raise MeshError("marked set contains invalid element ids")
     nt = tri.num_triangles
+    if len(marked) == 0:
+        return Triangulation(
+            tri.vertices.copy(), tri.triangles.copy(), tri.level.copy(),
+            parent=np.arange(nt), root=tri.root.copy(),
+            lineage=((tri.token, np.arange(nt), np.arange(tri.num_edges)),)
+            + tri.lineage)
+
+    te = tri.tri_edges
     refine_edge = np.zeros(tri.num_edges, dtype=bool)
-    refine_edge[tri.tri_edges[marked, 2]] = True
+    refine_edge[te[marked, 2]] = True
     # completion: any triangle with a marked edge must have its refinement
     # edge marked too; iterate to a fixpoint
     cap = 10 * nt + 10
     for _ in range(cap):
-        tri_touched = refine_edge[tri.tri_edges].any(axis=1)
-        need = tri.tri_edges[tri_touched, 2]
+        tri_touched = refine_edge[te].any(axis=1)
+        need = te[tri_touched, 2]
         before = refine_edge.sum()
         refine_edge[need] = True
         if refine_edge.sum() == before:
@@ -261,41 +283,59 @@ def bisect(tri: Triangulation, marked) -> Triangulation:
     new_vid[ref_ids] = tri.num_vertices + np.arange(len(ref_ids))
     vertices = np.vstack([tri.vertices, mids])
 
-    out_tris, out_level, out_parent, out_root = [], [], [], []
+    # children in parent order: an untouched element is kept; a split one
+    # emits (v2, v0, m2) then (v1, v2, m2), each bisected once more when its
+    # refinement edge (parent edge 1, resp. 0) is refined
+    r = refine_edge[te]
+    split = r.any(axis=1)
+    n_a = np.where(split, 1 + r[:, 1], 1)
+    count = n_a + np.where(split, 1 + r[:, 0], 0)
+    parent = np.repeat(np.arange(nt), count)
+    first = np.cumsum(count) - count
+    second = first + n_a
+    out = np.empty((len(parent), 3), dtype=np.int64)
+    level = tri.level[parent]
+    t0, t1, t2 = tri.triangles.T
+    m0, m1, m2 = new_vid[te].T
+    out[first[~split]] = tri.triangles[~split]
+    for sel, at, child, depth in (
+            (split & ~r[:, 1], first, (t2, t0, m2), 1),
+            (split & r[:, 1], first, (m2, t2, m1), 2),
+            (split & r[:, 1], first + 1, (t0, m2, m1), 2),
+            (split & ~r[:, 0], second, (t1, t2, m2), 1),
+            (split & r[:, 0], second, (m2, t1, m0), 2),
+            (split & r[:, 0], second + 1, (t2, m2, m0), 2)):
+        out[at[sel]] = np.stack([c[sel] for c in child], axis=1)
+        level[at[sel]] += depth
 
-    def emit(t, lvl, par, root):
-        out_tris.append(t)
-        out_level.append(lvl)
-        out_parent.append(par)
-        out_root.append(root)
-
-    for k in range(nt):
-        t = tri.triangles[k]
-        e = tri.tri_edges[k]
-        lvl = tri.level[k]
-        root = tri.root[k]
-        if not refine_edge[e].any():
-            emit(t.copy(), lvl, k, root)
-            continue
-        m2 = new_vid[e[2]]          # refinement edge midpoint (always refined)
-        # children: (v2, v0, m2) and (v1, v2, m2)
-        for child, child_edge in (((t[2], t[0], m2), e[1]),
-                                  ((t[1], t[2], m2), e[0])):
-            if refine_edge[child_edge]:
-                mm = new_vid[child_edge]
-                a, b, c = child
-                emit((c, a, mm), lvl + 2, k, root)
-                emit((b, c, mm), lvl + 2, k, root)
-            else:
-                emit(child, lvl + 1, k, root)
-
-    mesh = Triangulation(vertices,
-                         np.array(out_tris, dtype=np.int64),
-                         np.array(out_level, dtype=np.int64),
-                         parent=np.array(out_parent, dtype=np.int64),
-                         root=np.array(out_root, dtype=np.int64))
+    mesh = Triangulation(vertices, out, level, parent=parent,
+                         root=tri.root[parent])
+    mesh.lineage = ((tri.token, parent, _edge_parents(tri, mesh, ref_ids)),) \
+        + tri.lineage
     _check_cover(mesh)
     return mesh
+
+
+def _edge_parents(coarse: Triangulation, fine: Triangulation, ref_ids):
+    """Coarse edge each edge of `fine = bisect(coarse, ...)` lies on, -1 for
+    an edge inside one coarse element.
+
+    An edge between two coarse vertices is a coarse edge.  An edge from a
+    coarse vertex to the midpoint of the refined coarse edge E lies on E iff
+    the vertex ends E.  Every other fine edge ends at a new vertex inside a
+    coarse element.
+    """
+    nv = coarse.num_vertices
+    a, b = fine.edges.T                      # a < b: b is new unless both old
+    out = np.full(fine.num_edges, -1, dtype=np.int64)
+    old = b < nv
+    out[old] = np.searchsorted(coarse.edges[:, 0] * nv + coarse.edges[:, 1],
+                               a[old] * nv + b[old])
+    half = np.flatnonzero((a < nv) & ~old)
+    host = ref_ids[b[half] - nv]
+    on = (coarse.edges[host] == a[half, None]).any(axis=1)
+    out[half[on]] = host[on]
+    return out
 
 
 def uniform_refine(tri: Triangulation, rounds: int = 1) -> Triangulation:
@@ -313,71 +353,42 @@ class NestingSets:
     common: np.ndarray       # coarse element ids present in both meshes
     refined: np.ndarray      # coarse element ids that were subdivided
     neighborhood: np.ndarray  # coarse elements touching the refined region
-    region_r: np.ndarray     # == refined
     region_c: np.ndarray     # common elements not touching the refined region
     ancestors: np.ndarray    # (nt_fine,) coarse ancestor of each fine element
 
 
-class _TriLocator:
-    """Uniform-grid point location for a fixed triangulation."""
+def descent_maps(coarse: Triangulation, fine: Triangulation):
+    """(ancestors, coarse_edge) of a fine mesh descending from `coarse` by
+    bisect: the coarse element containing each fine element, and the coarse
+    edge each fine edge lies on (-1 inside a coarse element).
 
-    def __init__(self, mesh: Triangulation, cells_per_axis: int | None = None):
-        self.mesh = mesh
-        pts = mesh.vertices[mesh.triangles]
-        self.lo = pts.reshape(-1, 2).min(axis=0)
-        hi = pts.reshape(-1, 2).max(axis=0)
-        n = cells_per_axis or max(1, int(np.sqrt(mesh.num_triangles)))
-        self.n = n
-        self.size = np.maximum(hi - self.lo, 1e-300) / n
-        self.buckets: dict[tuple[int, int], list[int]] = {}
-        bmin = np.floor((pts.min(axis=1) - self.lo) / self.size).astype(int)
-        bmax = np.floor((pts.max(axis=1) - self.lo) / self.size).astype(int)
-        bmin = np.clip(bmin, 0, n - 1)
-        bmax = np.clip(bmax, 0, n - 1)
-        for k in range(mesh.num_triangles):
-            for i in range(bmin[k, 0], bmax[k, 0] + 1):
-                for j in range(bmin[k, 1], bmax[k, 1] + 1):
-                    self.buckets.setdefault((i, j), []).append(k)
-
-    def locate(self, point, tol=1e-10) -> int:
-        cell = np.clip(np.floor((point - self.lo) / self.size).astype(int),
-                       0, self.n - 1)
-        for k in self.buckets.get((cell[0], cell[1]), ()):
-            if self._contains(k, point, tol):
-                return k
-        for k in range(self.mesh.num_triangles):  # rare fallback
-            if self._contains(k, point, tol):
-                return k
-        return -1
-
-    def _contains(self, k, point, tol):
-        lam = barycentric(self.mesh, k, point)
-        return lam.min() >= -tol
-
-
-def barycentric(mesh: Triangulation, k: int, point) -> np.ndarray:
-    p = mesh.vertices[mesh.triangles[k]]
-    T = np.column_stack([p[1] - p[0], p[2] - p[0]])
-    ab = np.linalg.solve(T, np.asarray(point) - p[0])
-    return np.array([1.0 - ab[0] - ab[1], ab[0], ab[1]])
+    Composes the per-bisection maps recorded in `fine.lineage`.
+    """
+    anc, edge = np.arange(fine.num_triangles), np.arange(fine.num_edges)
+    if fine.token == coarse.token:
+        return anc, edge
+    for token, parent, edge_parent in fine.lineage:
+        anc = parent[anc]
+        edge = np.where(edge >= 0, edge_parent[edge], -1)
+        if token == coarse.token:
+            return anc, edge
+    raise MeshError("fine mesh does not descend from the coarse mesh by "
+                    "bisect")
 
 
 def ancestor_map(coarse: Triangulation, fine: Triangulation,
                  check: bool = True) -> np.ndarray:
-    """Map each fine element to the coarse element containing it."""
-    loc = _TriLocator(coarse)
-    cent = fine.centroids()
-    anc = np.empty(fine.num_triangles, dtype=np.int64)
-    for t in range(fine.num_triangles):
-        k = loc.locate(cent[t])
-        if k < 0:
-            raise MeshError("fine mesh not nested in coarse mesh")
-        anc[t] = k
+    """Map each fine element to the coarse element containing it.
+
+    The map comes from bisect's genealogy; check=True also verifies
+    geometrically that every fine vertex lies in its ancestor.
+    """
+    anc = descent_maps(coarse, fine)[0]
     if check:
-        for t in range(fine.num_triangles):
-            for vtx in fine.vertices[fine.triangles[t]]:
-                if barycentric(coarse, anc[t], vtx).min() < -1e-9:
-                    raise MeshError("fine mesh not nested in coarse mesh")
+        lam = barycentric(coarse, np.repeat(anc, 3),
+                          fine.vertices[fine.triangles].reshape(-1, 2))
+        if lam.min() < -1e-9:
+            raise MeshError("fine mesh not nested in coarse mesh")
     return anc
 
 
@@ -401,8 +412,8 @@ def nesting_sets(coarse: Triangulation, fine: Triangulation) -> NestingSets:
     neighborhood = np.flatnonzero(touch | ~common_mask)
     region_c = np.flatnonzero(common_mask & ~touch)
     return NestingSets(common=common, refined=refined,
-                       neighborhood=neighborhood, region_r=refined,
-                       region_c=region_c, ancestors=anc)
+                       neighborhood=neighborhood, region_c=region_c,
+                       ancestors=anc)
 
 
 def refinement_ratio(coarse: Triangulation, fine: Triangulation,

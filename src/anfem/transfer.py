@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature as quad
-from .mesh import (NestingSets, Triangulation, ancestor_map, barycentric,
-                   nesting_sets)
+from .mesh import (MeshError, NestingSets, Triangulation, barycentric,
+                   descent_maps, nesting_sets)
 from .spaces import cr_element_coeffs, cr_gradients, edge_dof_map
 
 
@@ -58,40 +58,34 @@ def edge_means_of_field(field, mesh: Triangulation, npts: int = 16):
 
 
 # ---------------------------------------------------------------------------
-# geometric classification of fine edges relative to a coarse mesh
+# classification of fine edges relative to a coarse mesh
 
 
 def classify_fine_edges(coarse: Triangulation, fine: Triangulation,
-                        ancestors: np.ndarray, tol: float = 1e-10):
+                        ancestors: np.ndarray | None = None):
     """For each fine edge: the coarse elements of its patch omega_{E,k}.
 
-    Returns (host, coarse_edge) where host[e] is a list of coarse element ids
-    and coarse_edge[e] is the coarse edge the fine edge lies on (-1 if the
-    edge is interior to a single coarse element).
+    Returns (host, coarse_edge) from bisect's genealogy: coarse_edge[e] is
+    the coarse edge the fine edge lies on (-1 if the edge is interior to a
+    single coarse element) and host[e] the one or two coarse elements of its
+    patch, padded with -1.  A given `ancestors` must match the genealogy.
     """
-    mids = fine.edge_midpoints()
-    ne = fine.num_edges
-    host = [None] * ne
-    coarse_edge = np.full(ne, -1, dtype=np.int64)
-    for e in range(ne):
-        t0 = fine.edge_tris[e, 0]
-        k = ancestors[t0]
-        lam = barycentric(coarse, k, mids[e])
-        onedge = np.flatnonzero(np.abs(lam) <= tol)
-        if onedge.size == 0:
-            host[e] = [k]
-        else:
-            ce = coarse.tri_edges[k, onedge[0]]
-            coarse_edge[e] = ce
-            host[e] = [t for t in coarse.edge_tris[ce] if t >= 0]
+    anc, coarse_edge = descent_maps(coarse, fine)
+    if ancestors is not None and not np.array_equal(ancestors, anc):
+        raise MeshError("ancestors do not match the mesh genealogy")
+    host = np.full((fine.num_edges, 2), -1, dtype=np.int64)
+    host[:, 0] = anc[fine.edge_tris[:, 0]]
+    on = coarse_edge >= 0
+    host[on] = coarse.edge_tris[coarse_edge[on]]
     return host, coarse_edge
 
 
-def _cr_eval_in_element(coarse: Triangulation, coeffs_elem: np.ndarray,
-                        k: int, point) -> np.ndarray:
-    lam = barycentric(coarse, k, point)
-    basis = 1.0 - 2.0 * lam
-    return basis @ coeffs_elem[k]
+def _cr_eval(coarse: Triangulation, coeffs_elem: np.ndarray, elems,
+             points) -> np.ndarray:
+    """CR field with element coefficients `coeffs_elem` at points[i] in
+    element elems[i]."""
+    basis = 1.0 - 2.0 * barycentric(coarse, elems, points)
+    return np.einsum("...i,...ic->...c", basis, coeffs_elem[elems])
 
 
 # ---------------------------------------------------------------------------
@@ -103,25 +97,22 @@ def restriction(v_fine: np.ndarray, fine: Triangulation,
                 ancestors: np.ndarray | None = None) -> np.ndarray:
     """Coarse CR function whose edge integrals are the summed fine-edge
     integrals of v_fine."""
-    if ancestors is None:
-        ancestors = ancestor_map(coarse, fine, check=False)
     _, coarse_edge = classify_fine_edges(coarse, fine, ancestors)
     fdof = edge_dof_map(fine)
     fmeans = np.zeros((fine.num_edges, 2))
     has = fdof >= 0
     fmeans[has] = v_fine.reshape(-1, 2)[fdof[has]]
 
-    integrals = np.zeros((coarse.num_edges, 2))
-    covered = np.zeros(coarse.num_edges)
-    for e in range(fine.num_edges):
-        ce = coarse_edge[e]
-        if ce >= 0:
-            integrals[ce] += fmeans[e] * fine.edge_length[e]
-            covered[ce] += fine.edge_length[e]
+    on = coarse_edge >= 0
+    ce, length = coarse_edge[on], fine.edge_length[on]
+    integrals = np.stack([np.bincount(ce, fmeans[on, c] * length,
+                                      minlength=coarse.num_edges)
+                          for c in range(2)], axis=1)
+    covered = np.bincount(ce, length, minlength=coarse.num_edges)
     if np.any(np.abs(covered - coarse.edge_length) >
               1e-9 * coarse.edge_length):
-        raise ValueError("fine edges do not tile the coarse edges; "
-                         "meshes are not nested")
+        raise MeshError("fine edges do not tile the coarse edges; "
+                        "meshes are not nested")
     means = integrals / coarse.edge_length[:, None]
     return means[coarse.interior_edges].ravel()
 
@@ -134,16 +125,15 @@ def naive_prolongation(v_coarse: np.ndarray, coarse: Triangulation,
                        fine: Triangulation,
                        ancestors: np.ndarray | None = None) -> np.ndarray:
     """Fine-edge means set to the patch average of the one-sided coarse traces."""
-    if ancestors is None:
-        ancestors = ancestor_map(coarse, fine, check=False)
     host, _ = classify_fine_edges(coarse, fine, ancestors)
     coeffs_elem = cr_element_coeffs(coarse, v_coarse)
-    mids = fine.edge_midpoints()
-    out = np.zeros((len(fine.interior_edges), 2))
-    for idx, e in enumerate(fine.interior_edges):
-        vals = [_cr_eval_in_element(coarse, coeffs_elem, k, mids[e])
-                for k in host[e]]
-        out[idx] = np.mean(vals, axis=0)
+    interior = fine.interior_edges
+    host = host[interior]
+    mids = fine.edge_midpoints()[interior]
+    out = _cr_eval(coarse, coeffs_elem, host[:, 0], mids)
+    two = host[:, 1] >= 0
+    out[two] = 0.5 * (out[two] + _cr_eval(coarse, coeffs_elem,
+                                          host[two, 1], mids[two]))
     return out.ravel()
 
 
@@ -168,10 +158,12 @@ def nodal_averaging(v: np.ndarray, mesh: Triangulation) -> np.ndarray:
     return nodal.ravel()
 
 
-def p1_eval(nodal: np.ndarray, mesh: Triangulation, k: int,
-            point) -> np.ndarray:
-    lam = barycentric(mesh, k, point)
-    return lam @ nodal.reshape(-1, 2)[mesh.triangles[k]]
+def p1_eval(nodal: np.ndarray, mesh: Triangulation, elems,
+            points) -> np.ndarray:
+    """P1 nodal field at points[i] in element elems[i]."""
+    lam = barycentric(mesh, elems, points)
+    return np.einsum("...i,...ic->...c", lam,
+                     nodal.reshape(-1, 2)[mesh.triangles[elems]])
 
 
 def p1_gradients(nodal: np.ndarray, mesh: Triangulation) -> np.ndarray:
@@ -216,24 +208,19 @@ def mixed_prolongation(v_coarse: np.ndarray, coarse: Triangulation,
     """
     if nesting is None:
         nesting = nesting_sets(coarse, fine)
-    anc = nesting.ancestors
     refined_mask = np.zeros(coarse.num_triangles, dtype=bool)
     refined_mask[nesting.refined] = True
 
+    interior = fine.interior_edges
+    k0, k1 = nesting.ancestors[fine.edge_tris[interior]].T
+    avg = refined_mask[k0] | refined_mask[k1]
+    out = np.empty((len(interior), 2))
+    # an edge between two common elements is a coarse edge: keep its mean
+    coarse_edge = descent_maps(coarse, fine)[1][interior[~avg]]
+    out[~avg] = v_coarse.reshape(-1, 2)[edge_dof_map(coarse)[coarse_edge]]
     nodal = nodal_averaging(v_coarse, coarse)
-    coeffs_elem = cr_element_coeffs(coarse, v_coarse)
-    mids = fine.edge_midpoints()
-    out = np.zeros((len(fine.interior_edges), 2))
-    for idx, e in enumerate(fine.interior_edges):
-        t0, t1 = fine.edge_tris[e]
-        k0 = anc[t0]
-        k1 = anc[t1] if t1 >= 0 else k0
-        if refined_mask[k0] or refined_mask[k1]:
-            out[idx] = p1_eval(nodal, coarse, k0, mids[e])
-        else:
-            v0 = _cr_eval_in_element(coarse, coeffs_elem, k0, mids[e])
-            v1 = _cr_eval_in_element(coarse, coeffs_elem, k1, mids[e])
-            out[idx] = 0.5 * (v0 + v1)
+    out[avg] = p1_eval(nodal, coarse, k0[avg],
+                       fine.edge_midpoints()[interior[avg]])
     return out.ravel()
 
 

@@ -1,0 +1,155 @@
+"""Independent reference implementations the property tests compare against.
+
+These are the per-element loop versions of mesh and nesting code that the
+package computes with vectorized array operations or reads from `bisect`'s
+genealogy: geometric point location for ancestor maps, midpoint-on-edge
+classification for edge maps, and loop versions of `build_initial`'s
+orientation, `bisect`'s child emission and the topology fill.
+"""
+
+import numpy as np
+
+# local edge i is opposite local vertex i
+LOCAL_EDGES = ((1, 2), (2, 0), (0, 1))
+
+
+def point_barycentric(mesh, k, point):
+    p = mesh.vertices[mesh.triangles[k]]
+    T = np.column_stack([p[1] - p[0], p[2] - p[0]])
+    ab = np.linalg.solve(T, np.asarray(point) - p[0])
+    return np.array([1.0 - ab[0] - ab[1], ab[0], ab[1]])
+
+
+class TriLocator:
+    """Uniform-grid point location for a fixed triangulation."""
+
+    def __init__(self, mesh):
+        self.mesh = mesh
+        pts = mesh.vertices[mesh.triangles]
+        self.lo = pts.reshape(-1, 2).min(axis=0)
+        hi = pts.reshape(-1, 2).max(axis=0)
+        n = max(1, int(np.sqrt(mesh.num_triangles)))
+        self.n = n
+        self.size = np.maximum(hi - self.lo, 1e-300) / n
+        self.buckets = {}
+        bmin = np.floor((pts.min(axis=1) - self.lo) / self.size).astype(int)
+        bmax = np.floor((pts.max(axis=1) - self.lo) / self.size).astype(int)
+        bmin = np.clip(bmin, 0, n - 1)
+        bmax = np.clip(bmax, 0, n - 1)
+        for k in range(mesh.num_triangles):
+            for i in range(bmin[k, 0], bmax[k, 0] + 1):
+                for j in range(bmin[k, 1], bmax[k, 1] + 1):
+                    self.buckets.setdefault((i, j), []).append(k)
+
+    def locate(self, point, tol=1e-10):
+        cell = np.clip(np.floor((point - self.lo) / self.size).astype(int),
+                       0, self.n - 1)
+        for k in self.buckets.get((cell[0], cell[1]), ()):
+            if point_barycentric(self.mesh, k, point).min() >= -tol:
+                return k
+        for k in range(self.mesh.num_triangles):
+            if point_barycentric(self.mesh, k, point).min() >= -tol:
+                return k
+        return -1
+
+
+def located_ancestors(coarse, fine):
+    """Coarse element containing each fine centroid, -1 where none does."""
+    loc = TriLocator(coarse)
+    return np.array([loc.locate(c) for c in fine.centroids()],
+                    dtype=np.int64)
+
+
+def geometric_edge_map(coarse, fine, ancestors, tol=1e-10):
+    """Coarse edge each fine edge lies on (its midpoint has a zero
+    barycentric coordinate in the ancestor of an incident element), else -1.
+    """
+    mids = fine.edge_midpoints()
+    out = np.full(fine.num_edges, -1, dtype=np.int64)
+    for e in range(fine.num_edges):
+        k = ancestors[fine.edge_tris[e, 0]]
+        onedge = np.flatnonzero(
+            np.abs(point_barycentric(coarse, k, mids[e])) <= tol)
+        if onedge.size:
+            out[e] = coarse.tri_edges[k, onedge[0]]
+    return out
+
+
+def reference_topology(triangles):
+    """(edges, tri_edges, edge_tris) by the sort-and-fill loop."""
+    tris = np.asarray(triangles)
+    raw = np.concatenate([tris[:, [a, b]] for a, b in LOCAL_EDGES], axis=0)
+    edges, inverse = np.unique(np.sort(raw, axis=1), axis=0,
+                               return_inverse=True)
+    inverse = inverse.ravel()
+    tri_edges = inverse.reshape(3, -1).T.copy()
+    edge_tris = np.full((len(edges), 2), -1, dtype=np.int64)
+    order = np.argsort(inverse, kind="stable")
+    tri_of_row = np.tile(np.arange(len(tris)), 3)[order]
+    first = np.ones(len(edges), dtype=bool)
+    for t, e in zip(tri_of_row, inverse[order]):
+        if first[e]:
+            edge_tris[e, 0] = t
+            first[e] = False
+        elif t < edge_tris[e, 0]:
+            edge_tris[e, 1] = edge_tris[e, 0]
+            edge_tris[e, 0] = t
+        else:
+            edge_tris[e, 1] = t
+    return edges, tri_edges, edge_tris
+
+
+def reference_bisect(tri, marked):
+    """(vertices, triangles, level, parent, root) by the per-element emit
+    loop, for a non-empty list of integer element ids."""
+    marked = np.asarray(sorted(set(int(m) for m in marked)), dtype=np.int64)
+    refine_edge = np.zeros(tri.num_edges, dtype=bool)
+    refine_edge[tri.tri_edges[marked, 2]] = True
+    while True:
+        need = tri.tri_edges[refine_edge[tri.tri_edges].any(axis=1), 2]
+        if refine_edge[need].all():
+            break
+        refine_edge[need] = True
+    new_vid = np.full(tri.num_edges, -1, dtype=np.int64)
+    ref_ids = np.flatnonzero(refine_edge)
+    new_vid[ref_ids] = tri.num_vertices + np.arange(len(ref_ids))
+    vertices = np.vstack([tri.vertices, tri.edge_midpoints()[ref_ids]])
+    out = []
+    for k in range(tri.num_triangles):
+        t, e = tri.triangles[k], tri.tri_edges[k]
+        lvl, root = tri.level[k], tri.root[k]
+        if not refine_edge[e].any():
+            out.append((tuple(t), lvl, k, root))
+            continue
+        m2 = new_vid[e[2]]
+        for child, child_edge in (((t[2], t[0], m2), e[1]),
+                                  ((t[1], t[2], m2), e[0])):
+            if refine_edge[child_edge]:
+                mm = new_vid[child_edge]
+                a, b, c = child
+                out.append(((c, a, mm), lvl + 2, k, root))
+                out.append(((b, c, mm), lvl + 2, k, root))
+            else:
+                out.append((child, lvl + 1, k, root))
+    tris, level, parent, root = (np.array(col, dtype=np.int64)
+                                 for col in zip(*out))
+    return vertices, tris, level, parent, root
+
+
+def reference_orientation(vertices, triangles):
+    """build_initial's oriented and rotated connectivity by the loops:
+    positive area, refinement edge (longest, rounded to 14 digits; ties to
+    the smallest opposite vertex id) at local positions (0, 1)."""
+    v = np.asarray(vertices, dtype=float)
+    tris = np.asarray(triangles, dtype=np.int64).copy()
+    for k, t in enumerate(tris):
+        e1, e2 = v[t[1]] - v[t[0]], v[t[2]] - v[t[0]]
+        if e1[0] * e2[1] - e1[1] * e2[0] < 0:
+            tris[k] = t[[0, 2, 1]]
+    for k, t in enumerate(tris):
+        p = v[t]
+        lengths = [np.linalg.norm(p[(i + 2) % 3] - p[(i + 1) % 3])
+                   for i in range(3)]
+        best = min(range(3), key=lambda i: (-round(lengths[i], 14), t[i]))
+        tris[k] = np.roll(t, -((best + 1) % 3))
+    return tris

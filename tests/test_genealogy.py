@@ -1,0 +1,156 @@
+"""Genealogy from `bisect` against independent oracles: point location for
+ancestor maps, midpoint-on-edge geometry for edge maps, and loop versions of
+bisection, topology and `build_initial`'s orientation."""
+
+import gc
+import weakref
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.spatial import Delaunay
+
+from anfem.counterexample import build_family
+from anfem.domains import diamond, l_shape, unit_square
+from anfem.mesh import (MeshError, Triangulation, ancestor_map, bisect,
+                        build_initial, descent_maps, nesting_sets,
+                        uniform_refine)
+from oracles import (geometric_edge_map, located_ancestors, reference_bisect,
+                     reference_orientation, reference_topology)
+
+DOMAINS = {"square": lambda: unit_square(1), "lshape": l_shape,
+           "diamond": diamond}
+
+
+def assert_same_topology(mesh):
+    edges, tri_edges, edge_tris = reference_topology(mesh.triangles)
+    assert np.array_equal(mesh.edges, edges)
+    assert np.array_equal(mesh.tri_edges, tri_edges)
+    assert np.array_equal(mesh.edge_tris, edge_tris)
+
+
+def assert_nested_like_oracles(coarse, fine):
+    anc = ancestor_map(coarse, fine)
+    assert np.array_equal(anc, located_ancestors(coarse, fine))
+    assert np.array_equal(descent_maps(coarse, fine)[1],
+                          geometric_edge_map(coarse, fine, anc))
+
+
+def draw_marks(data, mesh):
+    kind = data.draw(st.sampled_from(["empty", "all", "subset"]),
+                     label="marks")
+    nt = mesh.num_triangles
+    if kind == "empty":
+        return []
+    if kind == "all":
+        return list(range(nt))
+    return data.draw(st.lists(st.integers(0, nt - 1), min_size=1,
+                              max_size=min(nt, 12)), label="marked")
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_bisect_chain_matches_oracles(data):
+    """Random NVB chains, intermediate meshes dropped: the vectorized
+    bisection and topology equal the loop versions array for array, and the
+    composed genealogy equals point location and edge geometry."""
+    coarse = DOMAINS[data.draw(st.sampled_from(sorted(DOMAINS)))]()
+    fine = coarse
+    for _ in range(data.draw(st.integers(1, 4), label="rounds")):
+        marked = draw_marks(data, fine)
+        refined = bisect(fine, marked)
+        if marked:
+            ref = reference_bisect(fine, marked)
+            got = (refined.vertices, refined.triangles, refined.level,
+                   refined.parent, refined.root)
+            for a, b in zip(ref, got):
+                assert a.shape == b.shape and np.array_equal(a, b)
+        else:
+            assert np.array_equal(refined.triangles, fine.triangles)
+            assert np.array_equal(refined.parent,
+                                  np.arange(fine.num_triangles))
+        assert_same_topology(refined)
+        assert_nested_like_oracles(fine, refined)
+        dropped = weakref.ref(fine)
+        fine = refined
+        gc.collect()
+        if dropped() is not coarse:
+            assert dropped() is None       # descendants keep no ancestors
+    assert_nested_like_oracles(coarse, fine)
+    ns = nesting_sets(coarse, fine)
+    assert len(ns.common) + len(ns.refined) == coarse.num_triangles
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(sorted(DOMAINS)), st.integers(0, 3))
+def test_uniform_refine_composes(domain, rounds):
+    coarse = DOMAINS[domain]()
+    fine = uniform_refine(coarse, rounds)
+    assert_nested_like_oracles(coarse, fine)
+    assert np.array_equal(np.bincount(ancestor_map(coarse, fine)),
+                          np.full(coarse.num_triangles, 2 ** rounds))
+
+
+def test_identity_and_rejected_pairs():
+    coarse = unit_square(1)
+    fine = bisect(coarse, [0, 2])
+    assert np.array_equal(ancestor_map(fine, fine),
+                          np.arange(fine.num_triangles))
+    # the same geometry built twice is two genealogies
+    for c, f in ((unit_square(1), fine), (fine, coarse), (l_shape(), fine)):
+        with pytest.raises(MeshError):
+            ancestor_map(c, f)
+        with pytest.raises(MeshError):
+            nesting_sets(c, f)
+
+
+def test_geometric_check_rejects_moved_vertices():
+    coarse = unit_square(1)
+    fine = bisect(coarse, [1])
+    moved = Triangulation(fine.vertices + 0.25, fine.triangles, fine.level,
+                          parent=fine.parent, root=fine.root,
+                          lineage=fine.lineage)
+    assert np.array_equal(ancestor_map(coarse, moved, check=False),
+                          fine.parent)
+    with pytest.raises(MeshError):
+        ancestor_map(coarse, moved)
+
+
+def test_bisect_rejects_non_integer_marks():
+    tri = unit_square(1)
+    with pytest.raises(MeshError):        # a mask is not a list of ids
+        bisect(tri, [True, False, False, False])
+    with pytest.raises(MeshError):        # 0.7 must not truncate to 0
+        bisect(tri, [0.7])
+    with pytest.raises(MeshError):
+        bisect(tri, np.array([0.0, 1.0]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 30), st.sampled_from([1.0, 3.7, 1e-3]))
+def test_build_initial_orientation_matches_loops(seed, scale):
+    rng = np.random.default_rng(seed)
+    # lattice points give many equal edge lengths, so the tie-break matters
+    pts = np.unique(np.round(rng.random((30, 2)) * 4) / 4 * scale, axis=0)
+    if len(pts) < 4:
+        return
+    tris = Delaunay(pts).simplices.copy()
+    flip = rng.random(len(tris)) < 0.5
+    tris[flip] = tris[flip][:, ::-1]
+    mesh = build_initial(pts, tris)
+    assert np.array_equal(mesh.triangles, reference_orientation(pts, tris))
+    assert_same_topology(mesh)
+
+
+def test_build_initial_orientation_criss_cross():
+    """Any vertex order of the criss-cross elements gives the same oriented
+    mesh, and the loop version agrees."""
+    rng = np.random.default_rng(3)
+    for n in (1, 5, 21):
+        fine = build_family(n).fine
+        shuffled = np.array([np.roll(t, rng.integers(3))[::rng.choice([-1, 1])]
+                             for t in fine.triangles])
+        expect = reference_orientation(fine.vertices, shuffled)
+        assert np.array_equal(expect, fine.triangles)
+        assert np.array_equal(
+            build_initial(fine.vertices, shuffled).triangles, expect)
