@@ -9,7 +9,7 @@ import numpy as np
 from anfem import (consistency_error, estimate, get_solution, solve,
                    unit_square)
 from anfem.mesh import uniform_refine
-from anfem.spaces import compute_stress, pressure_error_sq, velocity_error_sq
+from anfem.spaces import pressure_error_sq, velocity_error_sq
 
 
 def main():

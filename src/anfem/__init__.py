@@ -3,10 +3,10 @@ Stokes problem: meshes with newest-vertex bisection, saddle-point assembly,
 a residual estimator, inter-mesh transfer operators, and the adaptive loop.
 """
 
-from .adaptive import (AdaptiveTrace, ContractionParams, LoopParams,
-                       MarkingParams, anfem_loop, contraction_monitor,
-                       discrete_reliability_check, dorfler_mark,
-                       marking_threshold_check, rate_fit, uniform_trace)
+from .adaptive import (AdaptiveTrace, LoopParams, anfem_loop,
+                       contraction_monitor, discrete_reliability_check,
+                       dorfler_mark, marking_threshold_check, rate_fit,
+                       uniform_trace)
 from .counterexample import (CrissCrossFamily, boundary_sum, build_family,
                              build_test_pair, closed_form, pairing_constant,
                              scaling_study)
@@ -20,28 +20,26 @@ from .mesh import (MeshError, NestingSets, Triangulation, ancestor_map,
 from .problems import LoadFunction, constant_load, get_solution, smooth1
 from .spaces import (DiscreteSolution, SaddleSystem, SolverError,
                      assemble_saddle, solve, solve_saddle)
-from .transfer import (FineFunction, conservative_interpolation,
-                       mixed_prolongation, naive_prolongation,
-                       nodal_averaging, prolongation_defect_constant,
-                       restriction)
+from .transfer import (conservative_interpolation, mixed_prolongation,
+                       naive_prolongation, nodal_averaging,
+                       prolongation_defect_constant, restriction)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptiveTrace", "ContractionParams", "CrissCrossFamily",
-    "DiscreteSolution", "EstimatorReport", "FineFunction", "LoadFunction",
-    "LoopParams", "MarkingParams", "MeshError", "NestingSets",
-    "SaddleSystem", "SolverError", "Triangulation", "ancestor_map",
-    "anfem_loop", "assemble_saddle", "bisect", "boundary_sum",
-    "build_family", "build_initial", "build_test_pair", "closed_form",
-    "consistency_error", "conservative_interpolation", "constant_load",
-    "contraction_monitor", "diamond", "discrete_reliability_check",
-    "dorfler_mark", "estimate", "estimate_frozen", "get_domain",
-    "get_solution", "l_shape", "marking_threshold_check",
-    "mixed_prolongation", "modified_eta", "naive_prolongation",
-    "nesting_sets", "nodal_averaging", "oscillation", "pairing_constant",
-    "prolongation_defect_constant", "rate_fit", "read_mesh",
-    "refinement_ratio", "residual_functional", "restriction",
+    "AdaptiveTrace", "CrissCrossFamily", "DiscreteSolution",
+    "EstimatorReport", "LoadFunction", "LoopParams", "MeshError",
+    "NestingSets", "SaddleSystem", "SolverError", "Triangulation",
+    "ancestor_map", "anfem_loop", "assemble_saddle", "bisect",
+    "boundary_sum", "build_family", "build_initial", "build_test_pair",
+    "closed_form", "consistency_error", "conservative_interpolation",
+    "constant_load", "contraction_monitor", "diamond",
+    "discrete_reliability_check", "dorfler_mark", "estimate",
+    "estimate_frozen", "get_domain", "get_solution", "l_shape",
+    "marking_threshold_check", "mixed_prolongation", "modified_eta",
+    "naive_prolongation", "nesting_sets", "nodal_averaging", "oscillation",
+    "pairing_constant", "prolongation_defect_constant", "rate_fit",
+    "read_mesh", "refinement_ratio", "residual_functional", "restriction",
     "scaling_study", "smooth1", "solve", "solve_saddle", "uniform_refine",
     "uniform_trace", "unit_square", "write_mesh",
 ]

@@ -27,25 +27,9 @@ class MarkingError(ValueError):
     pass
 
 
-@dataclass
-class MarkingParams:
-    theta: float = 0.3
-    tie_break: str = "element-id"   # descending eta_K^2, then ascending id
-
-    def __post_init__(self):
-        if not 0.0 < self.theta < 1.0:
-            raise MarkingError(f"theta must be in (0, 1), got {self.theta}")
-
-
-@dataclass
-class ContractionParams:
-    gamma1: float = 1.0
-    gamma2: float = 1.0
-    beta1: float = 1.0
-
-    def __post_init__(self):
-        if min(self.gamma1, self.gamma2, self.beta1) <= 0.0:
-            raise ValueError("contraction weights must be positive")
+def _check_theta(theta: float) -> None:
+    if not 0.0 < theta < 1.0:
+        raise MarkingError(f"theta must be in (0, 1), got {theta}")
 
 
 def dorfler_mark(report: EstimatorReport, theta: float) -> np.ndarray:
@@ -53,8 +37,7 @@ def dorfler_mark(report: EstimatorReport, theta: float) -> np.ndarray:
 
     Sorted by descending eta_K^2, ties by ascending element id.
     """
-    if not 0.0 < theta < 1.0:
-        raise MarkingError(f"theta must be in (0, 1), got {theta}")
+    _check_theta(theta)
     eta_sq = report.eta_sq
     total = eta_sq.sum()
     if total <= 0.0:
@@ -114,7 +97,7 @@ class AdaptiveTrace:
                     else str(getattr(r, c)) for c in cols) + "\n")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LoopParams:
     theta: float = 0.3
     eps: float = 0.0
@@ -126,6 +109,24 @@ class LoopParams:
     max_iterations: int = 100
     check_reduction: bool = True
     reduction_slack: float = 1e-9
+
+    def __post_init__(self):
+        # the one place the loop's parameters are checked; frozen, so a
+        # checked value cannot be replaced by an unchecked one
+        _check_theta(self.theta)
+        if not self.eps >= 0.0:
+            raise ValueError(f"eps must be nonnegative, got {self.eps}")
+        for name in ("mu", "beta1", "gamma1", "gamma2"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(
+                    f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("element_cap", "max_iterations"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(
+                    f"{name} must be at least 1, got {getattr(self, name)}")
+        if not self.reduction_slack >= 0.0:
+            raise ValueError("reduction_slack must be nonnegative, got "
+                             f"{self.reduction_slack}")
 
 
 def _exact_velocity_inner(mesh: Triangulation, load: LoadFunction,
@@ -146,8 +147,6 @@ def anfem_loop(mesh0: Triangulation, load: LoadFunction,
                params: LoopParams | None = None) -> AdaptiveTrace:
     """Solve -> estimate -> mark -> refine until eta < eps or a size cap."""
     p = params or LoopParams()
-    if p.eps < 0:
-        raise ValueError("eps must be nonnegative")
     trace = AdaptiveTrace()
     mesh = mesh0
     # previous solution and estimator, and the nesting of the current mesh
@@ -330,18 +329,15 @@ def error_rate_fit(nelems, errors) -> float:
 
 
 def contraction_monitor(trace: AdaptiveTrace):
-    """Per-step ratios alpha_k = Lambda_k / Lambda_{k-1} plus a summary."""
-    alphas = trace.column("alpha")
-    alphas = alphas[np.isfinite(alphas)]
-    return {"alphas": alphas, **contraction_summary(trace)}
-
-
-def contraction_summary(trace: AdaptiveTrace):
+    """Per-step ratios alpha_k = Lambda_k / Lambda_{k-1}, their count, maximum
+    and geometric mean."""
     alphas = trace.column("alpha")
     alphas = alphas[np.isfinite(alphas)]
     if len(alphas) == 0:
-        return {"count": 0, "max": np.nan, "geomean": np.nan}
-    return {"count": int(len(alphas)), "max": float(alphas.max()),
+        return {"alphas": alphas, "count": 0, "max": np.nan,
+                "geomean": np.nan}
+    return {"alphas": alphas, "count": int(len(alphas)),
+            "max": float(alphas.max()),
             "geomean": float(np.exp(np.mean(np.log(alphas))))}
 
 
@@ -376,8 +372,6 @@ def marking_threshold_check(mesh0: Triangulation, load: LoadFunction,
     """Run the loop at several marking parameters and tabulate the outcomes."""
     rows = []
     for theta in thetas:
-        if not 0.0 < theta < 1.0:
-            raise MarkingError(f"theta must be in (0, 1), got {theta}")
         p = LoopParams(theta=theta, max_iterations=max_iterations,
                        element_cap=element_cap)
         trace = anfem_loop(mesh0, load, p)
@@ -388,8 +382,9 @@ def marking_threshold_check(mesh0: Triangulation, load: LoadFunction,
                "marked_fraction": float(np.mean(
                    [r.nmarked / r.nelems for r in trace.records[:-1]]))
                if len(trace.records) > 1 else 0.0}
-        row.update({f"alpha_{k}": v
-                    for k, v in contraction_summary(trace).items()})
+        monitor = contraction_monitor(trace)
+        row.update({f"alpha_{k}": monitor[k]
+                    for k in ("count", "max", "geomean")})
         try:
             row["rate"] = rate_fit(trace)
         except ValueError:

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields, replace
 
 # honor the thread cap before any BLAS pool spins up
 _threads = os.environ.get("AFEM_THREADS")
@@ -23,7 +24,7 @@ import numpy as np  # noqa: E402
 
 from . import adaptive, counterexample, transfer  # noqa: E402
 from .domains import get_domain  # noqa: E402
-from .mesh import read_mesh, uniform_refine  # noqa: E402
+from .mesh import MeshError, read_mesh, uniform_refine  # noqa: E402
 from .problems import get_solution  # noqa: E402
 
 EXIT_OK = 0
@@ -32,22 +33,12 @@ EXIT_USAGE = 2
 EXIT_TRUNCATED = 3
 
 
-def _add_common(p):
-    p.add_argument("--domain", default="square",
-                   choices=["square", "lshape", "diamond"])
-    p.add_argument("--mesh", default=None,
-                   help="mesh file overriding --domain")
+def _add_shared_flags(p):
     p.add_argument("--theta", type=float, default=0.3)
-    p.add_argument("--eps", type=float, default=1e-3)
     p.add_argument("--mu", type=float, default=1.0)
     p.add_argument("--beta1", type=float, default=1.0)
-    p.add_argument("--gamma1", type=float, default=1.0)
-    p.add_argument("--gamma2", type=float, default=1.0)
-    p.add_argument("--dof-cap", type=int, default=200_000)
-    p.add_argument("--solution", default="smooth1",
-                   choices=["smooth1", "constant", "zero"])
+    p.add_argument("--element-cap", type=int, default=200_000)
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser():
@@ -57,11 +48,21 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_adapt = sub.add_parser("adapt", help="run the adaptive loop")
-    _add_common(p_adapt)
+    _add_shared_flags(p_adapt)
+    p_adapt.add_argument("--domain", default="square",
+                         choices=["square", "lshape", "diamond"])
+    p_adapt.add_argument("--mesh", default=None,
+                         help="mesh file overriding --domain")
+    p_adapt.add_argument("--eps", type=float, default=1e-3)
+    p_adapt.add_argument("--gamma1", type=float, default=1.0)
+    p_adapt.add_argument("--gamma2", type=float, default=1.0)
+    p_adapt.add_argument("--solution", default="smooth1",
+                         choices=["smooth1", "constant", "zero"])
     p_adapt.add_argument("--max-iterations", type=int, default=60)
 
     p_verify = sub.add_parser("verify", help="run the property suites")
-    _add_common(p_verify)
+    _add_shared_flags(p_verify)
+    p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--suite", default="all",
                           choices=["all", "operators", "estimator",
                                    "quasi-orthogonality", "counterexample"])
@@ -74,33 +75,8 @@ def build_parser():
     return ap
 
 
-def _initial_mesh(args):
-    if args.mesh:
-        return read_mesh(args.mesh)
-    return get_domain(args.domain)
-
-
-def _validate(args, ap):
-    if not 0.0 < args.theta < 1.0:
-        ap.error(f"--theta must be in (0, 1), got {args.theta}")
-    if args.eps < 0:
-        ap.error(f"--eps must be nonnegative, got {args.eps}")
-    if args.mu <= 0:
-        ap.error(f"--mu must be positive, got {args.mu}")
-    for name in ("beta1", "gamma1", "gamma2"):
-        if getattr(args, name) <= 0:
-            ap.error(f"--{name} must be positive")
-    if args.dof_cap <= 0:
-        ap.error("--dof-cap must be positive")
-
-
-def cmd_adapt(args) -> int:
-    mesh0 = _initial_mesh(args)
+def cmd_adapt(args, mesh0, params) -> int:
     load = get_solution(args.solution, args.mu)
-    params = adaptive.LoopParams(
-        theta=args.theta, eps=args.eps, mu=args.mu, beta1=args.beta1,
-        gamma1=args.gamma1, gamma2=args.gamma2, element_cap=args.dof_cap,
-        max_iterations=args.max_iterations)
     trace = adaptive.anfem_loop(mesh0, load, params)
 
     os.makedirs(args.out, exist_ok=True)
@@ -127,7 +103,7 @@ def cmd_adapt(args) -> int:
 # verification suites
 
 
-def _suite_operators(args):
+def _suite_operators(args, params):
     rng = np.random.default_rng(args.seed)
     mesh = uniform_refine(get_domain("square"), 1)
     checks = []
@@ -149,23 +125,20 @@ def _suite_operators(args):
     return ok, f"conservative interpolation worst edge-mean defect {worst:.2e}"
 
 
-def _suite_estimator(args):
-    load = get_solution("constant", args.mu)
-    params = adaptive.LoopParams(theta=args.theta, mu=args.mu,
-                                 beta1=args.beta1, max_iterations=15,
-                                 element_cap=args.dof_cap)
+def _suite_estimator(args, params):
+    load = get_solution("constant", params.mu)
     try:
-        adaptive.anfem_loop(get_domain("lshape"), load, params)
+        adaptive.anfem_loop(get_domain("lshape"), load,
+                            replace(params, max_iterations=15))
     except AssertionError as exc:
         return False, f"estimator reduction failed: {exc}"
     return True, "estimator reduction held on a 15-step run"
 
 
-def _suite_qo(args):
-    load = get_solution("smooth1", args.mu)
-    params = adaptive.LoopParams(theta=args.theta, mu=args.mu,
-                                 max_iterations=12, element_cap=args.dof_cap)
-    trace = adaptive.anfem_loop(get_domain("square"), load, params)
+def _suite_qo(args, params):
+    load = get_solution("smooth1", params.mu)
+    trace = adaptive.anfem_loop(get_domain("square"), load,
+                                replace(params, max_iterations=12))
     qv = trace.column("qo_velocity")
     qp = trace.column("qo_pressure")
     vals = np.concatenate([qv[np.isfinite(qv)], qp[np.isfinite(qp)]])
@@ -176,7 +149,7 @@ def _suite_qo(args):
                 f"[{vals.min():.3g}, {vals.max():.3g}]")
 
 
-def _suite_counterexample(args):
+def _suite_counterexample(args, params):
     fam = counterexample.build_family(11)
     nodal = counterexample.build_test_pair(fam)
     got = counterexample.boundary_sum(fam, nodal)
@@ -185,7 +158,7 @@ def _suite_counterexample(args):
     return ok, f"boundary sum {got:.12g} vs closed form {want:.12g}"
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, params) -> int:
     suites = {"operators": _suite_operators,
               "estimator": _suite_estimator,
               "quasi-orthogonality": _suite_qo,
@@ -194,7 +167,7 @@ def cmd_verify(args) -> int:
     report = []
     failed = False
     for name in names:
-        ok, msg = suites[name](args)
+        ok, msg = suites[name](args, params)
         report.append({"suite": name, "pass": bool(ok), "detail": msg})
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {msg}")
         failed |= not ok
@@ -233,13 +206,22 @@ def cmd_counterexample(args) -> int:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.command in ("adapt", "verify"):
-        _validate(args, ap)
-    if args.command == "adapt":
-        return cmd_adapt(args)
+    if args.command == "counterexample":
+        return cmd_counterexample(args)
+    # LoopParams checks every loop parameter the subcommand was given
+    given = {f.name: getattr(args, f.name)
+             for f in fields(adaptive.LoopParams) if hasattr(args, f.name)}
+    try:
+        params = adaptive.LoopParams(**given)
+    except ValueError as exc:
+        ap.error(str(exc))
     if args.command == "verify":
-        return cmd_verify(args)
-    return cmd_counterexample(args)
+        return cmd_verify(args, params)
+    try:
+        mesh0 = read_mesh(args.mesh) if args.mesh else get_domain(args.domain)
+    except (MeshError, OSError) as exc:
+        ap.error(f"--mesh: {exc}")
+    return cmd_adapt(args, mesh0, params)
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ import numpy as np
 
 from .mesh import Triangulation, build_initial
 from .domains import diamond
+from .transfer import p1_gradients
 
 
 @dataclass
@@ -77,11 +78,6 @@ def build_test_pair(fam: CrissCrossFamily) -> np.ndarray:
     return nodal.ravel()
 
 
-def _p1_gradients(fam: CrissCrossFamily, nodal: np.ndarray) -> np.ndarray:
-    vals = nodal.reshape(-1, 2)[fam.fine.triangles]
-    return np.einsum("tic,tid->tcd", vals, fam.fine.bary_grads)
-
-
 def ac_segments(fam: CrissCrossFamily):
     """Fine edges along AC with their left/right incident elements."""
     fine = fam.fine
@@ -103,7 +99,7 @@ def boundary_sum(fam: CrissCrossFamily, nodal: np.ndarray) -> float:
     The normal-derivative average is constant per fine segment; the jump is
     linear, so per-segment exact integration is midpoint * length.
     """
-    grads = _p1_gradients(fam, nodal)
+    grads = p1_gradients(nodal, fam.fine)
     total = 0.0
     for e, left, right, ymid in ac_segments(fam):
         avg = 0.5 * (grads[left][0, 0] + grads[right][0, 0])
@@ -112,7 +108,7 @@ def boundary_sum(fam: CrissCrossFamily, nodal: np.ndarray) -> float:
 
 
 def grad_norm_sq(fam: CrissCrossFamily, nodal: np.ndarray) -> float:
-    g = _p1_gradients(fam, nodal)
+    g = p1_gradients(nodal, fam.fine)
     return float((fam.fine.area * np.einsum("tij,tij->t", g, g)).sum())
 
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from .mesh import Triangulation, build_initial, uniform_refine
 
 
@@ -35,7 +33,3 @@ def get_domain(name: str) -> Triangulation:
     if name not in builders:
         raise ValueError(f"unknown domain '{name}'")
     return builders[name]()
-
-
-def reentrant_corner(name: str) -> np.ndarray | None:
-    return np.zeros(2) if name == "lshape" else None

@@ -9,14 +9,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from . import quadrature as quad
 from .mesh import Triangulation, ancestor_map
 from .problems import LoadFunction
-from .spaces import (DiscreteSolution, _local_dofs, cr_gradients,
-                     edge_dof_map, num_velocity_dofs)
+from .spaces import (DiscreteSolution, _local_dofs, assemble_saddle,
+                     cr_gradients, num_velocity_dofs)
 
 
 @dataclass
@@ -114,10 +113,6 @@ def estimate_frozen(sol_coarse: DiscreteSolution, fine: Triangulation,
     return estimator_from_grads(fine, coarse_grads[ancestors], load, beta1)
 
 
-def eta_K(sol: DiscreteSolution, k: int, load: LoadFunction) -> float:
-    return float(estimate(sol, load).eta[k])
-
-
 def eta_set(report: EstimatorReport, elements) -> float:
     """Squared estimator total over an element set."""
     elements = np.asarray(elements, dtype=np.int64)
@@ -160,20 +155,10 @@ def residual_functional(sol_coarse: DiscreteSolution, fine: Triangulation,
         "tij,tij->t", Gc, Gv)).sum())
     divv = Gv[:, 0, 0] + Gv[:, 1, 1]
     b_term = float((fine.area * divv * sol_coarse.p[ancestors]).sum())
-    g_term = _load_inner(fine, v, load)
+    # the assembled load vector, so Res vanishes on the coarse space exactly
+    # in floating point
+    g_term = float(assemble_saddle(fine, load).F @ v)
     return g_term - a_term - b_term
-
-
-def _load_inner(mesh: Triangulation, v: np.ndarray, load: LoadFunction
-                ) -> float:
-    # same edge-midpoint rule as assembly, so Res vanishes on the coarse
-    # space exactly in floating point
-    from .spaces import cr_values
-    mids = quad.tri_points(mesh, quad.MIDPOINT_BARY)
-    gv = load.g(mids[..., 0], mids[..., 1])
-    vv = cr_values(mesh, v, quad.MIDPOINT_BARY)
-    return float((mesh.area / 3.0 * np.einsum(
-        "tqc,tqc->t", gv, vv)).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -186,35 +171,20 @@ def consistency_error(sigma, mesh: Triangulation, load: LoadFunction) -> float:
     Computed by solving (grad w, grad v) = (g, v) - (sigma, grad v) and
     returning ||grad w||.  `sigma` is a callable (x, y) -> (..., 2, 2).
     """
-    nu = num_velocity_dofs(mesh)
-    if nu == 0:
+    if num_velocity_dofs(mesh) == 0:
         return 0.0
+    system = assemble_saddle(mesh, load, 1.0)
     ldof = _local_dofs(mesh)
     gpsi = -2.0 * mesh.bary_grads
-    S = mesh.area[:, None, None] * np.einsum("tid,tjd->tij", gpsi, gpsi)
-    rows, cols, vals = [], [], []
-    for i in range(3):
-        for j in range(3):
-            mask = (ldof[:, i] >= 0) & (ldof[:, j] >= 0)
-            for c in range(2):
-                rows.append(2 * ldof[mask, i] + c)
-                cols.append(2 * ldof[mask, j] + c)
-                vals.append(S[mask, i, j])
-    A0 = sparse.csc_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nu, nu))
-
-    # rhs: (g, psi_i e_c) - (sigma, grad(psi_i e_c))
-    mids = quad.tri_points(mesh, quad.MIDPOINT_BARY)
-    gvals = load.g(mids[..., 0], mids[..., 1])
     sigma_int = quad.integrate(
         mesh, lambda x, y: np.asarray(sigma(x, y)))     # (nt, 2, 2)
-    rhs = np.zeros(nu)
+    # rhs: (g, psi_i e_c) - (sigma, grad(psi_i e_c))
+    rhs = system.F
     for i in range(3):
         mask = ldof[:, i] >= 0
-        gl = (mesh.area[mask] / 3.0)[:, None] * gvals[mask, i]
         sl = np.einsum("tcd,td->tc", sigma_int[mask], gpsi[mask, i])
         for c in range(2):
-            np.add.at(rhs, 2 * ldof[mask, i] + c, gl[:, c] - sl[:, c])
-    w = spla.splu(A0).solve(rhs)
-    return float(np.sqrt(max(w @ (A0 @ w), 0.0)))
+            np.add.at(rhs, 2 * ldof[mask, i] + c, -sl[:, c])
+    A = system.A.tocsc()
+    w = spla.splu(A).solve(rhs)
+    return float(np.sqrt(max(w @ (A @ w), 0.0)))

@@ -155,17 +155,6 @@ class Triangulation:
     def centroids(self) -> np.ndarray:
         return self.vertices[self.triangles].mean(axis=1)
 
-    def min_angle(self) -> float:
-        v = self.vertices[self.triangles]
-        angles = []
-        for i in range(3):
-            a = v[:, (i + 1) % 3] - v[:, i]
-            b = v[:, (i + 2) % 3] - v[:, i]
-            cosang = np.einsum("ij,ij->i", a, b) / (
-                np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
-            angles.append(np.arccos(np.clip(cosang, -1.0, 1.0)))
-        return float(np.min(angles))
-
 
 def _barycentric_gradients(v, tris, area):
     # grad lambda_i is the inward normal of the opposite edge scaled by 1/(2|K|)
@@ -429,32 +418,6 @@ def refinement_ratio(coarse: Triangulation, fine: Triangulation,
 
 
 # ---------------------------------------------------------------------------
-# patches
-
-
-def patches(tri: Triangulation):
-    """Return (omega_K, omega_E, omega_Z) adjacency tables.
-
-    omega_K[k]: elements sharing an edge with k (k included);
-    omega_E[e]: elements having edge e; omega_Z[z]: elements containing z.
-    """
-    nt, ne, nv = tri.num_triangles, tri.num_edges, tri.num_vertices
-    omega_e = [
-        [t for t in tri.edge_tris[e] if t >= 0] for e in range(ne)]
-    omega_k = []
-    for k in range(nt):
-        nbrs = {k}
-        for e in tri.tri_edges[k]:
-            nbrs.update(omega_e[e])
-        omega_k.append(sorted(nbrs))
-    omega_z = [[] for _ in range(nv)]
-    for k in range(nt):
-        for z in tri.triangles[k]:
-            omega_z[z].append(k)
-    return omega_k, omega_e, omega_z
-
-
-# ---------------------------------------------------------------------------
 # plain-text mesh IO
 #
 # line 1: `nv nt`; then nv lines `x y`; then nt lines `v0 v1 v2 refedge`
@@ -472,15 +435,30 @@ def write_mesh(tri: Triangulation, path):
 
 
 def read_mesh(path) -> Triangulation:
+    """Read the format above.  A malformed file raises MeshError naming the
+    file and the problem."""
     with open(path) as f:
         tokens = f.read().split()
-    it = iter(tokens)
-    nv, nt = int(next(it)), int(next(it))
-    verts = np.array([[float(next(it)), float(next(it))] for _ in range(nv)])
-    tris = []
-    for _ in range(nt):
-        v0, v1, v2, ref = (int(next(it)) for _ in range(4))
-        t = np.roll([v0, v1, v2], -((ref + 1) % 3))
-        tris.append(t)
-    return Triangulation(verts, np.array(tris, dtype=np.int64),
-                         np.zeros(nt, dtype=np.int64))
+    try:
+        if len(tokens) < 2:
+            raise MeshError("missing the 'nv nt' header")
+        nv, nt = int(tokens[0]), int(tokens[1])
+        if nv < 0 or nt < 0:
+            raise MeshError(f"negative count in the header '{nv} {nt}'")
+        if len(tokens) != 2 + 2 * nv + 4 * nt:
+            raise MeshError(f"{nv} vertices and {nt} triangles need "
+                            f"{2 * nv + 4 * nt} numbers after the header, "
+                            f"found {len(tokens) - 2}")
+        verts = np.array(tokens[2:2 + 2 * nv], dtype=float).reshape(nv, 2)
+        cells = np.array(tokens[2 + 2 * nv:], dtype=np.int64).reshape(nt, 4)
+        ids, ref = cells[:, :3], cells[:, 3]
+        if ids.size and (ids.min() < 0 or ids.max() >= nv):
+            raise MeshError(f"vertex id outside [0, {nv})")
+        if np.any((ref < 0) | (ref > 2)):
+            raise MeshError("refinement-edge index must be 0, 1 or 2")
+        # rotate each triangle so that its refinement edge is (v0, v1)
+        shift = (ref + 1) % 3
+        tris = np.take_along_axis(ids, (np.arange(3) + shift[:, None]) % 3, 1)
+        return Triangulation(verts, tris, np.zeros(nt, dtype=np.int64))
+    except ValueError as exc:       # MeshError and unparsable numbers
+        raise MeshError(f"{path}: {exc}") from None

@@ -40,11 +40,3 @@ def gauss_edge(npts: int = 4):
     """Nodes in [0, 1] and weights summing to 1."""
     x, w = np.polynomial.legendre.leggauss(npts)
     return 0.5 * (x + 1.0), 0.5 * w
-
-
-def edge_mean(p0, p1, f, npts: int = 4):
-    """Mean of a vector field over the segment p0-p1."""
-    s, w = gauss_edge(npts)
-    pts = np.outer(1.0 - s, p0) + np.outer(s, p1)
-    vals = np.asarray(f(pts[:, 0], pts[:, 1]))
-    return np.tensordot(w, vals, axes=(0, 0))

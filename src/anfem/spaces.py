@@ -158,16 +158,6 @@ def solve(mesh: Triangulation, load: LoadFunction,
 # elementwise evaluation of CR functions
 
 
-def cr_gradients(mesh: Triangulation, u: np.ndarray) -> np.ndarray:
-    """Per-element gradient tensor G[t, i, j] = d u_i / d x_j, (nt, 2, 2)."""
-    ldof = _local_dofs(mesh)
-    coeffs = np.zeros((mesh.num_triangles, 3, 2))
-    mask = ldof >= 0
-    coeffs[mask] = u.reshape(-1, 2)[ldof[mask]]
-    gpsi = -2.0 * mesh.bary_grads
-    return np.einsum("tic,tid->tcd", coeffs, gpsi)
-
-
 def cr_element_coeffs(mesh: Triangulation, u: np.ndarray) -> np.ndarray:
     """(nt, 3, 2) edge-mean values per element (zeros on boundary edges)."""
     ldof = _local_dofs(mesh)
@@ -175,6 +165,12 @@ def cr_element_coeffs(mesh: Triangulation, u: np.ndarray) -> np.ndarray:
     mask = ldof >= 0
     coeffs[mask] = u.reshape(-1, 2)[ldof[mask]]
     return coeffs
+
+
+def cr_gradients(mesh: Triangulation, u: np.ndarray) -> np.ndarray:
+    """Per-element gradient tensor G[t, i, j] = d u_i / d x_j, (nt, 2, 2)."""
+    return np.einsum("tic,tid->tcd", cr_element_coeffs(mesh, u),
+                     -2.0 * mesh.bary_grads)
 
 
 def cr_values(mesh: Triangulation, u: np.ndarray, bary: np.ndarray
@@ -188,14 +184,6 @@ def cr_values(mesh: Triangulation, u: np.ndarray, bary: np.ndarray
 def cr_vertex_values(mesh: Triangulation, u: np.ndarray) -> np.ndarray:
     """One-sided values at element corners, (nt, 3, 2)."""
     return cr_values(mesh, u, np.eye(3))
-
-
-def compute_stress(sol: DiscreteSolution) -> np.ndarray:
-    """sigma_K = mu grad(u_k) + p_k Id, piecewise constant (nt, 2, 2)."""
-    sigma = sol.mu * cr_gradients(sol.mesh, sol.u)
-    sigma[:, 0, 0] += sol.p
-    sigma[:, 1, 1] += sol.p
-    return sigma
 
 
 # ---------------------------------------------------------------------------
@@ -214,24 +202,6 @@ def broken_grad_norm_sq(mesh: Triangulation, u: np.ndarray,
 def broken_div(mesh: Triangulation, u: np.ndarray) -> np.ndarray:
     G = cr_gradients(mesh, u)
     return G[:, 0, 0] + G[:, 1, 1]
-
-
-def broken_div_norm_sq(mesh: Triangulation, u: np.ndarray) -> float:
-    d = broken_div(mesh, u)
-    return float((mesh.area * d ** 2).sum())
-
-
-def l2_norm_sq(mesh: Triangulation, u: np.ndarray) -> float:
-    # midpoint rule is exact for squares of element-wise linears
-    vals = cr_values(mesh, u, quad.MIDPOINT_BARY)
-    return float((mesh.area / 3.0 * np.einsum("tqc,tqc->t", vals, vals)).sum())
-
-
-def energy_norm_sq(mesh: Triangulation, u: np.ndarray, q: np.ndarray,
-                   gamma1: float = 1.0) -> float:
-    """Triple norm squared: ||grad v||^2 + gamma1 ||q||^2."""
-    return broken_grad_norm_sq(mesh, u) + gamma1 * float(
-        (mesh.area * q ** 2).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -5,28 +5,12 @@ that switches between averaging on the refined region and identity elsewhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import quadrature as quad
 from .mesh import (MeshError, NestingSets, Triangulation, barycentric,
                    descent_maps, nesting_sets)
 from .spaces import cr_element_coeffs, cr_gradients, edge_dof_map
-
-
-@dataclass
-class FineFunction:
-    """A CR or conforming-P1 vector field tied to one mesh."""
-    kind: str                 # "cr" | "p1"
-    coeffs: np.ndarray        # cr: (2 * n_interior_edges,); p1: (2 * nv,)
-    mesh: Triangulation
-
-    def __post_init__(self):
-        expected = (2 * len(self.mesh.interior_edges) if self.kind == "cr"
-                    else 2 * self.mesh.num_vertices)
-        if len(self.coeffs) != expected:
-            raise ValueError("coefficient length does not match space")
 
 
 # ---------------------------------------------------------------------------
@@ -177,19 +161,6 @@ def p1_to_cr(nodal: np.ndarray, mesh: Triangulation) -> np.ndarray:
     nod = nodal.reshape(-1, 2)
     e = mesh.edges[mesh.interior_edges]
     return (0.5 * (nod[e[:, 0]] + nod[e[:, 1]])).ravel()
-
-
-def broken_l2_error_sq(mesh: Triangulation, v: np.ndarray,
-                       field, deg_bary=None, deg_w=None) -> float:
-    """||v - field||_{L2}^2 of a CR function against a callable field."""
-    from .spaces import cr_values
-    bary = quad.DEG4_BARY if deg_bary is None else deg_bary
-    w = quad.DEG4_WEIGHTS if deg_w is None else deg_w
-    pts = quad.tri_points(mesh, bary)
-    fv = field(pts[..., 0], pts[..., 1])
-    vv = cr_values(mesh, v, bary)
-    diff = np.einsum("tqc,tqc->tq", fv - vv, fv - vv)
-    return float((mesh.area * (diff @ w)).sum())
 
 
 # ---------------------------------------------------------------------------

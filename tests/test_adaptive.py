@@ -1,12 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from anfem.adaptive import (ContractionParams, LoopParams, MarkingError,
-                            MarkingParams, anfem_loop, contraction_monitor,
-                            discrete_reliability_check, dorfler_mark,
-                            error_rate_fit, marking_threshold_check, rate_fit,
-                            uniform_trace)
+from anfem.adaptive import (LoopParams, MarkingError, anfem_loop,
+                            contraction_monitor, discrete_reliability_check,
+                            dorfler_mark, error_rate_fit,
+                            marking_threshold_check, rate_fit, uniform_trace)
 from anfem.domains import l_shape, unit_square
 from anfem.estimator import EstimatorReport, estimate
 from anfem.mesh import bisect
@@ -44,7 +45,7 @@ def test_dorfler_bad_theta():
     with pytest.raises(MarkingError):
         dorfler_mark(fake_report([1.0]), 1.5)
     with pytest.raises(MarkingError):
-        MarkingParams(theta=0.0)
+        LoopParams(theta=0.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -68,8 +69,26 @@ def test_dorfler_minimality(eta_sq, theta):
 
 
 def test_contraction_params_validation():
-    with pytest.raises(ValueError):
-        ContractionParams(gamma1=0.0)
+    for name in ("gamma1", "gamma2", "beta1"):
+        with pytest.raises(ValueError):
+            LoopParams(**{name: 0.0})
+
+
+# one out-of-range value per LoopParams field that has a range
+BAD_LOOP_PARAMS = [("theta", 1.0), ("theta", float("nan")), ("eps", -1e-3),
+                   ("mu", 0.0), ("beta1", -1.0), ("gamma1", -1.0),
+                   ("gamma2", -1.0), ("element_cap", 0),
+                   ("max_iterations", 0), ("reduction_slack", -1e-9)]
+
+
+@pytest.mark.parametrize("name,value", BAD_LOOP_PARAMS)
+def test_loop_params_rejects_out_of_range(name, value):
+    # raised at construction, and the fields cannot be reassigned later, so
+    # no loop can start with the value
+    with pytest.raises(ValueError, match=name):
+        LoopParams(**{name: value})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(LoopParams(), name, value)
 
 
 def test_zero_load_terminates_immediately():

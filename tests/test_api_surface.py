@@ -1,0 +1,56 @@
+"""The public names other code relies on: the benchmark tracer's spans and
+load factories, `anfem.__all__`, and the imports of the shipped scripts."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import anfem
+
+ROOT = Path(__file__).resolve().parents[1]
+
+DELETED = ("MarkingParams", "ContractionParams", "FineFunction", "patches",
+           "reentrant_corner", "edge_mean", "broken_l2_error_sq",
+           "l2_norm_sq", "energy_norm_sq", "broken_div_norm_sq",
+           "compute_stress", "eta_K")
+
+
+def _load(path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_targets_resolve():
+    tracer = _load(ROOT / "perfbench" / "tracer.py", "_anfem_tracer_probe")
+    for module_name, attr, _, _ in tracer.SPANS:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), f"{module_name}.{attr}"
+    for attr in tracer.LOAD_FACTORIES:
+        assert callable(getattr(anfem.problems, attr)), attr
+
+
+def test_all_resolves_without_deleted_names():
+    for name in anfem.__all__:
+        assert hasattr(anfem, name), name
+    assert not set(DELETED) & set(anfem.__all__)
+    modules = ("adaptive", "domains", "estimator", "mesh", "quadrature",
+               "spaces", "transfer")
+    for mod in modules:
+        module = importlib.import_module(f"anfem.{mod}")
+        for name in DELETED:
+            assert not hasattr(module, name), f"anfem.{mod}.{name}"
+    assert not hasattr(anfem.mesh.Triangulation, "min_angle")
+
+
+@pytest.mark.parametrize(
+    "script", sorted(p.name for p in (ROOT / "scripts").glob("*.py")))
+def test_script_imports(script):
+    # loaded under a name other than __main__, so main() does not run
+    module = _load(ROOT / "scripts" / script, f"_anfem_script_{script[:-3]}")
+    assert callable(module.main)

@@ -41,6 +41,35 @@ def test_adapt_bad_theta_exits_2(tmp_path):
     assert exc.value.code == 2
 
 
+# one out-of-range value per loop flag; LoopParams rejects each before a solve
+@pytest.mark.parametrize("flag,value", [
+    ("--theta", "0"), ("--eps", "-1"), ("--mu", "0"), ("--beta1", "-1"),
+    ("--gamma1", "-1"), ("--gamma2", "-1"), ("--element-cap", "0"),
+    ("--max-iterations", "0")])
+def test_adapt_bad_loop_flag_exits_2(tmp_path, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["adapt", flag, value, "--out", str(tmp_path)])
+    assert exc.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--domain", "lshape"], ["adapt", "--seed", "1"],
+    ["adapt", "--dof-cap", "20"]])
+def test_subcommand_rejects_flags_it_does_not_read(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == EXIT_USAGE
+
+
+def test_adapt_bad_mesh_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("3 1\n0 0\n1 0\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["adapt", "--mesh", str(bad), "--out", str(tmp_path)])
+    assert exc.value.code == EXIT_USAGE
+    assert "bad.txt" in capsys.readouterr().err
+
+
 def test_adapt_small_run(tmp_path):
     rc = main(["adapt", "--solution", "smooth1", "--theta", "0.5",
                "--max-iterations", "5", "--eps", "0",
@@ -58,7 +87,7 @@ def test_adapt_small_run(tmp_path):
 
 def test_adapt_truncation_exit_code(tmp_path):
     rc = main(["adapt", "--solution", "smooth1", "--theta", "0.5",
-               "--dof-cap", "20", "--eps", "0", "--out", str(tmp_path)])
+               "--element-cap", "20", "--eps", "0", "--out", str(tmp_path)])
     assert rc == EXIT_TRUNCATED
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["truncated"]

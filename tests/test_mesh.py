@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from anfem.mesh import (MeshError, Triangulation, ancestor_map, bisect,
-                        build_initial, nesting_sets, patches, read_mesh,
+                        build_initial, nesting_sets, read_mesh,
                         refinement_ratio, uniform_refine, write_mesh)
 from anfem.domains import diamond, l_shape, unit_square
 
@@ -142,19 +142,6 @@ def test_refinement_ratio():
     assert abs(refinement_ratio(coarse, two) - 2.0) < 1e-12
 
 
-def test_patches():
-    tri = unit_square(1)
-    omega_k, omega_e, omega_z = patches(tri)
-    for k, nbrs in enumerate(omega_k):
-        assert k in nbrs
-        assert len(nbrs) <= 4
-    for e in range(tri.num_edges):
-        assert len(omega_e[e]) == (1 if tri.boundary_edge[e] else 2)
-    for z, elems in enumerate(omega_z):
-        for k in elems:
-            assert z in tri.triangles[k]
-
-
 def test_mesh_io_roundtrip(tmp_path):
     tri = bisect(l_shape(), np.array([1, 4]))
     path = tmp_path / "mesh.txt"
@@ -167,6 +154,28 @@ def test_mesh_io_roundtrip(tmp_path):
     fine_b = bisect(back, np.arange(back.num_triangles))
     assert fine_a.num_triangles == fine_b.num_triangles
     assert abs(fine_a.area.sum() - fine_b.area.sum()) < 1e-12
+
+
+VALID_MESH = "3 1\n0 0\n1 0\n0 1\n0 1 2 2\n"
+# each case breaks VALID_MESH by one replacement: (old, new, expected problem)
+BAD_MESH_FILES = {
+    "truncated": ("0 1 2 2\n", "0 1\n", "need 10 numbers"),
+    "vertex_id": ("0 1 2 2", "0 1 3 2", "vertex id"),
+    "ref_edge": ("0 1 2 2", "0 1 2 9", "refinement-edge"),
+    "non_numeric": ("1 0\n", "1 x\n", "'x'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MESH_FILES))
+def test_read_mesh_rejects_malformed_file(tmp_path, case):
+    old, new, problem = BAD_MESH_FILES[case]
+    path = tmp_path / "mesh.txt"
+    path.write_text(VALID_MESH)
+    assert read_mesh(path).num_triangles == 1
+    path.write_text(VALID_MESH.replace(old, new))
+    with pytest.raises(MeshError, match=problem) as exc:
+        read_mesh(path)
+    assert str(path) in str(exc.value)
 
 
 def test_edge_geometry():

@@ -8,10 +8,10 @@ from anfem.mesh import (MeshError, ancestor_map, bisect, nesting_sets,
 from anfem.problems import get_solution
 from anfem.spaces import (cr_gradients, cr_vertex_values, num_velocity_dofs,
                           solve)
-from anfem.transfer import (FineFunction, classify_fine_edges,
-                            conservative_interpolation, edge_means_of_field,
-                            mixed_prolongation, naive_prolongation,
-                            nodal_averaging, p1_eval, p1_gradients, p1_to_cr,
+from anfem.transfer import (classify_fine_edges, conservative_interpolation,
+                            edge_means_of_field, mixed_prolongation,
+                            naive_prolongation, nodal_averaging, p1_eval,
+                            p1_gradients, p1_to_cr,
                             prolongation_defect_constant, restriction)
 
 
@@ -146,11 +146,3 @@ def test_defect_constant_nonnegative_finite():
     with pytest.raises(ValueError):
         prolongation_defect_constant(coarse, fine, v, ns, operator="bogus")
 
-
-def test_fine_function_validation():
-    mesh = unit_square(1)
-    with pytest.raises(ValueError):
-        FineFunction(kind="cr", coeffs=np.zeros(3), mesh=mesh)
-    FineFunction(kind="cr",
-                 coeffs=np.zeros(2 * len(mesh.interior_edges)), mesh=mesh)
-    FineFunction(kind="p1", coeffs=np.zeros(2 * mesh.num_vertices), mesh=mesh)
