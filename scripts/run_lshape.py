@@ -37,7 +37,7 @@ def main():
     print(f"uniform:  {len(uni.records)} levels, "
           f"{uni.records[-1].nelems} elements, rate {ru:.3f}")
     corner = np.array([0.0, 0.0])
-    mesh = trace.final_mesh
+    mesh = trace.final_solution.mesh
     d = np.linalg.norm(mesh.centroids() - corner, axis=1)
     print(f"closest element centroid to the reentrant corner: {d.min():.2e}")
 

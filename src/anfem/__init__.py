@@ -12,8 +12,7 @@ from .counterexample import (CrissCrossFamily, boundary_sum, build_family,
                              scaling_study)
 from .domains import diamond, get_domain, l_shape, unit_square
 from .estimator import (EstimatorReport, consistency_error, estimate,
-                        estimate_frozen, modified_eta, oscillation,
-                        residual_functional)
+                        estimate_frozen, modified_eta, residual_functional)
 from .mesh import (MeshError, NestingSets, Triangulation, ancestor_map,
                    bisect, build_initial, nesting_sets, read_mesh,
                    refinement_ratio, uniform_refine, write_mesh)
@@ -37,7 +36,7 @@ __all__ = [
     "discrete_reliability_check", "dorfler_mark", "estimate",
     "estimate_frozen", "get_domain", "get_solution", "l_shape",
     "marking_threshold_check", "mixed_prolongation", "modified_eta",
-    "naive_prolongation", "nesting_sets", "nodal_averaging", "oscillation",
+    "naive_prolongation", "nesting_sets", "nodal_averaging",
     "pairing_constant", "prolongation_defect_constant", "rate_fit",
     "read_mesh", "refinement_ratio", "residual_functional", "restriction",
     "scaling_study", "smooth1", "solve", "solve_saddle", "uniform_refine",

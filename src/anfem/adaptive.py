@@ -5,7 +5,7 @@ reliability and empirical convergence rates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -13,7 +13,7 @@ from . import quadrature as quad
 from .estimator import (EstimatorReport, estimate, estimate_frozen,
                         modified_eta)
 from .mesh import (NestingSets, Triangulation, bisect, nesting_sets,
-                   refinement_ratio)
+                   refinement_ratio, uniform_refine)
 from .problems import LoadFunction
 from .spaces import (DiscreteSolution, assemble_saddle, broken_grad_norm_sq,
                      cr_gradients, galerkin_residual, max_element_divergence,
@@ -77,24 +77,19 @@ class AdaptiveTrace:
     records: list[IterationRecord] = field(default_factory=list)
     truncated: bool = False
     converged: bool = False
-    final_mesh: Triangulation | None = None
     final_solution: DiscreteSolution | None = None
 
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.records])
 
     def to_csv(self, path):
-        cols = ["iteration", "nelems", "ndofs", "eta2", "eta_tilde2", "osc2",
-                "vol2", "nmarked", "gamma", "err_u2", "err_p2", "lam",
-                "alpha"]
+        """`anfem-trace-v2`: one column per `IterationRecord` field."""
         with open(path, "w") as f:
-            f.write("anfem-trace-v1\n")
-            f.write("iter,nelems,ndofs,eta2,eta_tilde2,osc2,vol2,nmarked,"
-                    "gamma,err_u2,err_p2,Lambda,alpha\n")
+            f.write("anfem-trace-v2\n")
+            f.write(",".join(c.name for c in fields(IterationRecord)) + "\n")
             for r in self.records:
-                f.write(",".join(
-                    f"{getattr(r, c):.17g}" if isinstance(getattr(r, c), float)
-                    else str(getattr(r, c)) for c in cols) + "\n")
+                f.write(",".join(f"{v:.17g}" if isinstance(v, float)
+                                 else str(v) for v in astuple(r)) + "\n")
 
 
 @dataclass(frozen=True)
@@ -143,9 +138,30 @@ def _exact_pressure_inner(mesh: Triangulation, load: LoadFunction,
     return float((p_int * q).sum())
 
 
+def _solve_level(mesh: Triangulation, load: LoadFunction, p: LoopParams,
+                 it: int, gamma: float):
+    """Solve on `mesh`, check the solver invariants and estimate; returns the
+    solution, the estimator and the level's record (nothing marked yet)."""
+    system = assemble_saddle(mesh, load, p.mu)
+    sol = solve_saddle(system)
+    _check_solve_invariants(system, sol)
+    report = estimate(sol, load)
+    rec = IterationRecord(
+        iteration=it, nelems=mesh.num_triangles,
+        ndofs=num_velocity_dofs(mesh) + mesh.num_triangles,
+        eta2=report.total_eta_sq, eta_tilde2=modified_eta(report, p.beta1),
+        osc2=report.total_osc_sq, vol2=report.total_vol_sq,
+        nmarked=0, gamma=gamma)
+    if load.has_exact:
+        rec.err_u2 = velocity_error_sq(sol, load)
+        rec.err_p2 = pressure_error_sq(sol, load)
+    return sol, report, rec
+
+
 def anfem_loop(mesh0: Triangulation, load: LoadFunction,
                params: LoopParams | None = None) -> AdaptiveTrace:
-    """Solve -> estimate -> mark -> refine until eta < eps or a size cap."""
+    """Solve -> estimate -> mark -> refine until eta < eps, the element cap
+    or the last iteration; the run ends with a solve, never a refinement."""
     p = params or LoopParams()
     trace = AdaptiveTrace()
     mesh = mesh0
@@ -156,22 +172,8 @@ def anfem_loop(mesh0: Triangulation, load: LoadFunction,
     gamma = 1.0
 
     for it in range(p.max_iterations):
-        system = assemble_saddle(mesh, load, p.mu)
-        sol = solve_saddle(system)
-        _check_solve_invariants(system, sol)
-        report = estimate(sol, load, p.beta1)
-
-        rec = IterationRecord(
-            iteration=it, nelems=mesh.num_triangles,
-            ndofs=num_velocity_dofs(mesh) + mesh.num_triangles,
-            eta2=report.total_eta_sq,
-            eta_tilde2=modified_eta(report),
-            osc2=report.total_osc_sq, vol2=report.total_vol_sq,
-            nmarked=0, gamma=gamma)
-
+        sol, report, rec = _solve_level(mesh, load, p, it, gamma)
         if load.has_exact:
-            rec.err_u2 = velocity_error_sq(sol, load)
-            rec.err_p2 = pressure_error_sq(sol, load)
             rec.lam = rec.err_u2 + p.gamma1 * rec.err_p2 \
                 + p.gamma2 * rec.eta_tilde2
             if np.isfinite(prev_lam) and prev_lam > 0:
@@ -181,13 +183,13 @@ def anfem_loop(mesh0: Triangulation, load: LoadFunction,
         if prev is not None:
             _cross_level_monitors(prev, sol, mesh, load, rec)
         trace.records.append(rec)
+        trace.final_solution = sol
 
         eta = np.sqrt(report.total_eta_sq)
-        if eta < p.eps or eta == 0.0:
-            trace.converged = True
-            break
-        if mesh.num_triangles >= p.element_cap:
-            trace.truncated = True
+        trace.converged = bool(eta < p.eps or eta == 0.0)
+        trace.truncated = (not trace.converged
+                           and mesh.num_triangles >= p.element_cap)
+        if trace.converged or trace.truncated or it + 1 == p.max_iterations:
             break
 
         marked = dorfler_mark(report, p.theta)
@@ -198,30 +200,23 @@ def anfem_loop(mesh0: Triangulation, load: LoadFunction,
 
         if p.check_reduction:
             frozen = estimate_frozen(sol, refined, load, ns.ancestors)
-            lhs = frozen.total_eta_sq
-            rhs = report.total_eta_sq - ESTIMATOR_REDUCTION_RHO * float(
-                report.eta_sq[ns.refined].sum())
-            rec.reduction_lhs = lhs
-            rec.reduction_rhs = rhs
-            if lhs > rhs + p.reduction_slack * max(1.0, rhs):
-                raise AssertionError(
-                    f"estimator reduction violated at step {it}: "
-                    f"{lhs:.16g} > {rhs:.16g}")
-            # volume-term reduction with the same factor
-            vol_lhs = frozen.total_vol_sq
-            vol_rhs = report.total_vol_sq - ESTIMATOR_REDUCTION_RHO * float(
-                report.vol_sq[ns.refined].sum())
-            if vol_lhs > vol_rhs + p.reduction_slack * max(1.0, vol_rhs):
-                raise AssertionError(
-                    f"volume-term reduction violated at step {it}")
+            # the estimator and its volume term, reduced by the same factor
+            for name, coarse, fine in (
+                    ("estimator", report.eta_sq, frozen.eta_sq),
+                    ("volume-term", report.vol_sq, frozen.vol_sq)):
+                lhs = float(fine.sum())
+                rhs = float(coarse.sum()) - ESTIMATOR_REDUCTION_RHO * float(
+                    coarse[ns.refined].sum())
+                if name == "estimator":
+                    rec.reduction_lhs, rec.reduction_rhs = lhs, rhs
+                if lhs > rhs + p.reduction_slack * max(1.0, rhs):
+                    raise AssertionError(
+                        f"{name} reduction violated at step {it}: "
+                        f"{lhs:.16g} > {rhs:.16g}")
 
         prev = (sol, report, ns)
         mesh = refined
-    else:
-        trace.truncated = mesh.num_triangles >= p.element_cap
 
-    trace.final_mesh = mesh
-    trace.final_solution = sol
     return trace
 
 
@@ -270,30 +265,19 @@ def _cross_level_monitors(prev, sol, mesh, load, rec):
 
 
 def uniform_trace(mesh0: Triangulation, load: LoadFunction, levels: int,
-                  rounds_per_level: int = 2, mu: float = 1.0,
-                  beta1: float = 1.0) -> AdaptiveTrace:
-    trace = AdaptiveTrace()
+                  rounds_per_level: int = 2) -> AdaptiveTrace:
+    """Solve on `levels` meshes, each `rounds_per_level` uniform bisection
+    rounds finer than the one before, with the adaptive loop's checks."""
+    trace = AdaptiveTrace(converged=True)
     mesh = mesh0
+    p = LoopParams()          # the default mu and beta1
+    gamma = 2.0 ** (rounds_per_level / 2.0)
     for it in range(levels):
-        system = assemble_saddle(mesh, load, mu)
-        sol = solve_saddle(system)
-        report = estimate(sol, load, beta1)
-        rec = IterationRecord(
-            iteration=it, nelems=mesh.num_triangles,
-            ndofs=num_velocity_dofs(mesh) + mesh.num_triangles,
-            eta2=report.total_eta_sq, eta_tilde2=modified_eta(report),
-            osc2=report.total_osc_sq, vol2=report.total_vol_sq,
-            nmarked=mesh.num_triangles, gamma=2.0 ** (rounds_per_level / 2.0))
-        if load.has_exact:
-            rec.err_u2 = velocity_error_sq(sol, load)
-            rec.err_p2 = pressure_error_sq(sol, load)
+        if it > 0:
+            trace.records[-1].nmarked = mesh.num_triangles
+            mesh = uniform_refine(mesh, rounds_per_level)
+        trace.final_solution, _, rec = _solve_level(mesh, load, p, it, gamma)
         trace.records.append(rec)
-        if it + 1 < levels:
-            for _ in range(rounds_per_level):
-                mesh = bisect(mesh, np.arange(mesh.num_triangles))
-    trace.final_mesh = mesh
-    trace.final_solution = sol
-    trace.converged = True
     return trace
 
 
@@ -319,13 +303,6 @@ def rate_fit(trace: AdaptiveTrace, n0: int | None = None) -> float:
     if len(xs) < 2:
         raise ValueError("not enough growing trace points")
     return float(np.polyfit(xs, ys, 1)[0])
-
-
-def error_rate_fit(nelems, errors) -> float:
-    """Slope of log(error) vs log(1/h) with h = nelems^(-1/2)."""
-    x = 0.5 * np.log(np.asarray(nelems, dtype=float))
-    y = np.log(np.asarray(errors, dtype=float))
-    return float(np.polyfit(x, y, 1)[0])
 
 
 def contraction_monitor(trace: AdaptiveTrace):

@@ -21,12 +21,9 @@ from .spaces import (DiscreteSolution, _local_dofs, assemble_saddle,
 @dataclass
 class EstimatorReport:
     mesh: Triangulation
-    volume: np.ndarray        # (nt,) h_K ||g||_K
-    jump_sq: np.ndarray       # (nt,) sum over dK of h_K ||[grad u tau]||_E^2
-    eta: np.ndarray           # (nt,) volume + sqrt(jump_sq)
+    eta: np.ndarray           # (nt,) eta_K of the module docstring
     osc_sq: np.ndarray        # (nt,) h_K^2 ||g - g_K||_K^2
     vol_sq: np.ndarray        # (nt,) h_K^2 ||g||_K^2
-    beta1: float = 1.0
 
     @property
     def eta_sq(self) -> np.ndarray:
@@ -43,15 +40,6 @@ class EstimatorReport:
     @property
     def total_vol_sq(self) -> float:
         return float(self.vol_sq.sum())
-
-    def to_csv(self, path):
-        with open(path, "w") as f:
-            f.write("anfem-estimator-v1\n")
-            f.write("element,volume,jump,eta2,osc2\n")
-            for k in range(len(self.eta)):
-                f.write(f"{k},{self.volume[k]:.17g},"
-                        f"{np.sqrt(self.jump_sq[k]):.17g},"
-                        f"{self.eta_sq[k]:.17g},{self.osc_sq[k]:.17g}\n")
 
 
 def tangential_jumps(mesh: Triangulation, grads: np.ndarray) -> np.ndarray:
@@ -86,52 +74,34 @@ def _volume_terms(mesh: Triangulation, load: LoadFunction):
 
 
 def estimator_from_grads(mesh: Triangulation, grads: np.ndarray,
-                         load: LoadFunction,
-                         beta1: float = 1.0) -> EstimatorReport:
+                         load: LoadFunction) -> EstimatorReport:
     g_l2sq, osc_raw = _volume_terms(mesh, load)
     volume = mesh.h * np.sqrt(np.maximum(g_l2sq, 0.0))
-    jump_sq = _element_jump_sq(mesh, grads)
-    eta = volume + np.sqrt(jump_sq)
-    return EstimatorReport(mesh=mesh, volume=volume, jump_sq=jump_sq,
-                           eta=eta, osc_sq=mesh.h ** 2 * osc_raw,
-                           vol_sq=mesh.h ** 2 * g_l2sq, beta1=beta1)
+    eta = volume + np.sqrt(_element_jump_sq(mesh, grads))
+    return EstimatorReport(mesh=mesh, eta=eta, osc_sq=mesh.h ** 2 * osc_raw,
+                           vol_sq=mesh.h ** 2 * g_l2sq)
 
 
-def estimate(sol: DiscreteSolution, load: LoadFunction,
-             beta1: float = 1.0) -> EstimatorReport:
+def estimate(sol: DiscreteSolution, load: LoadFunction) -> EstimatorReport:
     grads = cr_gradients(sol.mesh, sol.u)
-    return estimator_from_grads(sol.mesh, grads, load, beta1)
+    return estimator_from_grads(sol.mesh, grads, load)
 
 
 def estimate_frozen(sol_coarse: DiscreteSolution, fine: Triangulation,
-                    load: LoadFunction, ancestors: np.ndarray | None = None,
-                    beta1: float = 1.0) -> EstimatorReport:
+                    load: LoadFunction,
+                    ancestors: np.ndarray | None = None) -> EstimatorReport:
     """Estimator of the frozen coarse solution evaluated on a nested fine mesh."""
     if ancestors is None:
         ancestors = ancestor_map(sol_coarse.mesh, fine, check=False)
     coarse_grads = cr_gradients(sol_coarse.mesh, sol_coarse.u)
-    return estimator_from_grads(fine, coarse_grads[ancestors], load, beta1)
+    return estimator_from_grads(fine, coarse_grads[ancestors], load)
 
 
-def eta_set(report: EstimatorReport, elements) -> float:
-    """Squared estimator total over an element set."""
-    elements = np.asarray(elements, dtype=np.int64)
-    return float(report.eta_sq[elements].sum()) if elements.size else 0.0
-
-
-def oscillation(load: LoadFunction, mesh: Triangulation):
-    """(total osc^2, per-element osc_K^2)."""
-    g_l2sq, osc_raw = _volume_terms(mesh, load)
-    per = mesh.h ** 2 * osc_raw
-    return float(per.sum()), per
-
-
-def modified_eta(report: EstimatorReport, beta1: float | None = None) -> float:
+def modified_eta(report: EstimatorReport, beta1: float = 1.0) -> float:
     """Squared modified estimator sum_K (beta1 h_K^2 ||g||^2 + eta_K^2)."""
-    b1 = report.beta1 if beta1 is None else beta1
-    if b1 <= 0:
+    if beta1 <= 0:
         raise ValueError("beta1 must be positive")
-    return float((b1 * report.vol_sq + report.eta_sq).sum())
+    return float((beta1 * report.vol_sq + report.eta_sq).sum())
 
 
 # ---------------------------------------------------------------------------

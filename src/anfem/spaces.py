@@ -41,7 +41,6 @@ class SaddleSystem:
     B: sparse.csr_matrix          # divergence coupling, (nt, nu)
     F: np.ndarray                 # load vector, (nu,)
     mu: float
-    load: LoadFunction
 
     @property
     def nu(self) -> int:
@@ -54,10 +53,6 @@ class DiscreteSolution:
     u: np.ndarray                 # (2 * n_interior_edges,)
     p: np.ndarray                 # (nt,)
     mu: float
-
-    def velocity_coeffs(self) -> np.ndarray:
-        """(n_interior_edges, 2) edge-mean values."""
-        return self.u.reshape(-1, 2)
 
 
 def _local_dofs(mesh: Triangulation):
@@ -112,7 +107,7 @@ def assemble_saddle(mesh: Triangulation, load: LoadFunction,
         np.add.at(F, 2 * ldof[mask, i], contrib[:, 0])
         np.add.at(F, 2 * ldof[mask, i] + 1, contrib[:, 1])
 
-    return SaddleSystem(mesh=mesh, A=A, B=B, F=F, mu=mu, load=load)
+    return SaddleSystem(mesh=mesh, A=A, B=B, F=F, mu=mu)
 
 
 def solve_saddle(system: SaddleSystem) -> DiscreteSolution:
@@ -190,13 +185,9 @@ def cr_vertex_values(mesh: Triangulation, u: np.ndarray) -> np.ndarray:
 # broken norms
 
 
-def broken_grad_norm_sq(mesh: Triangulation, u: np.ndarray,
-                        elements=None) -> float:
+def broken_grad_norm_sq(mesh: Triangulation, u: np.ndarray) -> float:
     G = cr_gradients(mesh, u)
-    contrib = mesh.area * np.einsum("tij,tij->t", G, G)
-    if elements is not None:
-        contrib = contrib[elements]
-    return float(contrib.sum())
+    return float((mesh.area * np.einsum("tij,tij->t", G, G)).sum())
 
 
 def broken_div(mesh: Triangulation, u: np.ndarray) -> np.ndarray:

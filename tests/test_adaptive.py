@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from anfem.adaptive import (LoopParams, MarkingError, anfem_loop,
-                            contraction_monitor, discrete_reliability_check,
-                            dorfler_mark, error_rate_fit,
+import anfem.adaptive
+from anfem.adaptive import (IterationRecord, LoopParams, MarkingError,
+                            anfem_loop, contraction_monitor,
+                            discrete_reliability_check, dorfler_mark,
                             marking_threshold_check, rate_fit, uniform_trace)
 from anfem.domains import l_shape, unit_square
 from anfem.estimator import EstimatorReport, estimate
@@ -18,9 +19,8 @@ from anfem.spaces import solve
 def fake_report(eta_sq):
     eta = np.sqrt(np.asarray(eta_sq, dtype=float))
     n = len(eta)
-    return EstimatorReport(mesh=None, volume=np.zeros(n),
-                           jump_sq=np.zeros(n), eta=eta,
-                           osc_sq=np.zeros(n), vol_sq=np.zeros(n))
+    return EstimatorReport(mesh=None, eta=eta, osc_sq=np.zeros(n),
+                           vol_sq=np.zeros(n))
 
 
 def test_dorfler_single_dominant():
@@ -153,9 +153,14 @@ def test_trace_csv_schema(tmp_path):
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "anfem-trace-v1"
-    assert lines[1].split(",")[:4] == ["iter", "nelems", "ndofs", "eta2"]
+    assert lines[0] == "anfem-trace-v2"
+    names = [f.name for f in dataclasses.fields(IterationRecord)]
+    assert lines[1].split(",") == names
     assert len(lines) == 2 + len(trace.records)
+    # every field is written, the last record's unset reduction as nan
+    last = dict(zip(names, lines[-1].split(",")))
+    assert float(last["eta2"]) == trace.records[-1].eta2
+    assert last["reduction_lhs"] == "nan"
 
 
 def test_rate_fit_requires_points():
@@ -173,10 +178,38 @@ def test_uniform_rate_smooth():
     assert -0.65 < s < -0.35        # optimal N^(-1/2) for smooth data
 
 
-def test_error_rate_fit_linear():
-    n = np.array([100, 400, 1600])
-    err = 5.0 / np.sqrt(n)
-    assert np.isclose(error_rate_fit(n, err), -1.0)
+def test_loop_ends_at_its_last_solve(monkeypatch):
+    calls = []
+
+    def counting_bisect(mesh, marked):
+        calls.append(len(marked))
+        return bisect(mesh, marked)
+
+    monkeypatch.setattr(anfem.adaptive, "bisect", counting_bisect)
+    trace = anfem_loop(unit_square(1), get_solution("smooth1"),
+                       LoopParams(max_iterations=3))
+    last = trace.records[-1]
+    assert trace.final_solution.mesh.num_triangles == last.nelems == 9
+    assert last.nmarked == 0 and np.isnan(last.reduction_lhs)
+    assert len(calls) == len(trace.records) - 1
+    assert not trace.truncated and not trace.converged
+
+
+def test_uniform_trace_checks_solver_invariants(monkeypatch):
+    load = get_solution("smooth1")
+    trace = uniform_trace(unit_square(1), load, levels=3, rounds_per_level=1)
+    assert trace.column("nmarked").tolist() == [4, 8, 0]
+    assert trace.final_solution.mesh.num_triangles == 16
+    solve_saddle = anfem.adaptive.solve_saddle
+
+    def perturbed(system):
+        sol = solve_saddle(system)
+        sol.u = sol.u + np.random.default_rng(0).normal(size=sol.u.shape)
+        return sol
+
+    monkeypatch.setattr(anfem.adaptive, "solve_saddle", perturbed)
+    with pytest.raises(AssertionError, match="divergence"):
+        uniform_trace(unit_square(1), load, levels=3, rounds_per_level=1)
 
 
 def test_discrete_reliability_identity_and_refined():

@@ -1,6 +1,7 @@
 """The public names other code relies on: the benchmark tracer's spans and
 load factories, `anfem.__all__`, and the imports of the shipped scripts."""
 
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
@@ -14,7 +15,17 @@ ROOT = Path(__file__).resolve().parents[1]
 DELETED = ("MarkingParams", "ContractionParams", "FineFunction", "patches",
            "reentrant_corner", "edge_mean", "broken_l2_error_sq",
            "l2_norm_sq", "energy_norm_sq", "broken_div_norm_sq",
-           "compute_stress", "eta_K")
+           "compute_stress", "eta_K", "oscillation", "eta_set",
+           "error_rate_fit")
+# (class, attribute) pairs deleted from the public classes
+DELETED_MEMBERS = (("mesh.Triangulation", "min_angle"),
+                   ("adaptive.AdaptiveTrace", "final_mesh"),
+                   ("estimator.EstimatorReport", "beta1"),
+                   ("estimator.EstimatorReport", "volume"),
+                   ("estimator.EstimatorReport", "jump_sq"),
+                   ("estimator.EstimatorReport", "to_csv"),
+                   ("spaces.DiscreteSolution", "velocity_coeffs"),
+                   ("spaces.SaddleSystem", "load"))
 
 
 def _load(path: Path, name: str):
@@ -45,7 +56,11 @@ def test_all_resolves_without_deleted_names():
         module = importlib.import_module(f"anfem.{mod}")
         for name in DELETED:
             assert not hasattr(module, name), f"anfem.{mod}.{name}"
-    assert not hasattr(anfem.mesh.Triangulation, "min_angle")
+    for owner, name in DELETED_MEMBERS:
+        module, cls = owner.split(".")
+        cls = getattr(importlib.import_module(f"anfem.{module}"), cls)
+        assert not hasattr(cls, name), f"{owner}.{name}"
+        assert name not in {f.name for f in dataclasses.fields(cls)}, name
 
 
 @pytest.mark.parametrize(

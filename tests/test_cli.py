@@ -76,8 +76,8 @@ def test_adapt_small_run(tmp_path):
                "--out", str(tmp_path)])
     assert rc == EXIT_OK
     lines = (tmp_path / "trace.csv").read_text().splitlines()
-    assert lines[0] == "anfem-trace-v1"
-    assert lines[1].split(",")[:3] == ["iter", "nelems", "ndofs"]
+    assert lines[0] == "anfem-trace-v2"
+    assert lines[1].split(",")[:3] == ["iteration", "nelems", "ndofs"]
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["schema"] == "anfem-summary-v1"
     assert summary["iterations"] == 5
