@@ -271,11 +271,12 @@ def uniform_trace(mesh0: Triangulation, load: LoadFunction, levels: int,
     trace = AdaptiveTrace(converged=True)
     mesh = mesh0
     p = LoopParams()          # the default mu and beta1
-    gamma = 2.0 ** (rounds_per_level / 2.0)
+    gamma = 1.0               # no previous mesh, as in anfem_loop
     for it in range(levels):
         if it > 0:
             trace.records[-1].nmarked = mesh.num_triangles
             mesh = uniform_refine(mesh, rounds_per_level)
+            gamma = 2.0 ** (rounds_per_level / 2.0)
         trace.final_solution, _, rec = _solve_level(mesh, load, p, it, gamma)
         trace.records.append(rec)
     return trace

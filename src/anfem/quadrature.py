@@ -29,7 +29,11 @@ def tri_points(mesh, bary):
 def integrate(mesh, f, bary=DEG4_BARY, weights=DEG4_WEIGHTS):
     """Elementwise integrals of f(x, y); returns (nt, ...) array."""
     pts = tri_points(mesh, bary)
-    vals = f(pts[..., 0], pts[..., 1])              # (nt, nq, ...)
+    return integrate_values(mesh, f(pts[..., 0], pts[..., 1]), weights)
+
+
+def integrate_values(mesh, vals, weights=DEG4_WEIGHTS):
+    """Elementwise integrals from values (nt, nq, ...) at the rule's points."""
     extra = vals.shape[2:]
     w = weights.reshape((1, -1) + (1,) * len(extra))
     sums = (vals * w).sum(axis=1)

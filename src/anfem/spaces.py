@@ -1,8 +1,9 @@
 """Crouzeix-Raviart / P0 spaces, saddle-point assembly and solve.
 
 Velocity dofs: two components per interior edge (edge-mean values); boundary
-edge means are zero and carry no dof.  Pressure: one value per element with
-the zero-mean constraint imposed through a single Lagrange multiplier row.
+edge means are zero and carry no dof.  `interior_dofs` and `edge_values` are
+the only code that knows this layout.  Pressure: one value per element; the
+solve pins one pressure to zero and shifts the result to zero mean.
 """
 
 from __future__ import annotations
@@ -22,12 +23,17 @@ class SolverError(RuntimeError):
     pass
 
 
-def edge_dof_map(mesh: Triangulation) -> np.ndarray:
-    """edge id -> interior-edge dof index, -1 on the boundary."""
-    dof = np.full(mesh.num_edges, -1, dtype=np.int64)
-    interior = mesh.interior_edges
-    dof[interior] = np.arange(len(interior))
-    return dof
+def interior_dofs(mesh: Triangulation) -> np.ndarray:
+    """Velocity dofs among the 2 * ne per-edge dofs 2 * edge + c: both
+    components of each interior edge, in edge order."""
+    return (2 * mesh.interior_edges[:, None] + np.arange(2)).ravel()
+
+
+def edge_values(mesh: Triangulation, u: np.ndarray) -> np.ndarray:
+    """(ne, 2) edge means of the CR function u, zero on boundary edges."""
+    vals = np.zeros((mesh.num_edges, 2))
+    vals[mesh.interior_edges] = u.reshape(-1, 2)
+    return vals
 
 
 def num_velocity_dofs(mesh: Triangulation) -> int:
@@ -55,18 +61,15 @@ class DiscreteSolution:
     mu: float
 
 
-def _local_dofs(mesh: Triangulation):
-    """Per element: dof index of local edge i (or -1), shape (nt, 3)."""
-    return edge_dof_map(mesh)[mesh.tri_edges]
-
-
 def assemble_saddle(mesh: Triangulation, load: LoadFunction,
                     mu: float = 1.0) -> SaddleSystem:
+    """A, B and F over the 2 * ne per-edge dofs, restricted to the
+    interior ones (boundary edge means are zero)."""
     if mu <= 0:
         raise ValueError("viscosity mu must be positive")
-    nt = mesh.num_triangles
-    nu = num_velocity_dofs(mesh)
-    ldof = _local_dofs(mesh)                    # (nt, 3)
+    nt, ndof = mesh.num_triangles, 2 * mesh.num_edges
+    keep = interior_dofs(mesh)
+    edof = 2 * mesh.tri_edges                   # (nt, 3) x-component dofs
     gpsi = -2.0 * mesh.bary_grads               # (nt, 3, 2) grad of CR basis
 
     # scalar stiffness S_ij = mu |K| gpsi_i . gpsi_j, same for both components
@@ -75,39 +78,32 @@ def assemble_saddle(mesh: Triangulation, load: LoadFunction,
     rows, cols, vals = [], [], []
     for i in range(3):
         for j in range(3):
-            mask = (ldof[:, i] >= 0) & (ldof[:, j] >= 0)
             for c in range(2):
-                rows.append(2 * ldof[mask, i] + c)
-                cols.append(2 * ldof[mask, j] + c)
-                vals.append(S[mask, i, j])
+                rows.append(edof[:, i] + c)
+                cols.append(edof[:, j] + c)
+                vals.append(S[:, i, j])
     A = sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nu, nu))
+        shape=(ndof, ndof))[keep][:, keep]
 
     # divergence coupling b(v, q) = sum_K q_K |K| div v|_K
     brows, bcols, bvals = [], [], []
-    elem_ids = np.arange(nt)
     for i in range(3):
-        mask = ldof[:, i] >= 0
         for c in range(2):
-            brows.append(elem_ids[mask])
-            bcols.append(2 * ldof[mask, i] + c)
-            bvals.append(mesh.area[mask] * gpsi[mask, i, c])
+            brows.append(np.arange(nt))
+            bcols.append(edof[:, i] + c)
+            bvals.append(mesh.area * gpsi[:, i, c])
     B = sparse.csr_matrix(
         (np.concatenate(bvals), (np.concatenate(brows), np.concatenate(bcols))),
-        shape=(nt, nu))
+        shape=(nt, ndof))[:, keep]
 
     # load vector by the edge-midpoint rule: psi_i(m_j) = delta_ij
     mids = quad.tri_points(mesh, quad.MIDPOINT_BARY)   # (nt, 3, 2)
     gvals = load.g(mids[..., 0], mids[..., 1])         # (nt, 3, 2)
-    F = np.zeros(nu)
-    for i in range(3):
-        mask = ldof[:, i] >= 0
-        contrib = (mesh.area[mask] / 3.0)[:, None] * gvals[mask, i]
-        np.add.at(F, 2 * ldof[mask, i], contrib[:, 0])
-        np.add.at(F, 2 * ldof[mask, i] + 1, contrib[:, 1])
+    F = np.zeros((mesh.num_edges, 2))
+    np.add.at(F, mesh.tri_edges, (mesh.area / 3.0)[:, None, None] * gvals)
 
-    return SaddleSystem(mesh=mesh, A=A, B=B, F=F, mu=mu)
+    return SaddleSystem(mesh=mesh, A=A, B=B, F=F.ravel()[keep], mu=mu)
 
 
 def solve_saddle(system: SaddleSystem) -> DiscreteSolution:
@@ -115,15 +111,12 @@ def solve_saddle(system: SaddleSystem) -> DiscreteSolution:
     nu, nt = system.nu, mesh.num_triangles
     if nu == 0:
         raise SolverError("mesh has no interior edges; system is singular")
-    areas = mesh.area
-    a_col = sparse.csr_matrix(
-        (areas, (np.arange(nt), np.zeros(nt, dtype=np.int64))),
-        shape=(nt, 1))
-    K = sparse.bmat(
-        [[system.A, system.B.T, None],
-         [system.B, None, a_col],
-         [None, a_col.T, None]], format="csc")
-    rhs = np.concatenate([system.F, np.zeros(nt + 1)])
+    # CR/P0 is inf-sup stable, so ker B^T holds only the constants: without
+    # the last row of B the system is regular and pins that pressure to 0;
+    # the shift below then gives the zero mean
+    B = system.B[:-1]
+    K = sparse.bmat([[system.A, B.T], [B, None]], format="csc")
+    rhs = np.concatenate([system.F, np.zeros(nt - 1)])
     try:
         lu = spla.splu(K)
     except RuntimeError as exc:
@@ -139,7 +132,8 @@ def solve_saddle(system: SaddleSystem) -> DiscreteSolution:
     if not np.isfinite(resid) or resid > 1e-10 * scale:
         raise SolverError(f"linear solve residual too large: {resid:.3e}")
     u = sol[:nu]
-    p = sol[nu:nu + nt]
+    p = np.append(sol[nu:], 0.0)
+    areas = mesh.area
     p = p - (areas @ p) / areas.sum()   # exact zero mean
     return DiscreteSolution(mesh=mesh, u=u, p=p, mu=system.mu)
 
@@ -155,11 +149,7 @@ def solve(mesh: Triangulation, load: LoadFunction,
 
 def cr_element_coeffs(mesh: Triangulation, u: np.ndarray) -> np.ndarray:
     """(nt, 3, 2) edge-mean values per element (zeros on boundary edges)."""
-    ldof = _local_dofs(mesh)
-    coeffs = np.zeros((mesh.num_triangles, 3, 2))
-    mask = ldof >= 0
-    coeffs[mask] = u.reshape(-1, 2)[ldof[mask]]
-    return coeffs
+    return edge_values(mesh, u)[mesh.tri_edges]
 
 
 def cr_gradients(mesh: Triangulation, u: np.ndarray) -> np.ndarray:

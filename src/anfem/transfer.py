@@ -10,7 +10,7 @@ import numpy as np
 from . import quadrature as quad
 from .mesh import (MeshError, NestingSets, Triangulation, barycentric,
                    descent_maps, nesting_sets)
-from .spaces import cr_element_coeffs, cr_gradients, edge_dof_map
+from .spaces import cr_element_coeffs, cr_gradients, edge_values
 
 
 # ---------------------------------------------------------------------------
@@ -20,18 +20,11 @@ from .spaces import cr_element_coeffs, cr_gradients, edge_dof_map
 def conservative_interpolation(field, mesh: Triangulation,
                                npts: int = 10) -> np.ndarray:
     """CR coefficients with the same edge means as `field` (interior edges)."""
-    s, w = quad.gauss_edge(npts)
-    p0 = mesh.vertices[mesh.edges[:, 0]]
-    p1 = mesh.vertices[mesh.edges[:, 1]]
-    pts = p0[:, None, :] * (1.0 - s)[None, :, None] \
-        + p1[:, None, :] * s[None, :, None]          # (ne, nq, 2)
-    vals = field(pts[..., 0], pts[..., 1])            # (ne, nq, 2)
-    means = np.einsum("q,eqc->ec", w, vals)
-    return means[mesh.interior_edges].ravel()
+    return edge_means_of_field(field, mesh, npts)[mesh.interior_edges].ravel()
 
 
 def edge_means_of_field(field, mesh: Triangulation, npts: int = 16):
-    """Edge means of an arbitrary field over all edges (oracle helper)."""
+    """(ne, 2) edge means of a field, by npts-point Gauss rules."""
     s, w = quad.gauss_edge(npts)
     p0 = mesh.vertices[mesh.edges[:, 0]]
     p1 = mesh.vertices[mesh.edges[:, 1]]
@@ -82,10 +75,7 @@ def restriction(v_fine: np.ndarray, fine: Triangulation,
     """Coarse CR function whose edge integrals are the summed fine-edge
     integrals of v_fine."""
     _, coarse_edge = classify_fine_edges(coarse, fine, ancestors)
-    fdof = edge_dof_map(fine)
-    fmeans = np.zeros((fine.num_edges, 2))
-    has = fdof >= 0
-    fmeans[has] = v_fine.reshape(-1, 2)[fdof[has]]
+    fmeans = edge_values(fine, v_fine)
 
     on = coarse_edge >= 0
     ce, length = coarse_edge[on], fine.edge_length[on]
@@ -188,7 +178,7 @@ def mixed_prolongation(v_coarse: np.ndarray, coarse: Triangulation,
     out = np.empty((len(interior), 2))
     # an edge between two common elements is a coarse edge: keep its mean
     coarse_edge = descent_maps(coarse, fine)[1][interior[~avg]]
-    out[~avg] = v_coarse.reshape(-1, 2)[edge_dof_map(coarse)[coarse_edge]]
+    out[~avg] = edge_values(coarse, v_coarse)[coarse_edge]
     nodal = nodal_averaging(v_coarse, coarse)
     out[avg] = p1_eval(nodal, coarse, k0[avg],
                        fine.edge_midpoints()[interior[avg]])

@@ -4,10 +4,14 @@ These are the per-element loop versions of mesh and nesting code that the
 package computes with vectorized array operations or reads from `bisect`'s
 genealogy: geometric point location for ancestor maps, midpoint-on-edge
 classification for edge maps, and loop versions of `build_initial`'s
-orientation, `bisect`'s child emission and the topology fill.
+orientation, `bisect`'s child emission and the topology fill. For the CR/P0
+system: assembly through a per-element dof map masked on boundary edges, and
+the solve with a Lagrange multiplier row for the zero-mean pressure.
 """
 
 import numpy as np
+import scipy.sparse as sparse
+import scipy.sparse.linalg as spla
 
 # local edge i is opposite local vertex i
 LOCAL_EDGES = ((1, 2), (2, 0), (0, 1))
@@ -153,3 +157,62 @@ def reference_orientation(vertices, triangles):
         best = min(range(3), key=lambda i: (-round(lengths[i], 14), t[i]))
         tris[k] = np.roll(t, -((best + 1) % 3))
     return tris
+
+
+def reference_assembly(mesh, load, mu=1.0):
+    """(A, B, F) over the interior-edge dofs, scattered element by element
+    with boundary edges masked out of a per-element dof map."""
+    from anfem.quadrature import MIDPOINT_BARY, tri_points
+    dof = np.full(mesh.num_edges, -1, dtype=np.int64)
+    dof[mesh.interior_edges] = np.arange(len(mesh.interior_edges))
+    ldof = dof[mesh.tri_edges]
+    nt, nu = mesh.num_triangles, 2 * len(mesh.interior_edges)
+    gpsi = -2.0 * mesh.bary_grads
+    S = mu * mesh.area[:, None, None] * np.einsum("tid,tjd->tij", gpsi, gpsi)
+    rows, cols, vals = [], [], []
+    for i in range(3):
+        for j in range(3):
+            mask = (ldof[:, i] >= 0) & (ldof[:, j] >= 0)
+            for c in range(2):
+                rows.append(2 * ldof[mask, i] + c)
+                cols.append(2 * ldof[mask, j] + c)
+                vals.append(S[mask, i, j])
+    A = sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(nu, nu))
+    brows, bcols, bvals = [], [], []
+    for i in range(3):
+        mask = ldof[:, i] >= 0
+        for c in range(2):
+            brows.append(np.flatnonzero(mask))
+            bcols.append(2 * ldof[mask, i] + c)
+            bvals.append(mesh.area[mask] * gpsi[mask, i, c])
+    B = sparse.csr_matrix(
+        (np.concatenate(bvals), (np.concatenate(brows), np.concatenate(bcols))),
+        shape=(nt, nu))
+    mids = tri_points(mesh, MIDPOINT_BARY)
+    gvals = load.g(mids[..., 0], mids[..., 1])
+    F = np.zeros(nu)
+    for i in range(3):
+        mask = ldof[:, i] >= 0
+        contrib = (mesh.area[mask] / 3.0)[:, None] * gvals[mask, i]
+        np.add.at(F, 2 * ldof[mask, i], contrib[:, 0])
+        np.add.at(F, 2 * ldof[mask, i] + 1, contrib[:, 1])
+    return A, B, F
+
+
+def multiplier_solve(A, B, F, area):
+    """(u, p) of the saddle system with the zero-mean pressure imposed by one
+    Lagrange multiplier row and column coupling every pressure."""
+    nu, nt = A.shape[0], B.shape[0]
+    a_col = sparse.csr_matrix(
+        (area, (np.arange(nt), np.zeros(nt, dtype=np.int64))), shape=(nt, 1))
+    K = sparse.bmat([[A, B.T, None], [B, None, a_col], [None, a_col.T, None]],
+                    format="csc")
+    rhs = np.concatenate([F, np.zeros(nt + 1)])
+    lu = spla.splu(K)
+    sol = lu.solve(rhs)
+    for _ in range(2):
+        sol = sol + lu.solve(rhs - K @ sol)
+    p = sol[nu:nu + nt]
+    return sol[:nu], p - (area @ p) / area.sum()

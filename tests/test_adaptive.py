@@ -199,6 +199,8 @@ def test_uniform_trace_checks_solver_invariants(monkeypatch):
     load = get_solution("smooth1")
     trace = uniform_trace(unit_square(1), load, levels=3, rounds_per_level=1)
     assert trace.column("nmarked").tolist() == [4, 8, 0]
+    # no previous mesh on the first level, as in anfem_loop
+    assert trace.column("gamma").tolist() == [1.0, 2 ** 0.5, 2 ** 0.5]
     assert trace.final_solution.mesh.num_triangles == 16
     solve_saddle = anfem.adaptive.solve_saddle
 

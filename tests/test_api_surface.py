@@ -16,7 +16,7 @@ DELETED = ("MarkingParams", "ContractionParams", "FineFunction", "patches",
            "reentrant_corner", "edge_mean", "broken_l2_error_sq",
            "l2_norm_sq", "energy_norm_sq", "broken_div_norm_sq",
            "compute_stress", "eta_K", "oscillation", "eta_set",
-           "error_rate_fit")
+           "error_rate_fit", "edge_dof_map", "_local_dofs")
 # (class, attribute) pairs deleted from the public classes
 DELETED_MEMBERS = (("mesh.Triangulation", "min_angle"),
                    ("adaptive.AdaptiveTrace", "final_mesh"),

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,32 @@ def test_affine_field_no_interior_jumps():
 def test_oscillation_below_volume(smooth):
     report = estimate(solve(unit_square(3), smooth), smooth)
     assert np.all(report.osc_sq <= report.vol_sq + 1e-15)
+
+
+def test_volume_terms_evaluate_load_once(smooth):
+    """|g|^2 and the mean of g come from one evaluation of g, with the same
+    arithmetic as integrating each on its own."""
+    calls = []
+
+    def g(x, y):
+        calls.append(x.shape)
+        return smooth.g(x, y)
+
+    mesh = uniform_refine(l_shape(), 2)
+    sol = solve(mesh, smooth)
+    report = estimate(sol, dataclasses.replace(smooth, g=g))
+    assert calls == [(mesh.num_triangles, len(quad.DEG4_WEIGHTS))]
+
+    def gsq(x, y):
+        v = smooth.g(x, y)
+        return np.einsum("...c,...c->...", v, v)
+
+    g_l2sq = quad.integrate(mesh, gsq)
+    g_mean = quad.integrate(mesh, smooth.g) / mesh.area[:, None]
+    osc = np.maximum(
+        g_l2sq - mesh.area * np.einsum("tc,tc->t", g_mean, g_mean), 0.0)
+    assert np.array_equal(report.vol_sq, mesh.h ** 2 * g_l2sq)
+    assert np.array_equal(report.osc_sq, mesh.h ** 2 * osc)
 
 
 def test_oscillation_zero_for_constant_load():

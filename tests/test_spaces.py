@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from anfem.domains import l_shape, unit_square
-from anfem.mesh import uniform_refine
+from anfem.domains import diamond, l_shape, unit_square
+from anfem.mesh import bisect, uniform_refine
 from anfem.problems import constant_load, get_solution, zero_load
 from anfem.spaces import (SolverError, assemble_saddle, broken_div,
                           broken_grad_norm_sq, cr_gradients, cr_values,
-                          galerkin_residual, max_element_divergence,
-                          num_velocity_dofs, pressure_error_sq, solve,
-                          solve_saddle, velocity_error_sq)
+                          edge_values, galerkin_residual, interior_dofs,
+                          max_element_divergence, num_velocity_dofs,
+                          pressure_error_sq, solve, solve_saddle,
+                          velocity_error_sq)
 from anfem import quadrature as quad
+from oracles import multiplier_solve, reference_assembly
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +24,11 @@ def test_dof_count():
     mesh = unit_square(1)
     ni = len(mesh.interior_edges)
     assert num_velocity_dofs(mesh) == 2 * ni
+    u = np.arange(2.0 * ni) + 1.0
+    vals = edge_values(mesh, u)
+    assert vals.shape == (mesh.num_edges, 2)
+    assert not vals[mesh.boundary_edge].any()
+    assert np.array_equal(vals.ravel()[interior_dofs(mesh)], u)
 
 
 def test_stiffness_spd():
@@ -134,3 +142,38 @@ def test_residual_scaling_under_refinement(smooth):
         system = assemble_saddle(mesh, smooth, 1.0)
         sol = solve_saddle(system)
         assert galerkin_residual(system, sol) < 1e-11
+
+
+def check_against_references(mesh, load):
+    """Assembly equals the masked per-element reference bit for bit, the
+    rows of B sum to exactly zero (so pinning one pressure loses nothing),
+    and the pinned solve equals the Lagrange-multiplier solve."""
+    system = assemble_saddle(mesh, load, 1.0)
+    A, B, F = reference_assembly(mesh, load)
+    for got, ref in ((system.A, A), (system.B, B)):
+        assert got.shape == ref.shape and got.nnz == ref.nnz
+        assert np.array_equal(got.toarray(), ref.toarray())
+    assert np.array_equal(system.F, F)
+    assert not np.any(np.ones(mesh.num_triangles) @ system.B)
+    sol = solve_saddle(system)
+    u, p = multiplier_solve(A, B, F, mesh.area)
+    assert np.abs(sol.u - u).max() <= 1e-12
+    assert np.abs(sol.p - p).max() <= 1e-10
+
+
+@pytest.mark.parametrize("mesh", [l_shape(2), unit_square(3)],
+                         ids=["l_shape2", "unit_square3"])
+def test_assembly_and_solve_match_references(mesh, smooth):
+    check_against_references(mesh, smooth)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_assembly_and_solve_match_references_on_nvb_chains(data):
+    mesh = data.draw(st.sampled_from(
+        [unit_square(1), l_shape(), diamond()]), label="domain")
+    for _ in range(data.draw(st.integers(1, 4), label="rounds")):
+        nt = mesh.num_triangles
+        mesh = bisect(mesh, data.draw(st.lists(
+            st.integers(0, nt - 1), min_size=1, max_size=nt), label="marked"))
+    check_against_references(mesh, get_solution("smooth1"))
