@@ -124,24 +124,12 @@ class LoopParams:
                              f"{self.reduction_slack}")
 
 
-def _exact_velocity_inner(mesh: Triangulation, load: LoadFunction,
-                          grads: np.ndarray) -> float:
-    """(grad u_exact, grad w) for element-wise constant grad w."""
-    gu_int = quad.integrate(
-        mesh, lambda x, y: load.grad_velocity(x, y))     # (nt, 2, 2)
-    return float(np.einsum("tij,tij->", gu_int, grads))
-
-
-def _exact_pressure_inner(mesh: Triangulation, load: LoadFunction,
-                          q: np.ndarray) -> float:
-    p_int = quad.integrate(mesh, lambda x, y: load.pressure(x, y))
-    return float((p_int * q).sum())
-
-
 def _solve_level(mesh: Triangulation, load: LoadFunction, p: LoopParams,
                  it: int, gamma: float):
     """Solve on `mesh`, check the solver invariants and estimate; returns the
-    solution, the estimator and the level's record (nothing marked yet)."""
+    solution, the estimator, the level's record (nothing marked yet) and the
+    exact grad u and p at the degree-4 points (None without an exact
+    solution), evaluated once for the errors and the monitors."""
     system = assemble_saddle(mesh, load, p.mu)
     sol = solve_saddle(system)
     _check_solve_invariants(system, sol)
@@ -152,10 +140,13 @@ def _solve_level(mesh: Triangulation, load: LoadFunction, p: LoopParams,
         eta2=report.total_eta_sq, eta_tilde2=modified_eta(report, p.beta1),
         osc2=report.total_osc_sq, vol2=report.total_vol_sq,
         nmarked=0, gamma=gamma)
+    exact = None
     if load.has_exact:
-        rec.err_u2 = velocity_error_sq(sol, load)
-        rec.err_p2 = pressure_error_sq(sol, load)
-    return sol, report, rec
+        exact = (quad.values_at(mesh, load.grad_velocity),
+                 quad.values_at(mesh, load.pressure))
+        rec.err_u2 = velocity_error_sq(sol, load, exact[0])
+        rec.err_p2 = pressure_error_sq(sol, load, exact[1])
+    return sol, report, rec, exact
 
 
 def anfem_loop(mesh0: Triangulation, load: LoadFunction,
@@ -172,7 +163,7 @@ def anfem_loop(mesh0: Triangulation, load: LoadFunction,
     gamma = 1.0
 
     for it in range(p.max_iterations):
-        sol, report, rec = _solve_level(mesh, load, p, it, gamma)
+        sol, report, rec, exact = _solve_level(mesh, load, p, it, gamma)
         if load.has_exact:
             rec.lam = rec.err_u2 + p.gamma1 * rec.err_p2 \
                 + p.gamma2 * rec.eta_tilde2
@@ -181,7 +172,7 @@ def anfem_loop(mesh0: Triangulation, load: LoadFunction,
             prev_lam = rec.lam
 
         if prev is not None:
-            _cross_level_monitors(prev, sol, mesh, load, rec)
+            _cross_level_monitors(prev, sol, exact, rec)
         trace.records.append(rec)
         trace.final_solution = sol
 
@@ -231,20 +222,23 @@ def _check_solve_invariants(system, sol):
         raise AssertionError(f"Galerkin identity violated: {res:.3e}")
 
 
-def _cross_level_monitors(prev, sol, mesh, load, rec):
-    """Empirical quasi-orthogonality constants between consecutive levels."""
+def _cross_level_monitors(prev, sol, exact, rec):
+    """Empirical quasi-orthogonality constants between consecutive levels,
+    from the exact values `_solve_level` returned (nothing without them)."""
+    if exact is None:
+        return
     sol_prev, report_prev, ns = prev
+    mesh, mu = sol.mesh, sol.mu
+    gu, pe = exact
     vol_refined = float(report_prev.vol_sq[ns.refined].sum())
     G_cur = cr_gradients(mesh, sol.u)
     G_prev = cr_gradients(sol_prev.mesh, sol_prev.u)[ns.ancestors]
     W = G_cur - G_prev                       # grad(u_k - u_{k-1}) on T_k
     wnorm = float(np.sqrt((mesh.area * np.einsum(
         "tij,tij->t", W, W)).sum()))
-    if not load.has_exact:
-        return
-    mu = sol.mu
-    # a_k(u - u_k, u_k - u_{k-1})
-    a_exact = _exact_velocity_inner(mesh, load, W)
+    # a_k(u - u_k, u_k - u_{k-1}), grad w element-wise constant
+    a_exact = float(np.einsum("tij,tij->", quad.integrate_values(mesh, gu),
+                              W))
     a_disc = float((mesh.area * np.einsum("tij,tij->t", G_cur, W)).sum())
     qo_num = abs(mu * (a_exact - a_disc))
     err_u = np.sqrt(rec.err_u2)
@@ -252,7 +246,7 @@ def _cross_level_monitors(prev, sol, mesh, load, rec):
     rec.qo_velocity = qo_num / den if den > 0 else np.nan
     # (p - p_k, p_k - p_{k-1})
     dp = sol.p - sol_prev.p[ns.ancestors]
-    p_exact = _exact_pressure_inner(mesh, load, dp)
+    p_exact = float((quad.integrate_values(mesh, pe) * dp).sum())
     p_disc = float((mesh.area * sol.p * dp).sum())
     qp_num = abs(p_exact - p_disc)
     err_p = np.sqrt(rec.err_p2)
@@ -277,7 +271,8 @@ def uniform_trace(mesh0: Triangulation, load: LoadFunction, levels: int,
             trace.records[-1].nmarked = mesh.num_triangles
             mesh = uniform_refine(mesh, rounds_per_level)
             gamma = 2.0 ** (rounds_per_level / 2.0)
-        trace.final_solution, _, rec = _solve_level(mesh, load, p, it, gamma)
+        trace.final_solution, _, rec, _ = _solve_level(
+            mesh, load, p, it, gamma)
         trace.records.append(rec)
     return trace
 

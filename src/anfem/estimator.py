@@ -62,8 +62,7 @@ def _element_jump_sq(mesh: Triangulation, grads: np.ndarray) -> np.ndarray:
 
 
 def _volume_terms(mesh: Triangulation, load: LoadFunction):
-    pts = quad.tri_points(mesh, quad.DEG4_BARY)
-    g = load.g(pts[..., 0], pts[..., 1])          # (nt, nq, 2)
+    g = quad.values_at(mesh, load.g)          # (nt, nq, 2)
     g_l2sq = quad.integrate_values(mesh, np.einsum("...c,...c->...", g, g))
     g_mean = quad.integrate_values(mesh, g) / mesh.area[:, None]
     osc_sq = g_l2sq - mesh.area * np.einsum("tc,tc->t", g_mean, g_mean)

@@ -189,22 +189,27 @@ def broken_div(mesh: Triangulation, u: np.ndarray) -> np.ndarray:
 # errors against a manufactured solution
 
 
-def velocity_error_sq(sol: DiscreteSolution, load: LoadFunction) -> float:
-    """Broken H1 seminorm error squared, degree-4 quadrature."""
+def velocity_error_sq(sol: DiscreteSolution, load: LoadFunction,
+                      grad_u: np.ndarray | None = None) -> float:
+    """Broken H1 seminorm error squared, degree-4 quadrature. `grad_u` is the
+    exact gradient at the rule's points (`quad.values_at`) if the caller has
+    evaluated it already."""
     mesh = sol.mesh
-    G = cr_gradients(mesh, sol.u)
-    pts = quad.tri_points(mesh, quad.DEG4_BARY)
-    gu = load.grad_velocity(pts[..., 0], pts[..., 1])   # (nt, nq, 2, 2)
-    diff = gu - G[:, None, :, :]
+    if grad_u is None:
+        grad_u = quad.values_at(mesh, load.grad_velocity)   # (nt, nq, 2, 2)
+    diff = grad_u - cr_gradients(mesh, sol.u)[:, None, :, :]
     per_pt = np.einsum("tqij,tqij->tq", diff, diff)
     return float((mesh.area * (per_pt @ quad.DEG4_WEIGHTS)).sum())
 
 
-def pressure_error_sq(sol: DiscreteSolution, load: LoadFunction) -> float:
+def pressure_error_sq(sol: DiscreteSolution, load: LoadFunction,
+                      p: np.ndarray | None = None) -> float:
+    """L2 pressure error squared, degree-4 quadrature; `p` as `grad_u` in
+    `velocity_error_sq`."""
     mesh = sol.mesh
-    pts = quad.tri_points(mesh, quad.DEG4_BARY)
-    pe = load.pressure(pts[..., 0], pts[..., 1])
-    diff = (pe - sol.p[:, None]) ** 2
+    if p is None:
+        p = quad.values_at(mesh, load.pressure)
+    diff = (p - sol.p[:, None]) ** 2
     return float((mesh.area * (diff @ quad.DEG4_WEIGHTS)).sum())
 
 

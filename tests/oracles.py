@@ -6,7 +6,9 @@ genealogy: geometric point location for ancestor maps, midpoint-on-edge
 classification for edge maps, and loop versions of `build_initial`'s
 orientation, `bisect`'s child emission and the topology fill. For the CR/P0
 system: assembly through a per-element dof map masked on boundary edges, and
-the solve with a Lagrange multiplier row for the zero-mean pressure.
+the solve with a Lagrange multiplier row for the zero-mean pressure. For
+the manufactured solutions: their symbolic derivation with sympy, evaluated
+with mpmath at 40 digits.
 """
 
 import numpy as np
@@ -216,3 +218,87 @@ def multiplier_solve(A, B, F, area):
         sol = sol + lu.solve(rhs - K @ sol)
     p = sol[nu:nu + nt]
     return sol[:nu], p - (area @ p) / area.sum()
+
+
+# ---------------------------------------------------------------------------
+# symbolic derivations of the manufactured solutions
+
+
+def smooth1_expressions(mu):
+    """((x, y), fields) of `smooth1` with sympy: fields maps "g", "velocity",
+    "grad_velocity" and "pressure" to expressions (nested lists for the
+    vector and tensor fields)."""
+    import sympy as sp
+    x, y = sp.symbols("x y", real=True)
+    psi = (x * (1 - x) * y * (1 - y)) ** 2
+    u1 = sp.diff(psi, y)
+    u2 = -sp.diff(psi, x)
+    p = x ** 3 - sp.Rational(1, 4)
+    g1 = -mu * (sp.diff(u1, x, 2) + sp.diff(u1, y, 2)) - sp.diff(p, x)
+    g2 = -mu * (sp.diff(u2, x, 2) + sp.diff(u2, y, 2)) - sp.diff(p, y)
+    return (x, y), {
+        "g": [g1, g2], "velocity": [u1, u2],
+        "grad_velocity": [[sp.diff(u, var) for var in (x, y)]
+                          for u in (u1, u2)],
+        "pressure": p}
+
+
+def lshape_singular_expressions(mu):
+    """((r, t), fields) of `lshape_singular` in polar coordinates, derived by
+    differentiating u = curl(B r^(1+a) psi(t)) with sympy; the pressure is
+    the raw one, before its mean is subtracted. Each field of g is the full
+    -mu*Lap(u) - grad(p), whose leading r^(a-2) terms cancel."""
+    import sympy as sp
+    from anfem.problems import LSHAPE_ALPHA
+    # all the digits of the double: with fewer, the r^(a-2) terms of g no
+    # longer cancel to the working precision near the corner
+    a = sp.Float(LSHAPE_ALPHA, 40)
+    w = 3 * sp.pi / 2
+    r, t = sp.symbols("r t", positive=True)
+    psi = (sp.sin((1 + a) * t) * sp.cos(a * w) / (1 + a)
+           - sp.cos((1 + a) * t)
+           - sp.sin((1 - a) * t) * sp.cos(a * w) / (1 - a)
+           + sp.cos((1 - a) * t))
+
+    xc, yc = r * sp.cos(t), r * sp.sin(t)
+    B = (1 - xc ** 2) ** 2 * (1 - yc ** 2) ** 2 / (1 + 8 * r ** 2)
+
+    def dx(f):
+        return sp.cos(t) * sp.diff(f, r) - sp.sin(t) / r * sp.diff(f, t)
+
+    def dy(f):
+        return sp.sin(t) * sp.diff(f, r) + sp.cos(t) / r * sp.diff(f, t)
+
+    stream = B * r ** (1 + a) * psi
+    u1, u2 = dy(stream), -dx(stream)
+    p_std = -r ** (a - 1) * ((1 + a) ** 2 * sp.diff(psi, t)
+                             + sp.diff(psi, t, 3)) / (1 - a)
+    p = -mu * B * p_std
+    g1 = -mu * (dx(dx(u1)) + dy(dy(u1))) - dx(p)
+    g2 = -mu * (dx(dx(u2)) + dy(dy(u2))) - dy(p)
+    return (r, t), {
+        "g": [g1, g2], "velocity": [u1, u2],
+        "grad_velocity": [[dx(u1), dy(u1)], [dx(u2), dy(u2)]],
+        "pressure": p}
+
+
+def mp_evaluate(symbols, expr, x, y, polar=False, dps=40):
+    """Values of a sympy expression, or a (nested) list of them, at the
+    points (x[k], y[k]) with mpmath at `dps` digits, rounded to float; shape
+    (npoints,) + the list's shape. With `polar` the symbols are (r, t), t the
+    angle in [0, 2 pi)."""
+    import mpmath
+    import sympy as sp
+    shape = np.shape(np.array(expr, dtype=object))
+    # one flat list, so that cse shares subexpressions across all entries
+    f = sp.lambdify(symbols, list(np.ravel(np.array(expr, dtype=object))),
+                    "mpmath", cse=True)
+    out = []
+    with mpmath.workdps(dps):
+        for xk, yk in zip(np.ravel(x), np.ravel(y)):
+            args = (mpmath.mpf(float(xk)), mpmath.mpf(float(yk)))
+            if polar:
+                t = mpmath.atan2(args[1], args[0])
+                args = (mpmath.hypot(*args), t + 2 * mpmath.pi if t < 0 else t)
+            out.append(f(*args))
+    return np.array(out, dtype=float).reshape((-1,) + shape)

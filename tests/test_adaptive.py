@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import anfem.adaptive
+from anfem import quadrature as quad
 from anfem.adaptive import (IterationRecord, LoopParams, MarkingError,
                             anfem_loop, contraction_monitor,
                             discrete_reliability_check, dorfler_mark,
@@ -193,6 +194,32 @@ def test_loop_ends_at_its_last_solve(monkeypatch):
     assert last.nmarked == 0 and np.isnan(last.reduction_lhs)
     assert len(calls) == len(trace.records) - 1
     assert not trace.truncated and not trace.converged
+
+
+def test_loop_evaluates_exact_solution_once_per_mesh():
+    """grad u and p are evaluated once per solve, at the degree-4 points,
+    for both the errors and the quasi-orthogonality monitors."""
+    load = get_solution("smooth1")
+    calls = []
+
+    def counted(name):
+        field = getattr(load, name)
+
+        def evaluate(x, y):
+            calls.append((name, x.shape))
+            return field(x, y)
+        return evaluate
+
+    counted_load = dataclasses.replace(
+        load, grad_velocity=counted("grad_velocity"),
+        pressure=counted("pressure"))
+    trace = anfem_loop(unit_square(2), counted_load,
+                       LoopParams(theta=0.5, max_iterations=4))
+    nq = len(quad.DEG4_WEIGHTS)
+    assert calls == [(name, (r.nelems, nq)) for r in trace.records
+                     for name in ("grad_velocity", "pressure")]
+    for name in ("qo_velocity", "qo_pressure"):
+        assert np.isfinite(trace.column(name)[1:]).all()
 
 
 def test_uniform_trace_checks_solver_invariants(monkeypatch):

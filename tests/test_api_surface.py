@@ -4,6 +4,9 @@ load factories, `anfem.__all__`, and the imports of the shipped scripts."""
 import dataclasses
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,7 +19,9 @@ DELETED = ("MarkingParams", "ContractionParams", "FineFunction", "patches",
            "reentrant_corner", "edge_mean", "broken_l2_error_sq",
            "l2_norm_sq", "energy_norm_sq", "broken_div_norm_sq",
            "compute_stress", "eta_K", "oscillation", "eta_set",
-           "error_rate_fit", "edge_dof_map", "_local_dofs")
+           "error_rate_fit", "edge_dof_map", "_local_dofs",
+           "_exact_velocity_inner", "_exact_pressure_inner",
+           "_lshape_singular_callables", "_smooth1_callables")
 # (class, attribute) pairs deleted from the public classes
 DELETED_MEMBERS = (("mesh.Triangulation", "min_angle"),
                    ("adaptive.AdaptiveTrace", "final_mesh"),
@@ -50,8 +55,8 @@ def test_all_resolves_without_deleted_names():
     for name in anfem.__all__:
         assert hasattr(anfem, name), name
     assert not set(DELETED) & set(anfem.__all__)
-    modules = ("adaptive", "domains", "estimator", "mesh", "quadrature",
-               "spaces", "transfer")
+    modules = ("adaptive", "domains", "estimator", "mesh", "problems",
+               "quadrature", "spaces", "transfer")
     for mod in modules:
         module = importlib.import_module(f"anfem.{mod}")
         for name in DELETED:
@@ -69,3 +74,19 @@ def test_script_imports(script):
     # loaded under a name other than __main__, so main() does not run
     module = _load(ROOT / "scripts" / script, f"_anfem_script_{script[:-3]}")
     assert callable(module.main)
+
+
+def test_runtime_does_not_import_sympy():
+    """sympy is a test-only oracle: building both manufactured solutions and
+    evaluating them imports none of it."""
+    code = ("import sys, anfem\n"
+            "from anfem.problems import lshape_singular\n"
+            "for load in (lshape_singular(), anfem.smooth1()):\n"
+            "    load.g(0.5, 0.25), load.grad_velocity(0.5, 0.25)\n"
+            "assert 'sympy' not in sys.modules, 'sympy imported'\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(
+            os.pathsep)))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

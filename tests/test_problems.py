@@ -4,6 +4,8 @@ import pytest
 from anfem.problems import (LSHAPE_ALPHA, constant_load, get_solution,
                             lshape_singular, rotational_load, smooth1,
                             zero_load)
+from oracles import (lshape_singular_expressions, mp_evaluate,
+                     smooth1_expressions)
 
 
 def test_smooth1_divergence_free():
@@ -96,3 +98,91 @@ def test_constant_load_values():
     g = constant_load(2.0, -1.0).g(np.zeros((2, 2)), np.zeros((2, 2)))
     assert g.shape == (2, 2, 2)
     assert np.all(g[..., 0] == 2.0) and np.all(g[..., 1] == -1.0)
+
+
+def _relative_errors(got, ref):
+    """|got - ref| over the local norm, max |ref| over the components."""
+    n = len(ref)
+    err = np.abs(got - ref).reshape(n, -1).max(axis=1)
+    return err / np.abs(ref).reshape(n, -1).max(axis=1)
+
+
+def _pressure_difference_errors(got, ref):
+    """Errors of p(x_k) - p(x_0), which do not depend on the mean."""
+    return (np.abs((got - got[0]) - (ref - ref[0]))
+            / (np.abs(ref) + abs(ref[0])))
+
+
+# circles of radius 1e-1 ... 1e-8 around the reentrant corner
+CORNER_RADII = 10.0 ** -np.arange(1, 9)
+
+
+def _lshape_points():
+    """Four angles on each corner circle, then 24 random points of the
+    sector r <= 0.95. All keep an angle of 0.05 from the two walls through
+    the corner and a distance of 0.05 from the outer walls: on a wall u = 0,
+    and near one its value is a difference of O(1) terms in any
+    double-precision evaluation, so only its absolute error stays small
+    there (`test_lshape_singular_boundary_and_divergence`)."""
+    rng = np.random.default_rng(20)
+    t = np.concatenate([
+        np.tile(np.linspace(0.05, 1.5 * np.pi - 0.05, 4), len(CORNER_RADII)),
+        rng.uniform(0.05, 1.5 * np.pi - 0.05, 24)])
+    r = np.concatenate([np.repeat(CORNER_RADII, 4),
+                        0.95 * np.sqrt(rng.uniform(0.0, 1.0, 24))])
+    return r * np.cos(t), r * np.sin(t)
+
+
+@pytest.fixture(scope="module")
+def lshape_oracle():
+    """Points and the 40-digit values of the sympy derivation there."""
+    x, y = _lshape_points()
+    symbols, exprs = lshape_singular_expressions(1.0)
+    return x, y, {name: mp_evaluate(symbols, expr, x, y, polar=True)
+                  for name, expr in exprs.items()}
+
+
+def test_lshape_load_accurate_near_corner(lshape_oracle):
+    """g to 1e-12 relative on circles down to r = 1e-8. Summed in double
+    precision, the cancelling r^(a-2) terms of -mu*Lap(u) - grad(p) leave
+    errors of about 1e-2 relative at r = 1e-7 and 1 at r = 1e-8."""
+    x, y, ref = lshape_oracle
+    on_circles = slice(0, 4 * len(CORNER_RADII))
+    got = lshape_singular().g(x[on_circles], y[on_circles])
+    assert _relative_errors(got, ref["g"][on_circles]).max() < 1e-12
+
+
+@pytest.mark.parametrize("field", ["g", "velocity", "grad_velocity"])
+def test_lshape_singular_matches_oracle(lshape_oracle, field):
+    x, y, ref = lshape_oracle
+    got = getattr(lshape_singular(), field)(x, y)
+    assert _relative_errors(got, ref[field]).max() < 1e-12
+
+
+def test_lshape_singular_pressure_matches_oracle(lshape_oracle):
+    x, y, ref = lshape_oracle
+    got = lshape_singular().pressure(x, y)
+    assert _pressure_difference_errors(got, ref["pressure"]).max() < 1e-12
+
+
+def test_lshape_singular_linear_in_mu():
+    """u does not depend on mu; g and p, mean included, scale with it."""
+    x, y = _lshape_points()
+    one, mu = lshape_singular(1.0), lshape_singular(2.5)
+    assert np.array_equal(mu.velocity(x, y), one.velocity(x, y))
+    assert np.array_equal(mu.grad_velocity(x, y), one.grad_velocity(x, y))
+    assert np.allclose(mu.g(x, y), 2.5 * one.g(x, y), rtol=1e-15, atol=0)
+    p = 2.5 * one.pressure(x, y)
+    assert np.abs(mu.pressure(x, y) - p).max() < 1e-14 * np.abs(p).max()
+
+
+@pytest.mark.parametrize("mu", [0.5, 1.0, 3.0])
+def test_smooth1_matches_oracle(mu):
+    rng = np.random.default_rng(3)
+    x, y = rng.uniform(0.0, 1.0, (2, 20))
+    symbols, exprs = smooth1_expressions(mu)
+    load = smooth1(mu)
+    for field in ("g", "velocity", "grad_velocity", "pressure"):
+        ref = mp_evaluate(symbols, exprs[field], x, y)
+        got = getattr(load, field)(x, y)
+        assert _relative_errors(got, ref).max() < 1e-12, field
