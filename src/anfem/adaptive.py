@@ -62,6 +62,9 @@ class IterationRecord:
     vol2: float
     nmarked: int
     gamma: float              # refinement ratio vs the previous mesh
+    solver_iterations: int    # the solve's diagnostics (DiscreteSolution)
+    lu_fill: int
+    solver_residual: float
     err_u2: float = np.nan
     err_p2: float = np.nan
     lam: float = np.nan       # contraction quantity Lambda
@@ -83,9 +86,9 @@ class AdaptiveTrace:
         return np.array([getattr(r, name) for r in self.records])
 
     def to_csv(self, path):
-        """`anfem-trace-v2`: one column per `IterationRecord` field."""
+        """`anfem-trace-v3`: one column per `IterationRecord` field."""
         with open(path, "w") as f:
-            f.write("anfem-trace-v2\n")
+            f.write("anfem-trace-v3\n")
             f.write(",".join(c.name for c in fields(IterationRecord)) + "\n")
             for r in self.records:
                 f.write(",".join(f"{v:.17g}" if isinstance(v, float)
@@ -112,9 +115,9 @@ class LoopParams:
         if not self.eps >= 0.0:
             raise ValueError(f"eps must be nonnegative, got {self.eps}")
         for name in ("mu", "beta1", "gamma1", "gamma2"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(
-                    f"{name} must be positive, got {getattr(self, name)}")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got "
+                                 f"{getattr(self, name)}")
         for name in ("element_cap", "max_iterations"):
             if not getattr(self, name) >= 1:
                 raise ValueError(
@@ -139,7 +142,8 @@ def _solve_level(mesh: Triangulation, load: LoadFunction, p: LoopParams,
         ndofs=num_velocity_dofs(mesh) + mesh.num_triangles,
         eta2=report.total_eta_sq, eta_tilde2=modified_eta(report, p.beta1),
         osc2=report.total_osc_sq, vol2=report.total_vol_sq,
-        nmarked=0, gamma=gamma)
+        nmarked=0, gamma=gamma, solver_iterations=sol.iterations,
+        lu_fill=sol.lu_fill, solver_residual=sol.residual)
     exact = None
     if load.has_exact:
         exact = (quad.values_at(mesh, load.grad_velocity),

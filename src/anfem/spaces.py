@@ -2,8 +2,16 @@
 
 Velocity dofs: two components per interior edge (edge-mean values); boundary
 edge means are zero and carry no dof.  `interior_dofs` and `edge_values` are
-the only code that knows this layout.  Pressure: one value per element; the
-solve pins one pressure to zero and shifts the result to zero mean.
+the only code that knows this layout.  Pressure: one value per element.
+
+The solve is augmented-Lagrangian Uzawa iteration (Fortin & Glowinski 1983):
+with the diagonal P0 mass matrix M_p and r = 1e3 * mu it factors the SPD
+K = A + r B^T M_p^-1 B once (`spd_factor`), and each step solves with K and
+updates p by r times the element divergence.  It stops when the maximum
+element divergence no longer halves, raises `SolverError` after 60 steps,
+shifts p to zero mean (the constants are ker B^T, CR/P0 being inf-sup
+stable) and gates the full saddle residual at 1e-10 relative to
+max(||F||, 1).
 """
 
 from __future__ import annotations
@@ -59,14 +67,17 @@ class DiscreteSolution:
     u: np.ndarray                 # (2 * n_interior_edges,)
     p: np.ndarray                 # (nt,)
     mu: float
+    iterations: int               # Uzawa steps of the solve
+    lu_fill: int                  # L.nnz + U.nnz of its SPD factor
+    residual: float               # gated saddle residual / max(||F||, 1)
 
 
 def assemble_saddle(mesh: Triangulation, load: LoadFunction,
                     mu: float = 1.0) -> SaddleSystem:
     """A, B and F over the 2 * ne per-edge dofs, restricted to the
     interior ones (boundary edge means are zero)."""
-    if mu <= 0:
-        raise ValueError("viscosity mu must be positive")
+    if not (np.isfinite(mu) and mu > 0):
+        raise ValueError(f"viscosity mu must be positive and finite, got {mu}")
     nt, ndof = mesh.num_triangles, 2 * mesh.num_edges
     keep = interior_dofs(mesh)
     edof = 2 * mesh.tri_edges                   # (nt, 3) x-component dofs
@@ -106,36 +117,60 @@ def assemble_saddle(mesh: Triangulation, load: LoadFunction,
     return SaddleSystem(mesh=mesh, A=A, B=B, F=F.ravel()[keep], mu=mu)
 
 
+def spd_factor(M: sparse.spmatrix):
+    """LU factor of the sparse SPD matrix M with a symmetric fill-reducing
+    ordering and no pivoting (an SPD matrix needs none)."""
+    return spla.splu(sparse.csc_matrix(M), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0, options={"SymmetricMode": True})
+
+
+# augmented-Lagrangian weight r / mu, and the Uzawa step cap
+AL_WEIGHT = 1e3
+MAX_UZAWA_STEPS = 60
+
+
 def solve_saddle(system: SaddleSystem) -> DiscreteSolution:
+    """(u, p) with A u + B^T p = F, B u = 0 and zero-mean p, by the
+    augmented-Lagrangian Uzawa iteration of the module docstring."""
     mesh = system.mesh
-    nu, nt = system.nu, mesh.num_triangles
-    if nu == 0:
+    A, B, F = system.A, system.B, system.F
+    if system.nu == 0:
         raise SolverError("mesh has no interior edges; system is singular")
-    # CR/P0 is inf-sup stable, so ker B^T holds only the constants: without
-    # the last row of B the system is regular and pins that pressure to 0;
-    # the shift below then gives the zero mean
-    B = system.B[:-1]
-    K = sparse.bmat([[system.A, B.T], [B, None]], format="csc")
-    rhs = np.concatenate([system.F, np.zeros(nt - 1)])
+    # r M_p^-1 B: maps u to r times its element divergence
+    rdiv = sparse.diags(AL_WEIGHT * system.mu / mesh.area) @ B
     try:
-        lu = spla.splu(K)
+        lu = spd_factor(A + B.T @ rdiv)
     except RuntimeError as exc:
         raise SolverError(f"saddle-point factorization failed: {exc}") from exc
-    sol = lu.solve(rhs)
-    # a couple of iterative-refinement sweeps keep the discrete divergence
-    # at machine precision on larger meshes
-    for _ in range(2):
-        r = rhs - K @ sol
-        sol = sol + lu.solve(r)
-    resid = np.linalg.norm(K @ sol - rhs)
-    scale = max(np.linalg.norm(rhs), 1.0)
-    if not np.isfinite(resid) or resid > 1e-10 * scale:
+    p = np.zeros(mesh.num_triangles)
+    div_prev = np.inf
+    for steps in range(1, MAX_UZAWA_STEPS + 1):
+        u = lu.solve(F - B.T @ p)
+        p = p + rdiv @ u
+        # one refinement step on the saddle residual; without it the
+        # Galerkin identity misses its gate at mu = 1e3 on graded meshes
+        du = lu.solve(F - A @ u - B.T @ p)
+        u = u + du
+        p = p + rdiv @ du
+        div = float(np.abs(B @ u / mesh.area).max())
+        if not np.isfinite(div):
+            raise SolverError(f"Uzawa iterate not finite at step {steps}")
+        # ">=" so that an exactly divergence-free iterate (zero load) stops
+        if div >= 0.5 * div_prev:
+            break
+        div_prev = div
+    else:
+        raise SolverError(f"Uzawa iteration still converging after "
+                          f"{MAX_UZAWA_STEPS} steps (max |div u| {div:.3e})")
+    p = p - (mesh.area @ p) / mesh.area.sum()   # exact zero mean
+    resid = np.hypot(np.linalg.norm(F - A @ u - B.T @ p),
+                     np.linalg.norm(B @ u))
+    resid /= max(np.linalg.norm(F), 1.0)
+    if not np.isfinite(resid) or resid > 1e-10:
         raise SolverError(f"linear solve residual too large: {resid:.3e}")
-    u = sol[:nu]
-    p = np.append(sol[nu:], 0.0)
-    areas = mesh.area
-    p = p - (areas @ p) / areas.sum()   # exact zero mean
-    return DiscreteSolution(mesh=mesh, u=u, p=p, mu=system.mu)
+    return DiscreteSolution(mesh=mesh, u=u, p=p, mu=system.mu,
+                            iterations=steps,
+                            lu_fill=lu.L.nnz + lu.U.nnz, residual=resid)
 
 
 def solve(mesh: Triangulation, load: LoadFunction,

@@ -77,8 +77,8 @@ def test_contraction_params_validation():
 
 # one out-of-range value per LoopParams field that has a range
 BAD_LOOP_PARAMS = [("theta", 1.0), ("theta", float("nan")), ("eps", -1e-3),
-                   ("mu", 0.0), ("beta1", -1.0), ("gamma1", -1.0),
-                   ("gamma2", -1.0), ("element_cap", 0),
+                   ("mu", 0.0), ("mu", float("inf")), ("beta1", -1.0),
+                   ("gamma1", -1.0), ("gamma2", -1.0), ("element_cap", 0),
                    ("max_iterations", 0), ("reduction_slack", -1e-9)]
 
 
@@ -154,7 +154,7 @@ def test_trace_csv_schema(tmp_path):
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "anfem-trace-v2"
+    assert lines[0] == "anfem-trace-v3"
     names = [f.name for f in dataclasses.fields(IterationRecord)]
     assert lines[1].split(",") == names
     assert len(lines) == 2 + len(trace.records)
@@ -162,6 +162,12 @@ def test_trace_csv_schema(tmp_path):
     last = dict(zip(names, lines[-1].split(",")))
     assert float(last["eta2"]) == trace.records[-1].eta2
     assert last["reduction_lhs"] == "nan"
+    # the solve's diagnostics of every step
+    for row in lines[2:]:
+        rec = dict(zip(names, row.split(",")))
+        assert 1 <= int(rec["solver_iterations"]) <= 60
+        assert int(rec["lu_fill"]) > 0
+        assert 0.0 <= float(rec["solver_residual"]) <= 1e-10
 
 
 def test_rate_fit_requires_points():

@@ -43,9 +43,9 @@ def test_adapt_bad_theta_exits_2(tmp_path):
 
 # one out-of-range value per loop flag; LoopParams rejects each before a solve
 @pytest.mark.parametrize("flag,value", [
-    ("--theta", "0"), ("--eps", "-1"), ("--mu", "0"), ("--beta1", "-1"),
-    ("--gamma1", "-1"), ("--gamma2", "-1"), ("--element-cap", "0"),
-    ("--max-iterations", "0")])
+    ("--theta", "0"), ("--eps", "-1"), ("--mu", "0"), ("--mu", "inf"),
+    ("--beta1", "-1"), ("--gamma1", "-1"), ("--gamma2", "-1"),
+    ("--element-cap", "0"), ("--max-iterations", "0")])
 def test_adapt_bad_loop_flag_exits_2(tmp_path, flag, value):
     with pytest.raises(SystemExit) as exc:
         main(["adapt", flag, value, "--out", str(tmp_path)])
@@ -76,7 +76,7 @@ def test_adapt_small_run(tmp_path):
                "--out", str(tmp_path)])
     assert rc == EXIT_OK
     lines = (tmp_path / "trace.csv").read_text().splitlines()
-    assert lines[0] == "anfem-trace-v2"
+    assert lines[0] == "anfem-trace-v3"
     assert lines[1].split(",")[:3] == ["iteration", "nelems", "ndofs"]
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["schema"] == "anfem-summary-v1"

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from anfem.adaptive import _check_solve_invariants
 from anfem.domains import diamond, l_shape, unit_square
 from anfem.mesh import bisect, uniform_refine
-from anfem.problems import constant_load, get_solution, zero_load
+from anfem.problems import (constant_load, get_solution, lshape_singular,
+                            zero_load)
 from anfem.spaces import (SolverError, assemble_saddle, broken_div,
                           broken_grad_norm_sq, cr_gradients, cr_values,
                           edge_values, galerkin_residual, interior_dofs,
@@ -40,9 +42,49 @@ def test_stiffness_spd():
 
 
 def test_zero_load_zero_solution():
+    # the first iterate is exactly divergence-free, so the second step's
+    # equal divergence stops the iteration
     sol = solve(unit_square(2), zero_load())
-    assert np.abs(sol.u).max() < 1e-13
-    assert np.abs(sol.p).max() < 1e-13
+    assert not sol.u.any() and not sol.p.any()
+    assert sol.iterations <= 2
+
+
+@pytest.mark.parametrize("mu", [float("nan"), float("inf")])
+def test_assemble_rejects_bad_viscosity(mu):
+    with pytest.raises(ValueError, match="viscosity"):
+        assemble_saddle(unit_square(1), zero_load(), mu)
+
+
+def test_non_finite_load_raises_solver_error():
+    system = assemble_saddle(unit_square(2), zero_load(), 1.0)
+    system.F[3] = np.nan
+    with pytest.raises(SolverError):
+        solve_saddle(system)
+
+
+def corner_graded_l_shape(rounds=20):
+    """The L-shape with the elements at the reentrant corner bisected
+    `rounds` times: element sizes from about 1 down to 2^(-rounds/2)."""
+    mesh = l_shape()
+    for _ in range(rounds):
+        at_corner = (mesh.vertices[mesh.triangles] == 0.0).all(-1).any(-1)
+        mesh = bisect(mesh, np.flatnonzero(at_corner))
+    return mesh
+
+
+@pytest.mark.parametrize("mu", [1e-3, 1.0, 1e3])
+def test_solve_on_corner_graded_mesh(mu):
+    """Both solver gates hold and the solution matches the multiplier solve
+    relative to its max-norm, across six decades of viscosity."""
+    mesh = corner_graded_l_shape()
+    system = assemble_saddle(mesh, lshape_singular(mu), mu)
+    sol = solve_saddle(system)
+    _check_solve_invariants(system, sol)
+    assert 1 <= sol.iterations <= 20
+    assert sol.residual <= 1e-10 and sol.lu_fill >= system.A.nnz
+    u, p = multiplier_solve(system.A, system.B, system.F, mesh.area)
+    assert np.abs(sol.u - u).max() <= 1e-13 * np.abs(u).max()
+    assert np.abs(sol.p - p).max() <= 1e-13 * np.abs(p).max()
 
 
 def test_divergence_free_and_galerkin(smooth):
@@ -146,8 +188,9 @@ def test_residual_scaling_under_refinement(smooth):
 
 def check_against_references(mesh, load):
     """Assembly equals the masked per-element reference bit for bit, the
-    rows of B sum to exactly zero (so pinning one pressure loses nothing),
-    and the pinned solve equals the Lagrange-multiplier solve."""
+    rows of B sum to exactly zero (so ker B^T is the constants and the zero
+    mean shift changes no residual), and the solve equals the
+    Lagrange-multiplier solve."""
     system = assemble_saddle(mesh, load, 1.0)
     A, B, F = reference_assembly(mesh, load)
     for got, ref in ((system.A, A), (system.B, B)):
