@@ -21,6 +21,8 @@ from .spaces import (DiscreteSolution, assemble_saddle, broken_grad_norm_sq,
                      velocity_error_sq)
 
 ESTIMATOR_REDUCTION_RHO = 1.0 - 2.0 ** -0.5
+# relative rounding allowance of the estimator-reduction check
+REDUCTION_SLACK = 1e-9
 
 
 class MarkingError(ValueError):
@@ -106,7 +108,6 @@ class LoopParams:
     element_cap: int = 200_000
     max_iterations: int = 100
     check_reduction: bool = True
-    reduction_slack: float = 1e-9
 
     def __post_init__(self):
         # the one place the loop's parameters are checked; frozen, so a
@@ -122,9 +123,6 @@ class LoopParams:
             if not getattr(self, name) >= 1:
                 raise ValueError(
                     f"{name} must be at least 1, got {getattr(self, name)}")
-        if not self.reduction_slack >= 0.0:
-            raise ValueError("reduction_slack must be nonnegative, got "
-                             f"{self.reduction_slack}")
 
 
 def _solve_level(mesh: Triangulation, load: LoadFunction, p: LoopParams,
@@ -191,10 +189,10 @@ def anfem_loop(mesh0: Triangulation, load: LoadFunction,
         rec.nmarked = len(marked)
         refined = bisect(mesh, marked)
         ns = nesting_sets(mesh, refined)
-        gamma = refinement_ratio(mesh, refined, ns)
+        gamma = refinement_ratio(mesh, refined)
 
         if p.check_reduction:
-            frozen = estimate_frozen(sol, refined, load, ns.ancestors)
+            frozen = estimate_frozen(sol, refined, load)
             # the estimator and its volume term, reduced by the same factor
             for name, coarse, fine in (
                     ("estimator", report.eta_sq, frozen.eta_sq),
@@ -204,7 +202,7 @@ def anfem_loop(mesh0: Triangulation, load: LoadFunction,
                     coarse[ns.refined].sum())
                 if name == "estimator":
                     rec.reduction_lhs, rec.reduction_rhs = lhs, rhs
-                if lhs > rhs + p.reduction_slack * max(1.0, rhs):
+                if lhs > rhs + REDUCTION_SLACK * max(1.0, rhs):
                     raise AssertionError(
                         f"{name} reduction violated at step {it}: "
                         f"{lhs:.16g} > {rhs:.16g}")
@@ -320,11 +318,10 @@ def contraction_monitor(trace: AdaptiveTrace):
 
 def discrete_reliability_check(sol_coarse: DiscreteSolution,
                                sol_fine: DiscreteSolution,
-                               load: LoadFunction,
-                               nesting=None) -> float:
+                               load: LoadFunction) -> float:
     """Empirical constant of the discrete reliability bound."""
     coarse, fine = sol_coarse.mesh, sol_fine.mesh
-    ns = nesting if nesting is not None else nesting_sets(coarse, fine)
+    ns = nesting_sets(coarse, fine)
     Gf = cr_gradients(fine, sol_fine.u)
     Gc = cr_gradients(coarse, sol_coarse.u)[ns.ancestors]
     d = Gf - Gc

@@ -180,16 +180,11 @@ def cmd_verify(args, params) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    ns = args.n
-    if any(n % 2 == 0 or n < 1 for n in ns):
-        print("error: grid parameters must be odd positive integers",
-              file=sys.stderr)
+    try:        # scaling_study and build_family validate the grid parameters
+        study = counterexample.scaling_study(args.n)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if len(ns) < 4:
-        print("error: need at least 4 grid parameters for the exponent fit",
-              file=sys.stderr)
-        return EXIT_USAGE
-    study = counterexample.scaling_study(ns)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "counterexample.csv")
     with open(path, "w") as f:

@@ -30,7 +30,8 @@ class CrissCrossFamily:
 
 def build_family(n: int) -> CrissCrossFamily:
     if n < 1 or n % 2 == 0:
-        raise ValueError("family parameter must be an odd integer >= 1")
+        raise ValueError(
+            f"family parameter must be an odd integer >= 1, got {n}")
     k = (n - 1) // 2
     # lattice in rotated coordinates u = x + y, v = y - x, both in [-1, 1]
     # vertex (i, j) at u = -1 + 2i/n, v = -1 + 2j/n has id ids[i, j]
@@ -125,13 +126,16 @@ def coarse_jump_term() -> float:
     return (2.0 / 3.0) / 2.0
 
 
-def pairing_constant(fam: CrissCrossFamily) -> float:
-    nodal = build_test_pair(fam)
-    gsq = grad_norm_sq(fam, nodal)
+def _pairing(bsum: float, gsq: float) -> float:
+    """The pairing constant from the boundary sum and ||grad v||^2."""
     if gsq == 0.0:
         return 0.0
-    return boundary_sum(fam, nodal) / (
-        np.sqrt(coarse_jump_term()) * np.sqrt(gsq))
+    return bsum / (np.sqrt(coarse_jump_term()) * np.sqrt(gsq))
+
+
+def pairing_constant(fam: CrissCrossFamily) -> float:
+    nodal = build_test_pair(fam)
+    return _pairing(boundary_sum(fam, nodal), grad_norm_sq(fam, nodal))
 
 
 def scaling_study(n_values) -> dict:
@@ -146,7 +150,7 @@ def scaling_study(n_values) -> dict:
         bs = boundary_sum(fam, nodal)
         gsq = grad_norm_sq(fam, nodal)
         rows.append({"N": n, "boundary_sum": bs, "grad_norm_sq": gsq,
-                     "C": pairing_constant(fam), "closed_form": closed_form(n)})
+                     "C": _pairing(bs, gsq), "closed_form": closed_form(n)})
     logn = np.log([r["N"] for r in rows])
     logc = np.log([r["C"] for r in rows])
     exponent = float(np.polyfit(logn, logc, 1)[0])

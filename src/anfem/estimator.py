@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature as quad
-from .mesh import Triangulation, ancestor_map
+from .mesh import Triangulation, descent_maps
 from .problems import LoadFunction
 from .spaces import (DiscreteSolution, assemble_saddle, cr_gradients,
                      edge_values, interior_dofs, num_velocity_dofs,
@@ -85,11 +85,10 @@ def estimate(sol: DiscreteSolution, load: LoadFunction) -> EstimatorReport:
 
 
 def estimate_frozen(sol_coarse: DiscreteSolution, fine: Triangulation,
-                    load: LoadFunction,
-                    ancestors: np.ndarray | None = None) -> EstimatorReport:
-    """Estimator of the frozen coarse solution evaluated on a nested fine mesh."""
-    if ancestors is None:
-        ancestors = ancestor_map(sol_coarse.mesh, fine, check=False)
+                    load: LoadFunction) -> EstimatorReport:
+    """Estimator of the frozen coarse solution evaluated on a fine mesh that
+    descends from its mesh by bisect."""
+    ancestors = descent_maps(sol_coarse.mesh, fine)[0]
     coarse_grads = cr_gradients(sol_coarse.mesh, sol_coarse.u)
     return estimator_from_grads(fine, coarse_grads[ancestors], load)
 
@@ -106,15 +105,14 @@ def modified_eta(report: EstimatorReport, beta1: float = 1.0) -> float:
 
 
 def residual_functional(sol_coarse: DiscreteSolution, fine: Triangulation,
-                        v: np.ndarray, load: LoadFunction,
-                        ancestors: np.ndarray | None = None) -> float:
+                        v: np.ndarray, load: LoadFunction) -> float:
     """Res(v) = (g, v) - a(u_c, v) - b(v, p_c), broken operators on `fine`.
 
-    v is a CR coefficient vector on `fine`; the coarse solution enters through
-    its piecewise-constant stress on the fine mesh.
+    v is a CR coefficient vector on `fine`, a mesh that descends from the
+    coarse one by bisect; the coarse solution enters through its
+    piecewise-constant stress on the fine mesh.
     """
-    if ancestors is None:
-        ancestors = ancestor_map(sol_coarse.mesh, fine, check=False)
+    ancestors = descent_maps(sol_coarse.mesh, fine)[0]
     mu = sol_coarse.mu
     Gc = cr_gradients(sol_coarse.mesh, sol_coarse.u)[ancestors]
     Gv = cr_gradients(fine, v)

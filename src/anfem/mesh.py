@@ -8,9 +8,9 @@ of both children and the remaining parent edges become their refinement edges.
 
 `bisect` is the single source of genealogy: every mesh it returns records,
 per bisection back to its initial mesh, the token of the mesh it was refined
-from, the element parent map and the fine-edge -> coarse-edge map.  Nesting
-queries compose these maps; `build_initial` and `read_mesh` start a new
-genealogy.
+from, the element parent map and the fine-edge -> coarse-edge map, in
+`Triangulation.lineage`, the only genealogy a mesh holds.  Nesting queries
+compose these maps; `build_initial` and `read_mesh` start a new genealogy.
 """
 
 from __future__ import annotations
@@ -35,9 +35,6 @@ _TOKENS = itertools.count()
 class Triangulation:
     vertices: np.ndarray            # (nv, 2) float
     triangles: np.ndarray           # (nt, 3) int, refinement edge = (t0, t1)
-    level: np.ndarray               # (nt,) generation count (bisections from root)
-    parent: np.ndarray | None = None  # (nt,) index into the mesh bisect() was called on
-    root: np.ndarray | None = None    # (nt,) index of the initial-mesh ancestor
     # one (ancestor token, element map, edge map) step per bisection, nearest
     # ancestor first; integer arrays only, so no ancestor mesh is kept alive
     lineage: tuple = ()
@@ -59,11 +56,14 @@ class Triangulation:
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
         self.triangles = np.asarray(self.triangles, dtype=np.int64)
-        self.level = np.asarray(self.level, dtype=np.int64)
-        if self.root is None:
-            self.root = np.arange(len(self.triangles))
         self.token = next(_TOKENS)
         self._build_topology()
+
+    @property
+    def parent(self) -> np.ndarray | None:
+        """(nt,) index into the mesh bisect() was called on; None for a mesh
+        that starts its genealogy."""
+        return self.lineage[0][1] if self.lineage else None
 
     # -- basic counts ------------------------------------------------------
     @property
@@ -122,12 +122,6 @@ class Triangulation:
         self.edge_tris[two, 1] = tri_sorted[start[two] + 1]
         self.boundary_edge = self.edge_tris[:, 1] < 0
 
-        # hanging-node check: every vertex of an interior edge must be a
-        # triangle corner of both incident elements (guaranteed by unique
-        # matching above); conformity violations show up as count == 1 edges
-        # that are not on the outer boundary, which we cannot detect without
-        # geometry, so we additionally verify the area identity in builders.
-
         vec = v[self.edges[:, 1]] - v[self.edges[:, 0]]
         self.edge_length = np.linalg.norm(vec, axis=1)
         if np.any(self.edge_length <= 0):
@@ -146,6 +140,9 @@ class Triangulation:
         self.edge_tangent = np.stack([-n[:, 1], n[:, 0]], axis=1)
 
         self.bary_grads = _barycentric_gradients(v, tris, self.area)
+        # a hanging node leaves an interior edge on one element only, so it
+        # shows up as an open chain of "boundary" edges
+        _check_cover(self)
 
     # -- queries -----------------------------------------------------------
     def edge_midpoints(self) -> np.ndarray:
@@ -212,9 +209,7 @@ def build_initial(vertices, triangle_connectivity) -> Triangulation:
     # refinement edge opposite local vertex `best`; want it as (v0, v1)
     shift = (best + 1) % 3
     tris = np.take_along_axis(tris, (np.arange(3) + shift[:, None]) % 3, 1)
-    mesh = Triangulation(v, tris, np.zeros(len(tris), dtype=np.int64))
-    _check_cover(mesh)
-    return mesh
+    return Triangulation(v, tris)
 
 
 def _check_cover(mesh: Triangulation):
@@ -244,8 +239,7 @@ def bisect(tri: Triangulation, marked) -> Triangulation:
     nt = tri.num_triangles
     if len(marked) == 0:
         return Triangulation(
-            tri.vertices.copy(), tri.triangles.copy(), tri.level.copy(),
-            parent=np.arange(nt), root=tri.root.copy(),
+            tri.vertices.copy(), tri.triangles.copy(),
             lineage=((tri.token, np.arange(nt), np.arange(tri.num_edges)),)
             + tri.lineage)
 
@@ -283,25 +277,21 @@ def bisect(tri: Triangulation, marked) -> Triangulation:
     first = np.cumsum(count) - count
     second = first + n_a
     out = np.empty((len(parent), 3), dtype=np.int64)
-    level = tri.level[parent]
     t0, t1, t2 = tri.triangles.T
     m0, m1, m2 = new_vid[te].T
     out[first[~split]] = tri.triangles[~split]
-    for sel, at, child, depth in (
-            (split & ~r[:, 1], first, (t2, t0, m2), 1),
-            (split & r[:, 1], first, (m2, t2, m1), 2),
-            (split & r[:, 1], first + 1, (t0, m2, m1), 2),
-            (split & ~r[:, 0], second, (t1, t2, m2), 1),
-            (split & r[:, 0], second, (m2, t1, m0), 2),
-            (split & r[:, 0], second + 1, (t2, m2, m0), 2)):
+    for sel, at, child in (
+            (split & ~r[:, 1], first, (t2, t0, m2)),
+            (split & r[:, 1], first, (m2, t2, m1)),
+            (split & r[:, 1], first + 1, (t0, m2, m1)),
+            (split & ~r[:, 0], second, (t1, t2, m2)),
+            (split & r[:, 0], second, (m2, t1, m0)),
+            (split & r[:, 0], second + 1, (t2, m2, m0))):
         out[at[sel]] = np.stack([c[sel] for c in child], axis=1)
-        level[at[sel]] += depth
 
-    mesh = Triangulation(vertices, out, level, parent=parent,
-                         root=tri.root[parent])
+    mesh = Triangulation(vertices, out)
     mesh.lineage = ((tri.token, parent, _edge_parents(tri, mesh, ref_ids)),) \
         + tri.lineage
-    _check_cover(mesh)
     return mesh
 
 
@@ -339,10 +329,8 @@ def uniform_refine(tri: Triangulation, rounds: int = 1) -> Triangulation:
 
 @dataclass
 class NestingSets:
-    common: np.ndarray       # coarse element ids present in both meshes
     refined: np.ndarray      # coarse element ids that were subdivided
     neighborhood: np.ndarray  # coarse elements touching the refined region
-    region_c: np.ndarray     # common elements not touching the refined region
     ancestors: np.ndarray    # (nt_fine,) coarse ancestor of each fine element
 
 
@@ -365,19 +353,17 @@ def descent_maps(coarse: Triangulation, fine: Triangulation):
                     "bisect")
 
 
-def ancestor_map(coarse: Triangulation, fine: Triangulation,
-                 check: bool = True) -> np.ndarray:
+def ancestor_map(coarse: Triangulation, fine: Triangulation) -> np.ndarray:
     """Map each fine element to the coarse element containing it.
 
-    The map comes from bisect's genealogy; check=True also verifies
-    geometrically that every fine vertex lies in its ancestor.
+    The map comes from bisect's genealogy and is verified geometrically:
+    every fine vertex must lie in its ancestor.
     """
     anc = descent_maps(coarse, fine)[0]
-    if check:
-        lam = barycentric(coarse, np.repeat(anc, 3),
-                          fine.vertices[fine.triangles].reshape(-1, 2))
-        if lam.min() < -1e-9:
-            raise MeshError("fine mesh not nested in coarse mesh")
+    lam = barycentric(coarse, np.repeat(anc, 3),
+                      fine.vertices[fine.triangles].reshape(-1, 2))
+    if lam.min() < -1e-9:
+        raise MeshError("fine mesh not nested in coarse mesh")
     return anc
 
 
@@ -390,31 +376,26 @@ def nesting_sets(coarse: Triangulation, fine: Triangulation) -> NestingSets:
     np.add.at(fine_area, anc, fine.area)
     if np.any(np.abs(fine_area - coarse.area) > 1e-12 * coarse.area):
         raise MeshError("fine mesh not nested: ancestor areas do not match")
-    common_mask = counts == 1
-    refined = np.flatnonzero(~common_mask)
-    common = np.flatnonzero(common_mask)
+    refined = np.flatnonzero(counts > 1)
 
-    # touching = sharing at least one vertex with a refined coarse element
+    # touching = sharing at least one vertex with a refined coarse element,
+    # which every refined element does
     refined_verts = np.unique(coarse.triangles[refined]) if len(refined) \
         else np.empty(0, dtype=np.int64)
     touch = np.isin(coarse.triangles, refined_verts).any(axis=1)
-    neighborhood = np.flatnonzero(touch | ~common_mask)
-    region_c = np.flatnonzero(common_mask & ~touch)
-    return NestingSets(common=common, refined=refined,
-                       neighborhood=neighborhood, region_c=region_c,
+    neighborhood = np.flatnonzero(touch)
+    return NestingSets(refined=refined, neighborhood=neighborhood,
                        ancestors=anc)
 
 
-def refinement_ratio(coarse: Triangulation, fine: Triangulation,
-                     nesting: NestingSets | None = None) -> float:
-    """max over refined coarse K of max over fine T inside K of h_K / h_T."""
-    ns = nesting if nesting is not None else nesting_sets(coarse, fine)
-    if len(ns.refined) == 0:
-        return 1.0
-    refined_mask = np.zeros(coarse.num_triangles, dtype=bool)
-    refined_mask[ns.refined] = True
-    sel = refined_mask[ns.ancestors]
-    return float(np.max(coarse.h[ns.ancestors[sel]] / fine.h[sel]))
+def refinement_ratio(coarse: Triangulation, fine: Triangulation) -> float:
+    """max over coarse K of max over fine T inside K of h_K / h_T.
+
+    A kept element has the same vertices, hence the same h, on both meshes,
+    so without refinement the ratio is exactly 1.
+    """
+    anc = descent_maps(coarse, fine)[0]
+    return float(np.max(coarse.h[anc] / fine.h))
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +440,6 @@ def read_mesh(path) -> Triangulation:
         # rotate each triangle so that its refinement edge is (v0, v1)
         shift = (ref + 1) % 3
         tris = np.take_along_axis(ids, (np.arange(3) + shift[:, None]) % 3, 1)
-        return Triangulation(verts, tris, np.zeros(nt, dtype=np.int64))
+        return Triangulation(verts, tris)
     except ValueError as exc:       # MeshError and unparsable numbers
         raise MeshError(f"{path}: {exc}") from None

@@ -8,9 +8,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import quadrature as quad
+from .estimator import _element_jump_sq
 from .mesh import (MeshError, NestingSets, Triangulation, barycentric,
                    descent_maps, nesting_sets)
-from .spaces import cr_element_coeffs, cr_gradients, edge_values
+from .spaces import (cr_element_coeffs, cr_gradients, cr_vertex_values,
+                     edge_values)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +122,6 @@ def nodal_averaging(v: np.ndarray, mesh: Triangulation) -> np.ndarray:
 
     Returns (2 * nv,) nodal values of a continuous piecewise linear field.
     """
-    from .spaces import cr_vertex_values
     vv = cr_vertex_values(mesh, v)                  # (nt, 3, 2)
     sums = np.zeros((mesh.num_vertices, 2))
     counts = np.zeros(mesh.num_vertices)
@@ -198,7 +199,6 @@ def prolongation_defect_constant(coarse: Triangulation, fine: Triangulation,
     P is the mixed prolongation for operator="mixed", the naive one for
     operator="naive".
     """
-    from .estimator import _element_jump_sq
     if nesting is None:
         nesting = nesting_sets(coarse, fine)
     if operator == "mixed":

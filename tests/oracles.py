@@ -106,8 +106,8 @@ def reference_topology(triangles):
 
 
 def reference_bisect(tri, marked):
-    """(vertices, triangles, level, parent, root) by the per-element emit
-    loop, for a non-empty list of integer element ids."""
+    """(vertices, triangles, parent) by the per-element emit loop, for a
+    non-empty list of integer element ids."""
     marked = np.asarray(sorted(set(int(m) for m in marked)), dtype=np.int64)
     refine_edge = np.zeros(tri.num_edges, dtype=bool)
     refine_edge[tri.tri_edges[marked, 2]] = True
@@ -123,9 +123,8 @@ def reference_bisect(tri, marked):
     out = []
     for k in range(tri.num_triangles):
         t, e = tri.triangles[k], tri.tri_edges[k]
-        lvl, root = tri.level[k], tri.root[k]
         if not refine_edge[e].any():
-            out.append((tuple(t), lvl, k, root))
+            out.append((tuple(t), k))
             continue
         m2 = new_vid[e[2]]
         for child, child_edge in (((t[2], t[0], m2), e[1]),
@@ -133,13 +132,12 @@ def reference_bisect(tri, marked):
             if refine_edge[child_edge]:
                 mm = new_vid[child_edge]
                 a, b, c = child
-                out.append(((c, a, mm), lvl + 2, k, root))
-                out.append(((b, c, mm), lvl + 2, k, root))
+                out.append(((c, a, mm), k))
+                out.append(((b, c, mm), k))
             else:
-                out.append((child, lvl + 1, k, root))
-    tris, level, parent, root = (np.array(col, dtype=np.int64)
-                                 for col in zip(*out))
-    return vertices, tris, level, parent, root
+                out.append((child, k))
+    tris, parent = (np.array(col, dtype=np.int64) for col in zip(*out))
+    return vertices, tris, parent
 
 
 def reference_orientation(vertices, triangles):

@@ -58,8 +58,7 @@ def test_acceptance_02_estimator_reduction(capsys):
     t0 = time.perf_counter()
     # 16 solves, so 15 refinements whose reduction is checked
     trace = anfem_loop(l_shape(), get_solution("constant"),
-                       LoopParams(theta=0.3, max_iterations=16,
-                                  reduction_slack=1e-9))
+                       LoopParams(theta=0.3, max_iterations=16))
     lhs = trace.column("reduction_lhs")
     rhs = trace.column("reduction_rhs")
     checked = np.isfinite(lhs)

@@ -79,7 +79,7 @@ def test_contraction_params_validation():
 BAD_LOOP_PARAMS = [("theta", 1.0), ("theta", float("nan")), ("eps", -1e-3),
                    ("mu", 0.0), ("mu", float("inf")), ("beta1", -1.0),
                    ("gamma1", -1.0), ("gamma2", -1.0), ("element_cap", 0),
-                   ("max_iterations", 0), ("reduction_slack", -1e-9)]
+                   ("max_iterations", 0)]
 
 
 @pytest.mark.parametrize("name,value", BAD_LOOP_PARAMS)

@@ -24,6 +24,11 @@ DELETED = ("MarkingParams", "ContractionParams", "FineFunction", "patches",
            "_lshape_singular_callables", "_smooth1_callables")
 # (class, attribute) pairs deleted from the public classes
 DELETED_MEMBERS = (("mesh.Triangulation", "min_angle"),
+                   ("mesh.Triangulation", "level"),
+                   ("mesh.Triangulation", "root"),
+                   ("mesh.NestingSets", "common"),
+                   ("mesh.NestingSets", "region_c"),
+                   ("adaptive.LoopParams", "reduction_slack"),
                    ("adaptive.AdaptiveTrace", "final_mesh"),
                    ("estimator.EstimatorReport", "beta1"),
                    ("estimator.EstimatorReport", "volume"),

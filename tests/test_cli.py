@@ -70,6 +70,17 @@ def test_adapt_bad_mesh_file_exits_2(tmp_path, capsys):
     assert "bad.txt" in capsys.readouterr().err
 
 
+def test_adapt_non_conforming_mesh_exits_2(tmp_path, capsys):
+    # a hanging node at the centre of the unit square
+    bad = tmp_path / "hanging.txt"
+    bad.write_text("5 3\n0 0\n1 0\n1 1\n0 1\n0.5 0.5\n"
+                   "0 1 3 2\n1 2 4 2\n2 3 4 2\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["adapt", "--mesh", str(bad), "--out", str(tmp_path)])
+    assert exc.value.code == EXIT_USAGE
+    assert "hanging.txt" in capsys.readouterr().err
+
+
 def test_adapt_small_run(tmp_path):
     rc = main(["adapt", "--solution", "smooth1", "--theta", "0.5",
                "--max-iterations", "5", "--eps", "0",

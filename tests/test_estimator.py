@@ -7,7 +7,7 @@ from anfem.domains import l_shape, unit_square
 from anfem.estimator import (consistency_error, estimate, estimate_frozen,
                              modified_eta, residual_functional,
                              tangential_jumps)
-from anfem.mesh import ancestor_map, bisect, uniform_refine
+from anfem.mesh import bisect, uniform_refine
 from anfem.problems import constant_load, get_solution, zero_load
 from anfem.spaces import (DiscreteSolution, cr_gradients, num_velocity_dofs,
                           solve)
@@ -114,8 +114,7 @@ def test_frozen_estimator_identity(smooth_solution, smooth):
     """Frozen on the same mesh = plain estimator."""
     mesh = smooth_solution.mesh
     rep_a = estimate(smooth_solution, smooth)
-    rep_b = estimate_frozen(smooth_solution, mesh, smooth,
-                            np.arange(mesh.num_triangles))
+    rep_b = estimate_frozen(smooth_solution, mesh, smooth)
     assert np.array_equal(rep_a.eta, rep_b.eta)
 
 
@@ -123,9 +122,8 @@ def test_frozen_estimator_reduction(smooth_solution, smooth):
     """One bisection round reduces the frozen estimator by the paper factor."""
     mesh = smooth_solution.mesh
     fine = bisect(mesh, np.arange(mesh.num_triangles))
-    anc = ancestor_map(mesh, fine)
     coarse = estimate(smooth_solution, smooth)
-    frozen = estimate_frozen(smooth_solution, fine, smooth, anc)
+    frozen = estimate_frozen(smooth_solution, fine, smooth)
     rho = 1.0 - 2.0 ** -0.5
     assert frozen.total_eta_sq <= (coarse.total_eta_sq
                                    - rho * coarse.total_eta_sq) + 1e-9
@@ -138,8 +136,7 @@ def test_residual_vanishes_on_same_level(smooth_solution, smooth):
     for _ in range(5):
         v = rng.normal(size=num_velocity_dofs(mesh))
         worst = max(worst, abs(residual_functional(
-            smooth_solution, mesh, v, smooth,
-            np.arange(mesh.num_triangles))))
+            smooth_solution, mesh, v, smooth)))
     assert worst < 1e-12
 
 

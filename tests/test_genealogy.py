@@ -14,7 +14,7 @@ from anfem.counterexample import build_family
 from anfem.domains import diamond, l_shape, unit_square
 from anfem.mesh import (MeshError, Triangulation, ancestor_map, bisect,
                         build_initial, descent_maps, nesting_sets,
-                        uniform_refine)
+                        refinement_ratio, uniform_refine)
 from oracles import (geometric_edge_map, located_ancestors, reference_bisect,
                      reference_orientation, reference_topology)
 
@@ -61,8 +61,7 @@ def test_bisect_chain_matches_oracles(data):
         refined = bisect(fine, marked)
         if marked:
             ref = reference_bisect(fine, marked)
-            got = (refined.vertices, refined.triangles, refined.level,
-                   refined.parent, refined.root)
+            got = (refined.vertices, refined.triangles, refined.parent)
             for a, b in zip(ref, got):
                 assert a.shape == b.shape and np.array_equal(a, b)
         else:
@@ -78,7 +77,36 @@ def test_bisect_chain_matches_oracles(data):
             assert dropped() is None       # descendants keep no ancestors
     assert_nested_like_oracles(coarse, fine)
     ns = nesting_sets(coarse, fine)
-    assert len(ns.common) + len(ns.refined) == coarse.num_triangles
+    kept = np.setdiff1d(np.arange(coarse.num_triangles), ns.refined)
+    assert set(map(tuple, coarse.triangles[kept])) <= set(
+        map(tuple, fine.triangles))
+
+
+def refined_subset_ratio(coarse, fine):
+    """max h_K / h_T over the subdivided coarse elements K only, 1 without
+    one, with ancestors by point location."""
+    anc = located_ancestors(coarse, fine)
+    sel = np.bincount(anc, minlength=coarse.num_triangles)[anc] > 1
+    return float(np.max(coarse.h[anc[sel]] / fine.h[sel])) if sel.any() \
+        else 1.0
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_refinement_ratio_matches_refined_subset(data):
+    """Over random NVB chains, the ratio over all elements equals the one
+    over the refined elements exactly (a kept element contributes exactly 1),
+    and `parent` is the newest lineage step."""
+    coarse = DOMAINS[data.draw(st.sampled_from(sorted(DOMAINS)))]()
+    fine = coarse
+    for _ in range(data.draw(st.integers(1, 3), label="rounds")):
+        refined = bisect(fine, draw_marks(data, fine))
+        assert refined.parent is refined.lineage[0][1]
+        assert refinement_ratio(fine, refined) == refined_subset_ratio(
+            fine, refined)
+        fine = refined
+    assert refinement_ratio(coarse, fine) == refined_subset_ratio(coarse,
+                                                                  fine)
 
 
 @settings(max_examples=10, deadline=None)
@@ -107,11 +135,9 @@ def test_identity_and_rejected_pairs():
 def test_geometric_check_rejects_moved_vertices():
     coarse = unit_square(1)
     fine = bisect(coarse, [1])
-    moved = Triangulation(fine.vertices + 0.25, fine.triangles, fine.level,
-                          parent=fine.parent, root=fine.root,
+    moved = Triangulation(fine.vertices + 0.25, fine.triangles,
                           lineage=fine.lineage)
-    assert np.array_equal(ancestor_map(coarse, moved, check=False),
-                          fine.parent)
+    assert np.array_equal(descent_maps(coarse, moved)[0], fine.parent)
     with pytest.raises(MeshError):
         ancestor_map(coarse, moved)
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from anfem.mesh import (MeshError, Triangulation, ancestor_map, bisect,
-                        build_initial, nesting_sets, read_mesh,
+                        build_initial, descent_maps, nesting_sets, read_mesh,
                         refinement_ratio, uniform_refine, write_mesh)
 from anfem.domains import diamond, l_shape, unit_square
 
@@ -65,10 +65,10 @@ def test_bisect_genealogy():
     tri = l_shape()
     fine = bisect(tri, np.arange(tri.num_triangles))
     assert fine.num_triangles == 2 * tri.num_triangles
+    assert tri.parent is None
     for t in range(fine.num_triangles):
         p = fine.parent[t]
         assert 0 <= p < tri.num_triangles
-        assert fine.root[t] == tri.root[p]
     # child areas halve the parent area
     child_area = np.zeros(tri.num_triangles)
     np.add.at(child_area, fine.parent, fine.area)
@@ -86,7 +86,8 @@ def test_bisect_fuzz_conformity_and_similarity(data):
     """Arbitrary marked subsets keep the mesh conforming, preserve area and
     produce at most 4 similarity classes per root triangle (newest vertex
     bisection)."""
-    tri = unit_square(1)
+    root = unit_square(0)
+    tri = uniform_refine(root, 1)       # unit_square(1)
     total = tri.area.sum()
     for _ in range(data.draw(st.integers(1, 3), label="rounds")):
         nt = tri.num_triangles
@@ -97,8 +98,8 @@ def test_bisect_fuzz_conformity_and_similarity(data):
         assert_conforming(tri)
         assert abs(tri.area.sum() - total) < 1e-12
     classes = {}
-    for k in range(tri.num_triangles):
-        classes.setdefault(tri.root[k], set()).add(angle_signature(tri, k))
+    for k, r in enumerate(descent_maps(root, tri)[0]):
+        classes.setdefault(r, set()).add(angle_signature(tri, k))
     assert max(len(s) for s in classes.values()) <= 4
 
 
@@ -123,9 +124,11 @@ def test_ancestor_map_and_nesting():
         assert min(s0, s1, s2) > -1e-12
     ns = nesting_sets(coarse, fine)
     assert set(ns.refined) >= {0, 3}
-    assert len(ns.common) + len(ns.refined) == coarse.num_triangles
+    # every element not refined is kept as it is
+    kept = np.setdiff1d(np.arange(coarse.num_triangles), ns.refined)
+    assert set(map(tuple, coarse.triangles[kept])) <= set(
+        map(tuple, fine.triangles))
     assert set(ns.neighborhood) >= set(ns.refined)
-    assert set(ns.region_c).isdisjoint(ns.neighborhood)
 
 
 def test_nesting_rejects_unrelated_mesh():
@@ -174,6 +177,20 @@ def test_read_mesh_rejects_malformed_file(tmp_path, case):
     assert read_mesh(path).num_triangles == 1
     path.write_text(VALID_MESH.replace(old, new))
     with pytest.raises(MeshError, match=problem) as exc:
+        read_mesh(path)
+    assert str(path) in str(exc.value)
+
+
+# the unit square with a hanging node at its centre: vertex 4 splits edge
+# (1, 3) of triangle (0, 1, 3) into edges of (1, 2, 4) and (2, 3, 4)
+HANGING_NODE_MESH = ("5 3\n0 0\n1 0\n1 1\n0 1\n0.5 0.5\n"
+                     "0 1 3 2\n1 2 4 2\n2 3 4 2\n")
+
+
+def test_read_mesh_rejects_hanging_node(tmp_path):
+    path = tmp_path / "mesh.txt"
+    path.write_text(HANGING_NODE_MESH)
+    with pytest.raises(MeshError, match="non-conforming") as exc:
         read_mesh(path)
     assert str(path) in str(exc.value)
 
