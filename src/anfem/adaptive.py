@@ -283,15 +283,14 @@ def uniform_trace(mesh0: Triangulation, load: LoadFunction, levels: int,
 # analysis of traces
 
 
-def rate_fit(trace: AdaptiveTrace, n0: int | None = None) -> float:
+def rate_fit(trace: AdaptiveTrace) -> float:
     """Slope of log(eta + osc) vs log(#T_k - #T_0) over the trailing half."""
     recs = trace.records
     if len(recs) < 5:
         raise ValueError("need at least 5 trace points for a rate fit")
-    n_start = n0 if n0 is not None else recs[0].nelems
     xs, ys = [], []
     for r in recs:
-        extra = r.nelems - n_start
+        extra = r.nelems - recs[0].nelems
         if extra <= 0:
             continue
         xs.append(np.log(extra))

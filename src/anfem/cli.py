@@ -13,19 +13,12 @@ import os
 import sys
 from dataclasses import fields, replace
 
-# honor the thread cap before any BLAS pool spins up
-_threads = os.environ.get("AFEM_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                 "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
+import numpy as np
 
-import numpy as np  # noqa: E402
-
-from . import adaptive, counterexample, transfer  # noqa: E402
-from .domains import get_domain  # noqa: E402
-from .mesh import MeshError, read_mesh, uniform_refine  # noqa: E402
-from .problems import get_solution  # noqa: E402
+from . import adaptive, counterexample, transfer
+from .domains import get_domain
+from .mesh import MeshError, read_mesh, uniform_refine
+from .problems import get_solution
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1

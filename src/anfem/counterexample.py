@@ -15,14 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import Triangulation, build_initial
-from .domains import diamond
 from .transfer import p1_gradients
 
 
 @dataclass
 class CrissCrossFamily:
     n: int                      # odd
-    coarse: Triangulation       # two triangles ABC, ACD
     fine: Triangulation         # 2 N^2 triangles
     sign_nodes: np.ndarray      # fine vertex ids of Z_i, i = -k..k (in order)
     ac_vertex_col: np.ndarray   # fine vertex ids on segment AC, bottom to top
@@ -50,8 +48,8 @@ def build_family(n: int) -> CrissCrossFamily:
     sign_nodes = ids[k + 1 + i, k + i]
     ac_col = np.diagonal(ids).copy()
     # reindex through build_initial: vertices are passed through unchanged
-    fam = CrissCrossFamily(n=n, coarse=diamond(), fine=fine,
-                           sign_nodes=sign_nodes, ac_vertex_col=ac_col)
+    fam = CrissCrossFamily(n=n, fine=fine, sign_nodes=sign_nodes,
+                           ac_vertex_col=ac_col)
     _validate(fam)
     return fam
 

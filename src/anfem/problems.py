@@ -8,7 +8,9 @@ product of 1-D polynomials. `lshape_singular` is the curl of the stream
 function S = B(x, y) * Phi with the smooth cut-off B and the pure corner
 flow Phi = r^(1+a) psi(theta); S's partial derivatives come from the
 Leibniz rule on the Taylor jets of B and Phi (`_jet_mul`), and those of Phi
-from angular mode tables built at import (`_corner_tables`). sympy is not
+from its complex (Goursat) form Phi = Re(A z^(1+a) + E z zbar^a), each of
+whose derivatives is two powers of zbar with constant coefficients
+(`_corner`). sympy is not
 used: the tests compare both solutions with their symbolic derivation.
 """
 
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial, prod
 from typing import Callable
 
 import numpy as np
@@ -174,97 +177,54 @@ def _bubble_jet(x, y, order: int) -> dict:
 
 
 # The corner flow Phi = r^(1+a) psi(theta), with psi the Stokes eigenfunction
-# of the angle 3*pi/2, and p_std = r^(a-1) Q(theta), its pressure for mu = 1.
-# An angular function F is a mode table {(n, s): c} standing for
-# Re sum c exp(i w theta), w = n + s*a >= 0. Since
-#   dx (r^m F) = r^(m-1) (m cos(theta) F - sin(theta) F'),
-#   dy (r^m F) = r^(m-1) (m sin(theta) F + cos(theta) F'),
-# and cos/sin(theta) shift w by +-1, every partial derivative of Phi is
-# r^(1+a-i-j) times another mode table.
+# of the angle 3*pi/2, in Goursat form
+#   Phi = Re(A z^(1+a) + z G(zbar)),  G(w) = E w^a,
+# A = -1 - i cw/(1+a), E = 1 + i cw/(1-a), cw = cos(3 pi a/2); its pressure
+# for mu = 1 is p_std = Re(-4i G'(zbar)). As dx = dz + dzbar,
+# dy = i (dz - dzbar) and z G(zbar) is linear in z, for n = i + j
+#   dx^i dy^j z^(1+a) = i^j (1+a) a ... (2+a-n) z^(1+a-n),
+#   dx^i dy^j [z G(zbar)] = (-i)^j (z G^(n)(zbar) + (i - j) G^(n-1)(zbar)).
+# Re is unchanged by conjugation, so the first term is taken as
+# (-i)^j conj(A) (1+a) a ... (2+a-n) zbar^(1+a-n): each derivative is
+# c1 zbar^(1+a-n) + c2 z zbar^(a-n) with constants c1, c2.
 
-def _add_mode(table: dict, n: int, s: int, c: complex) -> None:
-    if n + s * LSHAPE_ALPHA < 0:          # Re(c e^{-iw t}) = Re(c* e^{iw t})
-        n, s, c = -n, -s, np.conj(c)
-    table[n, s] = table.get((n, s), 0j) + c
-
-
-def _mode_partial(k: int, table: dict, axis: int) -> tuple[int, dict]:
-    """d/dx (axis 0) or d/dy (axis 1) of r^(1+a-k) F as (k + 1, the mode
-    table of r^(k-a) times the derivative)."""
-    m = 1.0 + LSHAPE_ALPHA - k
-    out = {}
-    for (n, s), c in table.items():
-        dc = 1j * (n + s * LSHAPE_ALPHA) * c           # F'
-        on_cos, on_sin = (m * c, -dc) if axis == 0 else (dc, m * c)
-        # cos = (e^{it} + e^{-it}) / 2, sin = (e^{it} - e^{-it}) / (2i)
-        _add_mode(out, n + 1, s, 0.5 * on_cos - 0.5j * on_sin)
-        _add_mode(out, n - 1, s, 0.5 * on_cos + 0.5j * on_sin)
-    return k + 1, out
-
-
-def _corner_tables() -> dict:
-    """name -> (k, mode table of the angular factor of r^(1+a-k)): jet
-    coefficients (i, j) of Phi up to order 2 (k = i + j) and "p" for p_std
-    (k = 2)."""
-    a = LSHAPE_ALPHA
-    cw = np.cos(a * 1.5 * np.pi)
-    # psi = cw sin((1+a)t)/(1+a) - cos((1+a)t) - cw sin((1-a)t)/(1-a)
-    #       + cos((1-a)t); cos -> c = 1, sin -> c = -i
-    psi = {(1, 1): -1.0 - 1j * cw / (1 + a), (1, -1): 1.0 + 1j * cw / (1 - a)}
-    # p_std = -r^(a-1) ((1+a)^2 psi' + psi''') / (1-a)
-    pstd = {}
-    for (n, s), c in psi.items():
-        w = n + s * a
-        pstd[n, s] = -1j * w * ((1 + a) ** 2 - w * w) * c / (1 - a)
-    tables = {(0, 0): (0, psi), "p": (2, pstd)}
-    for i, j in _jet_keys(2)[1:]:
-        axis, src, fact = (0, (i - 1, j), i) if i else (1, (i, j - 1), j)
-        k, table = _mode_partial(*tables[src], axis)
-        tables[i, j] = (k, {mode: c / fact for mode, c in table.items()})
-    return tables
-
-
-def _mode_matrix(tables: dict):
-    """(modes (n, s), coefficient matrix modes x names, column of each name,
-    radial k of each name)."""
-    modes = sorted({k for _, table in tables.values() for k in table})
-    coef = np.zeros((len(modes), len(tables)), dtype=complex)
-    for col, (_, table) in enumerate(tables.values()):
-        for k, c in table.items():
-            coef[modes.index(k), col] = c
-    return (modes, coef, {name: col for col, name in enumerate(tables)},
-            {name: k for name, (k, _) in tables.items()})
-
-
-_CORNER_MODES, _CORNER_COEF, _CORNER_COL, _CORNER_POWER = _mode_matrix(
-    _corner_tables())
+def _falling(s: float, n: int) -> float:
+    """s (s-1) ... (s-n+1); 1 for n <= 0."""
+    return prod((s - k for k in range(n)), start=1.0)
 
 
 def _corner(x, y, r, t, names) -> dict:
     """Jet coefficients (i, j) of Phi and "p" (p_std) at the points."""
-    coef = _CORNER_COEF[:, [_CORNER_COL[name] for name in names]]
-    used = np.flatnonzero(np.abs(coef).sum(axis=1))
-    # exp(i (n + s a) t) = e^{it}^n e^{iat}^s with e^{it} = (x + iy) / r;
-    # the modes are sorted by n
-    turn = ((x + 1j * y) / r).ravel()
-    zeta = np.exp(1j * LSHAPE_ALPHA * t.ravel())
-    zeta = {1: zeta, -1: np.conj(zeta)}
-    waves = np.empty((len(used), turn.size), dtype=complex)
-    power, n_power = np.ones_like(turn), 0
-    for row, k in enumerate(used):
-        n, s = _CORNER_MODES[k]
-        for _ in range(n - n_power):
-            power = power * turn
-        n_power = n
-        np.multiply(power, zeta[s], out=waves[row])
-    # Re(c w) = Re(c) Re(w) - Im(c) Im(w), one real product for all names
-    vals = np.hstack([coef[used].real.T, -coef[used].imag.T]) @ np.vstack(
-        [waves.real, waves.imag])
-    # r^(1+a-k), k = 0, 1, 2, from one power
-    ra = (r ** LSHAPE_ALPHA).ravel()
-    radial = (ra * r.ravel(), ra, ra / r.ravel())
-    return {name: (radial[_CORNER_POWER[name]] * vals[row]).reshape(r.shape)
-            for row, name in enumerate(names)}
+    a = LSHAPE_ALPHA
+    cw = np.cos(a * 1.5 * np.pi)
+    conj_big_a = -1.0 + 1j * cw / (1 + a)
+    big_e = 1.0 + 1j * cw / (1 - a)
+    z = x + 1j * y
+    zbar = np.conj(z)
+    # zbar^(1+a-m) on the branch theta in [0, 2 pi), up to the m the names
+    # need: m = 1 is zbar^a, the others multiply or divide it by zbar. At
+    # the corner zbar = 0 and r is clamped; dividing by 1 there keeps every
+    # field finite.
+    powers = {1: r ** a * np.exp(-1j * a * t)}
+    if any(name != "p" for name in names):
+        powers[0] = zbar * powers[1]
+    top = max(2 if name == "p" else sum(name) + 1 for name in names)
+    divisor = np.where(zbar == 0, 1.0, zbar)
+    for m in range(2, top + 1):
+        powers[m] = powers[m - 1] / divisor
+    out = {}
+    for name in names:
+        if name == "p":
+            out[name] = (-4j * big_e * a * powers[2]).real
+            continue
+        i, j = name
+        n = i + j
+        scale = (-1j) ** j / (factorial(i) * factorial(j))
+        c1 = scale * (conj_big_a * _falling(1 + a, n)
+                      + (i - j) * big_e * _falling(a, n - 1))
+        c2 = scale * big_e * _falling(a, n)
+        out[name] = (c1 * powers[n] + c2 * (z * powers[n + 1])).real
+    return out
 
 
 def _lshape_points(x, y):
@@ -339,18 +299,6 @@ def lshape_singular(mu: float = 1.0) -> LoadFunction:
         pressure=pressure, name="lshape_singular")
 
 
-def rotational_load(omega: float = 1.0) -> LoadFunction:
-    """g = omega * (y, -x).  Not a gradient (curl = -2*omega), so it drives a
-    nonzero velocity and excites corner singularities; a constant load is the
-    gradient of a linear pressure and yields u = 0 exactly."""
-    def g(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return np.stack([np.broadcast_to(omega * y, x.shape),
-                         np.broadcast_to(-omega * x, x.shape)], axis=-1)
-    return LoadFunction(g=g, name="rotational")
-
-
 def zero_load() -> LoadFunction:
     def g(x, y):
         x = np.asarray(x, dtype=float)
@@ -363,8 +311,6 @@ def get_solution(name: str, mu: float = 1.0) -> LoadFunction:
         return smooth1(mu)
     if name == "constant":
         return constant_load()
-    if name == "rotational":
-        return rotational_load()
     if name == "lshape_singular":
         return lshape_singular(mu)
     if name == "zero":

@@ -9,7 +9,6 @@ import numpy as np
 MIDPOINT_BARY = np.array([[0.0, 0.5, 0.5],    # row i: midpoint of the edge
                           [0.5, 0.0, 0.5],    # opposite local vertex i
                           [0.5, 0.5, 0.0]])
-MIDPOINT_WEIGHTS = np.full(3, 1.0 / 3.0)
 
 # 6-point rule, exact for degree 4
 _a1, _b1 = 0.816847572980459, 0.091576213509771

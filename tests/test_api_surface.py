@@ -21,9 +21,12 @@ DELETED = ("MarkingParams", "ContractionParams", "FineFunction", "patches",
            "compute_stress", "eta_K", "oscillation", "eta_set",
            "error_rate_fit", "edge_dof_map", "_local_dofs",
            "_exact_velocity_inner", "_exact_pressure_inner",
-           "_lshape_singular_callables", "_smooth1_callables")
+           "_lshape_singular_callables", "_smooth1_callables",
+           "_add_mode", "_mode_partial", "_corner_tables", "_mode_matrix",
+           "_CORNER_COEF", "rotational_load", "MIDPOINT_WEIGHTS")
 # (class, attribute) pairs deleted from the public classes
-DELETED_MEMBERS = (("mesh.Triangulation", "min_angle"),
+DELETED_MEMBERS = (("counterexample.CrissCrossFamily", "coarse"),
+                   ("mesh.Triangulation", "min_angle"),
                    ("mesh.Triangulation", "level"),
                    ("mesh.Triangulation", "root"),
                    ("mesh.NestingSets", "common"),

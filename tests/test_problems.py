@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from anfem.problems import (LSHAPE_ALPHA, constant_load, get_solution,
-                            lshape_singular, rotational_load, smooth1,
-                            zero_load)
+                            lshape_singular, smooth1, zero_load)
 from oracles import (lshape_singular_expressions, mp_evaluate,
                      smooth1_expressions)
 
@@ -70,20 +69,20 @@ def test_lshape_singular_corner_blowup():
     assert abs(np.log(ratio) - np.log(expected)) < 0.05
 
 
-def test_rotational_not_gradient():
-    load = rotational_load()
-    # curl g = d g2/dx - d g1/dy = -2
-    h = 1e-6
-    x0, y0 = 0.3, 0.1
-    curl = ((load.g(x0 + h, y0)[..., 1] - load.g(x0 - h, y0)[..., 1]) / (2 * h)
-            - (load.g(x0, y0 + h)[..., 0]
-               - load.g(x0, y0 - h)[..., 0]) / (2 * h))
-    assert abs(curl + 2.0) < 1e-6
+def test_lshape_singular_finite_at_corner():
+    """At the reentrant corner u = 0 and every field is finite: the corner
+    is a vertex of every L-shape mesh."""
+    load = lshape_singular()
+    corner = np.zeros(1), np.zeros(1)
+    with np.errstate(divide="raise", invalid="raise"):
+        fields = [load.velocity(*corner), load.grad_velocity(*corner),
+                  load.pressure(*corner), load.g(*corner)]
+    assert all(np.isfinite(f).all() for f in fields)
+    assert np.abs(fields[0]).max() < 1e-100
 
 
 def test_get_solution_names():
-    for name in ("smooth1", "constant", "rotational", "zero",
-                 "lshape_singular"):
+    for name in ("smooth1", "constant", "zero", "lshape_singular"):
         assert get_solution(name).g is not None
     with pytest.raises(ValueError):
         get_solution("nope")
