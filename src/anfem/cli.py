@@ -10,10 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
+import scipy
 
 from . import adaptive, counterexample, transfer
 from .domains import get_domain
@@ -24,6 +26,8 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_TRUNCATED = 3
+# thread-pool sizes of the BLAS/OpenMP libraries, recorded in summary.json
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _add_shared_flags(p):
@@ -75,11 +79,18 @@ def cmd_adapt(args, mesh0, params) -> int:
     os.makedirs(args.out, exist_ok=True)
     trace.to_csv(os.path.join(args.out, "trace.csv"))
     final = trace.records[-1]
-    summary = {"schema": "anfem-summary-v1",
+    summary = {"schema": "anfem-summary-v2",
                "converged": trace.converged, "truncated": trace.truncated,
                "iterations": len(trace.records),
                "final_nelems": final.nelems, "final_ndofs": final.ndofs,
-               "final_eta": float(np.sqrt(final.eta2))}
+               "final_eta": float(np.sqrt(final.eta2)),
+               "solver_iterations": int(
+                   trace.column("solver_iterations").sum()),
+               "params": asdict(params),
+               "versions": {"python": platform.python_version(),
+                            "numpy": np.__version__,
+                            "scipy": scipy.__version__},
+               "threads": {v: os.environ.get(v) for v in THREAD_VARS}}
     try:
         summary["rate"] = adaptive.rate_fit(trace)
     except ValueError:

@@ -17,15 +17,10 @@ used: the tests compare both solutions with their symbolic derivation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import factorial, prod
 from typing import Callable
 
 import numpy as np
-
-from . import quadrature as quad
-from .domains import l_shape
-from .mesh import uniform_refine
 
 
 @dataclass
@@ -238,17 +233,9 @@ def _lshape_points(x, y):
 
 
 def _lshape_unit_pressure(x, y):
-    """p = -B p_std for mu = 1, before the mean is subtracted."""
+    """p = -B p_std for mu = 1."""
     x, y, r, t = _lshape_points(x, y)
     return -_bubble_jet(x, y, 0)[0, 0] * _corner(x, y, r, t, ["p"])["p"]
-
-
-@lru_cache(maxsize=None)
-def _lshape_pressure_mean() -> float:
-    """Mean of `_lshape_unit_pressure` over the L-shape; p is linear in mu."""
-    mesh = uniform_refine(l_shape(), 10)
-    return float(quad.integrate(mesh, _lshape_unit_pressure).sum()
-                 / mesh.area.sum())
 
 
 def lshape_singular(mu: float = 1.0) -> LoadFunction:
@@ -260,8 +247,10 @@ def lshape_singular(mu: float = 1.0) -> LoadFunction:
     which vanishes to second order on the outer boundary and damps the
     smooth far field so the corner singularity dominates the error. So u is
     divergence-free, satisfies no-slip and behaves like the pure r^a
-    singularity at the corner. p = -mu B p_std - mean, with p_std =
-    r^(a-1) Q(theta) the pressure of Phi.
+    singularity at the corner. p = -mu B p_std, with p_std =
+    r^(a-1) Q(theta) the pressure of Phi. p is odd under the reflection
+    (x, y) -> (-y, -x), which maps the L-shape onto itself, so its mean is
+    exactly zero.
 
     Each field takes the Leibniz product of the jets of B and Phi to the
     order it needs: 1 for u, 2 for grad u, 3 for g. In
@@ -272,7 +261,6 @@ def lshape_singular(mu: float = 1.0) -> LoadFunction:
     bounded (g ~ r^a at the corner) and accurate at any radius.
     """
     mu = float(mu)
-    pmean = mu * _lshape_pressure_mean()
 
     def stream(x, y, keys):
         x, y, r, t = _lshape_points(x, y)
@@ -281,7 +269,7 @@ def lshape_singular(mu: float = 1.0) -> LoadFunction:
                         _corner(x, y, r, t, _jet_keys(order)), keys)
 
     def pressure(x, y):
-        return mu * _lshape_unit_pressure(x, y) - pmean
+        return mu * _lshape_unit_pressure(x, y)
 
     def g(x, y):
         x, y, r, t = _lshape_points(x, y)

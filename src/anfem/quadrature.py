@@ -4,12 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# edge midpoints: exact for quadratics, and the natural rule for the
-# nonconforming P1 basis (each basis function is 1 at one midpoint)
-MIDPOINT_BARY = np.array([[0.0, 0.5, 0.5],    # row i: midpoint of the edge
-                          [0.5, 0.0, 0.5],    # opposite local vertex i
-                          [0.5, 0.5, 0.0]])
-
 # 6-point rule, exact for degree 4
 _a1, _b1 = 0.816847572980459, 0.091576213509771
 _a2, _b2 = 0.108103018168070, 0.445948490915965

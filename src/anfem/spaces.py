@@ -3,15 +3,18 @@
 Velocity dofs: two components per interior edge (edge-mean values); boundary
 edge means are zero and carry no dof.  `interior_dofs` and `edge_values` are
 the only code that knows this layout.  Pressure: one value per element.
+Assembly scatters each element's entries straight onto the interior dofs,
+dropping those of boundary edges, and evaluates the load once per edge
+midpoint.
 
 The solve is augmented-Lagrangian Uzawa iteration (Fortin & Glowinski 1983):
-with the diagonal P0 mass matrix M_p and r = 1e3 * mu it factors the SPD
+with the diagonal P0 mass matrix M_p and r = 1e6 * mu it factors the SPD
 K = A + r B^T M_p^-1 B once (`spd_factor`), and each step solves with K and
 updates p by r times the element divergence.  It stops when the maximum
-element divergence no longer halves, raises `SolverError` after 60 steps,
-shifts p to zero mean (the constants are ker B^T, CR/P0 being inf-sup
-stable) and gates the full saddle residual at 1e-10 relative to
-max(||F||, 1).
+element divergence no longer halves (about 4 steps), raises `SolverError`
+after 60 steps, shifts p to zero mean (the constants are ker B^T, CR/P0
+being inf-sup stable) and gates the full saddle residual at 1e-10 relative
+to max(||F||, 1).
 """
 
 from __future__ import annotations
@@ -74,47 +77,41 @@ class DiscreteSolution:
 
 def assemble_saddle(mesh: Triangulation, load: LoadFunction,
                     mu: float = 1.0) -> SaddleSystem:
-    """A, B and F over the 2 * ne per-edge dofs, restricted to the
-    interior ones (boundary edge means are zero)."""
+    """A, B and F scattered straight onto the interior dofs: entries of the
+    per-edge dofs of boundary edges (whose means are zero) are dropped."""
     if not (np.isfinite(mu) and mu > 0):
         raise ValueError(f"viscosity mu must be positive and finite, got {mu}")
-    nt, ndof = mesh.num_triangles, 2 * mesh.num_edges
-    keep = interior_dofs(mesh)
-    edof = 2 * mesh.tri_edges                   # (nt, 3) x-component dofs
+    nt, nu = mesh.num_triangles, num_velocity_dofs(mesh)
+    # interior index of each per-edge dof 2 * edge + c, -1 on the boundary
+    inner = np.full(2 * mesh.num_edges, -1)
+    inner[interior_dofs(mesh)] = np.arange(nu)
+    edof = inner[2 * mesh.tri_edges[..., None] + np.arange(2)]   # (nt, 3, 2)
+    on = edof >= 0
     gpsi = -2.0 * mesh.bary_grads               # (nt, 3, 2) grad of CR basis
 
     # scalar stiffness S_ij = mu |K| gpsi_i . gpsi_j, same for both components
     S = mu * mesh.area[:, None, None] * np.einsum(
         "tid,tjd->tij", gpsi, gpsi)
-    rows, cols, vals = [], [], []
-    for i in range(3):
-        for j in range(3):
-            for c in range(2):
-                rows.append(edof[:, i] + c)
-                cols.append(edof[:, j] + c)
-                vals.append(S[:, i, j])
+    rows = np.repeat(edof[:, :, None], 3, axis=2)       # (nt, 3, 3, 2)
+    cols = np.repeat(edof[:, None], 3, axis=1)
+    both = (rows >= 0) & (cols >= 0)
     A = sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(ndof, ndof))[keep][:, keep]
+        (np.repeat(S[..., None], 2, axis=3)[both], (rows[both], cols[both])),
+        shape=(nu, nu))
 
     # divergence coupling b(v, q) = sum_K q_K |K| div v|_K
-    brows, bcols, bvals = [], [], []
-    for i in range(3):
-        for c in range(2):
-            brows.append(np.arange(nt))
-            bcols.append(edof[:, i] + c)
-            bvals.append(mesh.area * gpsi[:, i, c])
     B = sparse.csr_matrix(
-        (np.concatenate(bvals), (np.concatenate(brows), np.concatenate(bcols))),
-        shape=(nt, ndof))[:, keep]
+        ((mesh.area[:, None, None] * gpsi)[on], (np.nonzero(on)[0], edof[on])),
+        shape=(nt, nu))
 
-    # load vector by the edge-midpoint rule: psi_i(m_j) = delta_ij
-    mids = quad.tri_points(mesh, quad.MIDPOINT_BARY)   # (nt, 3, 2)
-    gvals = load.g(mids[..., 0], mids[..., 1])         # (nt, 3, 2)
-    F = np.zeros((mesh.num_edges, 2))
-    np.add.at(F, mesh.tri_edges, (mesh.area / 3.0)[:, None, None] * gvals)
+    # load vector by the edge-midpoint rule, psi_i(m_j) = delta_ij, with g
+    # evaluated once per edge
+    mids = 0.5 * mesh.vertices[mesh.edges].sum(axis=1)          # (ne, 2)
+    gvals = load.g(mids[:, 0], mids[:, 1])[mesh.tri_edges]     # (nt, 3, 2)
+    F = np.bincount(edof[on], minlength=nu, weights=(
+        (mesh.area / 3.0)[:, None, None] * gvals)[on])
 
-    return SaddleSystem(mesh=mesh, A=A, B=B, F=F.ravel()[keep], mu=mu)
+    return SaddleSystem(mesh=mesh, A=A, B=B, F=F, mu=mu)
 
 
 def spd_factor(M: sparse.spmatrix):
@@ -124,8 +121,9 @@ def spd_factor(M: sparse.spmatrix):
                      diag_pivot_thresh=0, options={"SymmetricMode": True})
 
 
-# augmented-Lagrangian weight r / mu, and the Uzawa step cap
-AL_WEIGHT = 1e3
+# augmented-Lagrangian weight r / mu (each step contracts more as r grows,
+# but r = 1e8 already loses digits), and the Uzawa step cap
+AL_WEIGHT = 1e6
 MAX_UZAWA_STEPS = 60
 
 
@@ -136,20 +134,23 @@ def solve_saddle(system: SaddleSystem) -> DiscreteSolution:
     A, B, F = system.A, system.B, system.F
     if system.nu == 0:
         raise SolverError("mesh has no interior edges; system is singular")
+    BT = B.T.tocsr()
     # r M_p^-1 B: maps u to r times its element divergence
-    rdiv = sparse.diags(AL_WEIGHT * system.mu / mesh.area) @ B
+    rdiv = B.copy()
+    rdiv.data *= np.repeat(AL_WEIGHT * system.mu / mesh.area,
+                           np.diff(B.indptr))
     try:
-        lu = spd_factor(A + B.T @ rdiv)
+        lu = spd_factor(A + BT @ rdiv)
     except RuntimeError as exc:
         raise SolverError(f"saddle-point factorization failed: {exc}") from exc
     p = np.zeros(mesh.num_triangles)
     div_prev = np.inf
     for steps in range(1, MAX_UZAWA_STEPS + 1):
-        u = lu.solve(F - B.T @ p)
+        u = lu.solve(F - BT @ p)
         p = p + rdiv @ u
         # one refinement step on the saddle residual; without it the
-        # Galerkin identity misses its gate at mu = 1e3 on graded meshes
-        du = lu.solve(F - A @ u - B.T @ p)
+        # residual misses its gate (about 1e-9 on corner-graded meshes)
+        du = lu.solve(F - A @ u - BT @ p)
         u = u + du
         p = p + rdiv @ du
         div = float(np.abs(B @ u / mesh.area).max())
@@ -163,7 +164,7 @@ def solve_saddle(system: SaddleSystem) -> DiscreteSolution:
         raise SolverError(f"Uzawa iteration still converging after "
                           f"{MAX_UZAWA_STEPS} steps (max |div u| {div:.3e})")
     p = p - (mesh.area @ p) / mesh.area.sum()   # exact zero mean
-    resid = np.hypot(np.linalg.norm(F - A @ u - B.T @ p),
+    resid = np.hypot(np.linalg.norm(F - A @ u - BT @ p),
                      np.linalg.norm(B @ u))
     resid /= max(np.linalg.norm(F), 1.0)
     if not np.isfinite(resid) or resid > 1e-10:

@@ -17,6 +17,8 @@ import scipy.sparse.linalg as spla
 
 # local edge i is opposite local vertex i
 LOCAL_EDGES = ((1, 2), (2, 0), (0, 1))
+# barycentric coordinates of the midpoint of local edge i, row i
+MIDPOINT_BARY = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
 
 
 def point_barycentric(mesh, k, point):
@@ -161,8 +163,9 @@ def reference_orientation(vertices, triangles):
 
 def reference_assembly(mesh, load, mu=1.0):
     """(A, B, F) over the interior-edge dofs, scattered element by element
-    with boundary edges masked out of a per-element dof map."""
-    from anfem.quadrature import MIDPOINT_BARY, tri_points
+    with boundary edges masked out of a per-element dof map; the load is
+    evaluated at each element's three edge midpoints."""
+    from anfem.quadrature import tri_points
     dof = np.full(mesh.num_edges, -1, dtype=np.int64)
     dof[mesh.interior_edges] = np.arange(len(mesh.interior_edges))
     ldof = dof[mesh.tri_edges]
@@ -243,8 +246,8 @@ def smooth1_expressions(mu):
 
 def lshape_singular_expressions(mu):
     """((r, t), fields) of `lshape_singular` in polar coordinates, derived by
-    differentiating u = curl(B r^(1+a) psi(t)) with sympy; the pressure is
-    the raw one, before its mean is subtracted. Each field of g is the full
+    differentiating u = curl(B r^(1+a) psi(t)) with sympy; the pressure,
+    -B p_std, has zero mean as it is. Each field of g is the full
     -mu*Lap(u) - grad(p), whose leading r^(a-2) terms cancel."""
     import sympy as sp
     from anfem.problems import LSHAPE_ALPHA

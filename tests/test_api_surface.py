@@ -23,7 +23,8 @@ DELETED = ("MarkingParams", "ContractionParams", "FineFunction", "patches",
            "_exact_velocity_inner", "_exact_pressure_inner",
            "_lshape_singular_callables", "_smooth1_callables",
            "_add_mode", "_mode_partial", "_corner_tables", "_mode_matrix",
-           "_CORNER_COEF", "rotational_load", "MIDPOINT_WEIGHTS")
+           "_CORNER_COEF", "rotational_load", "MIDPOINT_WEIGHTS",
+           "_lshape_pressure_mean", "MIDPOINT_BARY")
 # (class, attribute) pairs deleted from the public classes
 DELETED_MEMBERS = (("counterexample.CrissCrossFamily", "coarse"),
                    ("mesh.Triangulation", "min_angle"),

@@ -1,7 +1,11 @@
 import json
+import os
+from dataclasses import asdict
 
+import numpy as np
 import pytest
 
+from anfem.adaptive import LoopParams
 from anfem.cli import (EXIT_OK, EXIT_TRUNCATED, EXIT_USAGE,
                        EXIT_VERIFY_FAILED, main)
 
@@ -90,10 +94,19 @@ def test_adapt_small_run(tmp_path):
     assert lines[0] == "anfem-trace-v3"
     assert lines[1].split(",")[:3] == ["iteration", "nelems", "ndofs"]
     summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["schema"] == "anfem-summary-v1"
+    assert summary["schema"] == "anfem-summary-v2"
     assert summary["iterations"] == 5
     assert summary["final_eta"] > 0
     assert not summary["truncated"]
+    assert summary["params"] == asdict(
+        LoopParams(theta=0.5, eps=0.0, max_iterations=5))
+    assert set(summary["versions"]) == {"python", "numpy", "scipy"}
+    assert summary["versions"]["numpy"] == np.__version__
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        assert summary["threads"][var] == os.environ.get(var)
+    col = lines[1].split(",").index("solver_iterations")
+    steps = [int(line.split(",")[col]) for line in lines[2:]]
+    assert summary["solver_iterations"] == sum(steps) >= 5
 
 
 def test_adapt_truncation_exit_code(tmp_path):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from anfem import quadrature as quad
+from anfem.domains import l_shape
+from anfem.mesh import uniform_refine
 from anfem.problems import (LSHAPE_ALPHA, constant_load, get_solution,
                             lshape_singular, smooth1, zero_load)
 from oracles import (lshape_singular_expressions, mp_evaluate,
@@ -106,12 +109,6 @@ def _relative_errors(got, ref):
     return err / np.abs(ref).reshape(n, -1).max(axis=1)
 
 
-def _pressure_difference_errors(got, ref):
-    """Errors of p(x_k) - p(x_0), which do not depend on the mean."""
-    return (np.abs((got - got[0]) - (ref - ref[0]))
-            / (np.abs(ref) + abs(ref[0])))
-
-
 # circles of radius 1e-1 ... 1e-8 around the reentrant corner
 CORNER_RADII = 10.0 ** -np.arange(1, 9)
 
@@ -151,21 +148,36 @@ def test_lshape_load_accurate_near_corner(lshape_oracle):
     assert _relative_errors(got, ref["g"][on_circles]).max() < 1e-12
 
 
-@pytest.mark.parametrize("field", ["g", "velocity", "grad_velocity"])
+@pytest.mark.parametrize("field",
+                         ["g", "velocity", "grad_velocity", "pressure"])
 def test_lshape_singular_matches_oracle(lshape_oracle, field):
+    """Every field to 1e-12 relative; the pressure's mean is zero on both
+    sides, so nothing is subtracted."""
     x, y, ref = lshape_oracle
     got = getattr(lshape_singular(), field)(x, y)
     assert _relative_errors(got, ref[field]).max() < 1e-12
 
 
-def test_lshape_singular_pressure_matches_oracle(lshape_oracle):
-    x, y, ref = lshape_oracle
-    got = lshape_singular().pressure(x, y)
-    assert _pressure_difference_errors(got, ref["pressure"]).max() < 1e-12
+def test_lshape_pressure_odd_under_reflection():
+    """p(-y, -x) = -p(x, y): the reflection maps the L-shape onto itself."""
+    rng = np.random.default_rng(11)
+    x, y = rng.uniform(-1.0, 1.0, (2, 20_000))
+    inside = ~((x > 0) & (y < 0))
+    x, y = x[inside], y[inside]
+    p = lshape_singular().pressure
+    ref = np.abs(p(x, y)).max()
+    assert np.abs(p(x, y) + p(-y, -x)).max() <= 1e-13 * ref
+
+
+def test_lshape_pressure_mean_zero():
+    mesh = uniform_refine(l_shape(), 8)
+    vals = quad.values_at(mesh, lshape_singular().pressure)
+    total = quad.integrate_values(mesh, vals).sum()
+    assert abs(total) <= 1e-13 * mesh.area.sum() * np.abs(vals).max()
 
 
 def test_lshape_singular_linear_in_mu():
-    """u does not depend on mu; g and p, mean included, scale with it."""
+    """u does not depend on mu; g and p scale with it."""
     x, y = _lshape_points()
     one, mu = lshape_singular(1.0), lshape_singular(2.5)
     assert np.array_equal(mu.velocity(x, y), one.velocity(x, y))
