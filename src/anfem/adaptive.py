@@ -49,7 +49,8 @@ def dorfler_mark(report: EstimatorReport, theta: float) -> np.ndarray:
     m = int(np.searchsorted(csum, theta * total - 1e-14 * total) + 1)
     marked = order[:m]
     # minimality: dropping the last element must fall below the threshold
-    assert m == 1 or csum[m - 2] < theta * total
+    if m > 1 and csum[m - 2] >= theta * total:
+        raise AssertionError(f"Dorfler set of {m} elements is not minimal")
     return np.sort(marked)
 
 
@@ -65,6 +66,8 @@ class IterationRecord:
     nmarked: int
     gamma: float              # refinement ratio vs the previous mesh
     solver_iterations: int    # the solve's diagnostics (DiscreteSolution)
+    # a lower bound that moves with round-off and is not comparable across
+    # commits (see DiscreteSolution.lu_fill)
     lu_fill: int
     solver_residual: float
     err_u2: float = np.nan

@@ -56,12 +56,15 @@ def build_family(n: int) -> CrissCrossFamily:
 
 def _validate(fam: CrissCrossFamily):
     n = fam.n
-    assert fam.fine.num_triangles == 2 * n * n
+    if fam.fine.num_triangles != 2 * n * n:
+        raise RuntimeError(f"criss-cross mesh has {fam.fine.num_triangles} "
+                           f"elements, not {2 * n * n}")
     zx = fam.fine.vertices[fam.sign_nodes]
     k = (n - 1) // 2
     expected = np.stack([np.full(n, 1.0 / n),
                          2.0 * np.arange(-k, k + 1) / n], axis=1)
-    assert np.allclose(zx, expected, atol=1e-12)
+    if not np.allclose(zx, expected, atol=1e-12):
+        raise RuntimeError("sign nodes are not at x = 1/n, y = 2i/n")
 
 
 def build_test_pair(fam: CrissCrossFamily) -> np.ndarray:
@@ -81,7 +84,8 @@ def ac_segments(fam: CrissCrossFamily):
     """Fine edges along AC with their left/right incident elements."""
     fine = fam.fine
     segs = np.flatnonzero(np.isin(fine.edges, fam.ac_vertex_col).all(axis=1))
-    assert len(segs) == fam.n
+    if len(segs) != fam.n:
+        raise RuntimeError(f"{len(segs)} fine edges on AC, not {fam.n}")
     t0, t1 = fine.edge_tris[segs].T
     if np.any(t1 < 0):
         raise RuntimeError("AC segment on the boundary")

@@ -9,10 +9,12 @@ midpoint.
 
 The solve is augmented-Lagrangian Uzawa iteration (Fortin & Glowinski 1983):
 with the diagonal P0 mass matrix M_p and r = 1e6 * mu it factors the SPD
-K = A + r B^T M_p^-1 B once (`spd_factor`), and each step solves with K and
-updates p by r times the element divergence.  It stops when the maximum
-element divergence no longer halves (about 4 steps), raises `SolverError`
-after 60 steps, shifts p to zero mean (the constants are ker B^T, CR/P0
+K = A + r B^T M_p^-1 B once (`spd_factor`, one-column SuperLU panels), and
+each step is one solve u = K^-1 (F - B^T p) followed by p += r M_p^-1 B u.
+It stops when the maximum element divergence no longer halves (about 4
+steps) or raises `SolverError` after 60 steps; one closing refinement step
+on the saddle residual follows, so a solve costs iterations + 1 triangular
+solves.  It then shifts p to zero mean (the constants are ker B^T, CR/P0
 being inf-sup stable) and gates the full saddle residual at 1e-10 relative
 to max(||F||, 1).
 """
@@ -71,7 +73,10 @@ class DiscreteSolution:
     p: np.ndarray                 # (nt,)
     mu: float
     iterations: int               # Uzawa steps of the solve
-    lu_fill: int                  # L.nnz + U.nnz of its SPD factor
+    # L.nnz + U.nnz of its SPD factor: a lower bound on the fill, since
+    # SuperLU leaves out entries that cancel to exactly 0, so it moves with
+    # round-off on the same pattern and is not comparable across commits
+    lu_fill: int
     residual: float               # gated saddle residual / max(||F||, 1)
 
 
@@ -116,9 +121,12 @@ def assemble_saddle(mesh: Triangulation, load: LoadFunction,
 
 def spd_factor(M: sparse.spmatrix):
     """LU factor of the sparse SPD matrix M with a symmetric fill-reducing
-    ordering and no pivoting (an SPD matrix needs none)."""
+    ordering and no pivoting (an SPD matrix needs none).  One-column panels
+    (`panel_size=1`) factor the CR stiffness faster than the default width
+    and leave the ordering and the fill as they are."""
     return spla.splu(sparse.csc_matrix(M), permc_spec="MMD_AT_PLUS_A",
-                     diag_pivot_thresh=0, options={"SymmetricMode": True})
+                     diag_pivot_thresh=0, panel_size=1,
+                     options={"SymmetricMode": True})
 
 
 # augmented-Lagrangian weight r / mu (each step contracts more as r grows,
@@ -148,11 +156,6 @@ def solve_saddle(system: SaddleSystem) -> DiscreteSolution:
     for steps in range(1, MAX_UZAWA_STEPS + 1):
         u = lu.solve(F - BT @ p)
         p = p + rdiv @ u
-        # one refinement step on the saddle residual; without it the
-        # residual misses its gate (about 1e-9 on corner-graded meshes)
-        du = lu.solve(F - A @ u - BT @ p)
-        u = u + du
-        p = p + rdiv @ du
         div = float(np.abs(B @ u / mesh.area).max())
         if not np.isfinite(div):
             raise SolverError(f"Uzawa iterate not finite at step {steps}")
@@ -163,6 +166,13 @@ def solve_saddle(system: SaddleSystem) -> DiscreteSolution:
     else:
         raise SolverError(f"Uzawa iteration still converging after "
                           f"{MAX_UZAWA_STEPS} steps (max |div u| {div:.3e})")
+    # one closing refinement step on the saddle residual; without it the
+    # residual misses its gate (about 1e-9 on corner-graded meshes).  Inside
+    # the loop it would change nothing until the divergence reaches
+    # round-off, so the steps above are one solve each.
+    du = lu.solve(F - A @ u - BT @ p)
+    u = u + du
+    p = p + rdiv @ du
     p = p - (mesh.area @ p) / mesh.area.sum()   # exact zero mean
     resid = np.hypot(np.linalg.norm(F - A @ u - BT @ p),
                      np.linalg.norm(B @ u))

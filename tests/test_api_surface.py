@@ -1,6 +1,8 @@
 """The public names other code relies on: the benchmark tracer's spans and
-load factories, `anfem.__all__`, and the imports of the shipped scripts."""
+load factories, `anfem.__all__`, and the imports of the shipped scripts;
+and the package's source holds no `assert` statement."""
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -99,3 +101,13 @@ def test_runtime_does_not_import_sympy():
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_package_has_no_assert_statements():
+    """`python -O` strips `assert`, so every invariant check in the package
+    raises explicitly and runs under any interpreter flag."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "anfem").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert not found, found

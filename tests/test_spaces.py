@@ -13,7 +13,7 @@ from anfem.spaces import (SolverError, assemble_saddle, broken_div,
                           max_element_divergence, num_velocity_dofs,
                           pressure_error_sq, solve, solve_saddle,
                           velocity_error_sq)
-from anfem import quadrature as quad
+from anfem import quadrature as quad, spaces
 from oracles import multiplier_solve, reference_assembly
 
 
@@ -85,6 +85,32 @@ def test_solve_on_corner_graded_mesh(mu):
     u, p = multiplier_solve(system.A, system.B, system.F, mesh.area)
     assert np.abs(sol.u - u).max() <= 1e-13 * np.abs(u).max()
     assert np.abs(sol.p - p).max() <= 1e-13 * np.abs(p).max()
+
+
+@pytest.mark.parametrize("mesh", [unit_square(3), corner_graded_l_shape()],
+                         ids=["unit_square3", "corner_graded_l_shape"])
+def test_solve_cost(mesh, smooth, monkeypatch):
+    """One factorization and iterations + 1 solves with it: one per Uzawa
+    step and one closing refinement step."""
+    factors, solves = [], []
+    spd_factor = spaces.spd_factor
+
+    def counting_factor(M):
+        lu = spd_factor(M)
+        factors.append(M.shape)
+
+        class Counted:
+            L, U = lu.L, lu.U
+
+            def solve(self, rhs):
+                solves.append(len(rhs))
+                return lu.solve(rhs)
+        return Counted()
+
+    monkeypatch.setattr(spaces, "spd_factor", counting_factor)
+    sol = solve(mesh, smooth)
+    assert len(factors) == 1
+    assert len(solves) == sol.iterations + 1
 
 
 def test_load_evaluated_once_per_edge(smooth):
