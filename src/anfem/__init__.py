@@ -4,18 +4,16 @@ a residual estimator, inter-mesh transfer operators, and the adaptive loop.
 """
 
 from .adaptive import (AdaptiveTrace, LoopParams, anfem_loop,
-                       contraction_monitor, discrete_reliability_check,
-                       dorfler_mark, marking_threshold_check, rate_fit,
+                       contraction_monitor, dorfler_mark, rate_fit,
                        uniform_trace)
 from .counterexample import (CrissCrossFamily, boundary_sum, build_family,
-                             build_test_pair, closed_form, pairing_constant,
-                             scaling_study)
+                             build_test_pair, closed_form, scaling_study)
 from .domains import diamond, get_domain, l_shape, unit_square
 from .estimator import (EstimatorReport, consistency_error, estimate,
-                        estimate_frozen, modified_eta, residual_functional)
+                        estimate_frozen, modified_eta)
 from .mesh import (MeshError, NestingSets, Triangulation, ancestor_map,
                    bisect, build_initial, nesting_sets, read_mesh,
-                   refinement_ratio, uniform_refine, write_mesh)
+                   refinement_ratio, uniform_refine)
 from .problems import LoadFunction, constant_load, get_solution, smooth1
 from .spaces import (DiscreteSolution, SaddleSystem, SolverError,
                      assemble_saddle, solve, solve_saddle)
@@ -26,19 +24,16 @@ from .transfer import (conservative_interpolation, mixed_prolongation,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptiveTrace", "CrissCrossFamily", "DiscreteSolution",
-    "EstimatorReport", "LoadFunction", "LoopParams", "MeshError",
-    "NestingSets", "SaddleSystem", "SolverError", "Triangulation",
-    "ancestor_map", "anfem_loop", "assemble_saddle", "bisect",
-    "boundary_sum", "build_family", "build_initial", "build_test_pair",
-    "closed_form", "consistency_error", "conservative_interpolation",
-    "constant_load", "contraction_monitor", "diamond",
-    "discrete_reliability_check", "dorfler_mark", "estimate",
-    "estimate_frozen", "get_domain", "get_solution", "l_shape",
-    "marking_threshold_check", "mixed_prolongation", "modified_eta",
+    "AdaptiveTrace", "CrissCrossFamily", "DiscreteSolution", "EstimatorReport",
+    "LoadFunction", "LoopParams", "MeshError", "NestingSets", "SaddleSystem",
+    "SolverError", "Triangulation", "ancestor_map", "anfem_loop",
+    "assemble_saddle", "bisect", "boundary_sum", "build_family",
+    "build_initial", "build_test_pair", "closed_form", "consistency_error",
+    "conservative_interpolation", "constant_load", "contraction_monitor",
+    "diamond", "dorfler_mark", "estimate", "estimate_frozen", "get_domain",
+    "get_solution", "l_shape", "mixed_prolongation", "modified_eta",
     "naive_prolongation", "nesting_sets", "nodal_averaging",
-    "pairing_constant", "prolongation_defect_constant", "rate_fit",
-    "read_mesh", "refinement_ratio", "residual_functional", "restriction",
-    "scaling_study", "smooth1", "solve", "solve_saddle", "uniform_refine",
-    "uniform_trace", "unit_square", "write_mesh",
+    "prolongation_defect_constant", "rate_fit", "read_mesh",
+    "refinement_ratio", "restriction", "scaling_study", "smooth1", "solve",
+    "solve_saddle", "uniform_refine", "uniform_trace", "unit_square",
 ]

@@ -5,6 +5,7 @@ reliability and empirical convergence rates.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
@@ -76,6 +77,7 @@ class IterationRecord:
     alpha: float = np.nan     # Lambda ratio vs previous step
     qo_velocity: float = np.nan
     qo_pressure: float = np.nan
+    drel: float = np.nan      # discrete reliability constant vs previous step
     reduction_lhs: float = np.nan   # eta^2 of frozen solution on refined mesh
     reduction_rhs: float = np.nan   # allowed bound from the coarse mesh
 
@@ -91,9 +93,9 @@ class AdaptiveTrace:
         return np.array([getattr(r, name) for r in self.records])
 
     def to_csv(self, path):
-        """`anfem-trace-v3`: one column per `IterationRecord` field."""
+        """`anfem-trace-v4`: one column per `IterationRecord` field."""
         with open(path, "w") as f:
-            f.write("anfem-trace-v3\n")
+            f.write("anfem-trace-v4\n")
             f.write(",".join(c.name for c in fields(IterationRecord)) + "\n")
             for r in self.records:
                 f.write(",".join(f"{v:.17g}" if isinstance(v, float)
@@ -123,9 +125,10 @@ class LoopParams:
                 raise ValueError(f"{name} must be positive and finite, got "
                                  f"{getattr(self, name)}")
         for name in ("element_cap", "max_iterations"):
-            if not getattr(self, name) >= 1:
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
                 raise ValueError(
-                    f"{name} must be at least 1, got {getattr(self, name)}")
+                    f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _solve_level(mesh: Triangulation, load: LoadFunction, p: LoopParams,
@@ -228,19 +231,25 @@ def _check_solve_invariants(system, sol):
 
 
 def _cross_level_monitors(prev, sol, exact, rec):
-    """Empirical quasi-orthogonality constants between consecutive levels,
-    from the exact values `_solve_level` returned (nothing without them)."""
-    if exact is None:
-        return
+    """Constants between consecutive levels: discrete reliability, and,
+    from the exact values `_solve_level` returned, the empirical
+    quasi-orthogonality constants (skipped without an exact solution)."""
     sol_prev, report_prev, ns = prev
     mesh, mu = sol.mesh, sol.mu
-    gu, pe = exact
-    vol_refined = float(report_prev.vol_sq[ns.refined].sum())
     G_cur = cr_gradients(mesh, sol.u)
     G_prev = cr_gradients(sol_prev.mesh, sol_prev.u)[ns.ancestors]
     W = G_cur - G_prev                       # grad(u_k - u_{k-1}) on T_k
     wnorm = float(np.sqrt((mesh.area * np.einsum(
         "tij,tij->t", W, W)).sum()))
+    dp = sol.p - sol_prev.p[ns.ancestors]    # p_k - p_{k-1} on T_k
+    dpnorm = float(np.sqrt((mesh.area * dp ** 2).sum()))
+    # (A3): ||u_k - u_{k-1}|| + ||p_k - p_{k-1}|| <= C eta_{k-1}(R_k)
+    den = np.sqrt(float(report_prev.eta_sq[ns.neighborhood].sum()))
+    rec.drel = (wnorm + dpnorm) / den if den > 0 else np.nan
+    if exact is None:
+        return
+    gu, pe = exact
+    vol_refined = float(report_prev.vol_sq[ns.refined].sum())
     # a_k(u - u_k, u_k - u_{k-1}), grad w element-wise constant
     a_exact = float(np.einsum("tij,tij->", quad.integrate_values(mesh, gu),
                               W))
@@ -250,7 +259,6 @@ def _cross_level_monitors(prev, sol, exact, rec):
     den = err_u * np.sqrt(vol_refined)
     rec.qo_velocity = qo_num / den if den > 0 else np.nan
     # (p - p_k, p_k - p_{k-1})
-    dp = sol.p - sol_prev.p[ns.ancestors]
     p_exact = float((quad.integrate_values(mesh, pe) * dp).sum())
     p_disc = float((mesh.area * sol.p * dp).sum())
     qp_num = abs(p_exact - p_disc)
@@ -316,54 +324,3 @@ def contraction_monitor(trace: AdaptiveTrace):
     return {"alphas": alphas, "count": int(len(alphas)),
             "max": float(alphas.max()),
             "geomean": float(np.exp(np.mean(np.log(alphas))))}
-
-
-def discrete_reliability_check(sol_coarse: DiscreteSolution,
-                               sol_fine: DiscreteSolution,
-                               load: LoadFunction) -> float:
-    """Empirical constant of the discrete reliability bound."""
-    coarse, fine = sol_coarse.mesh, sol_fine.mesh
-    ns = nesting_sets(coarse, fine)
-    Gf = cr_gradients(fine, sol_fine.u)
-    Gc = cr_gradients(coarse, sol_coarse.u)[ns.ancestors]
-    d = Gf - Gc
-    du = np.sqrt(float((fine.area * np.einsum("tij,tij->t", d, d)).sum()))
-    dp = np.sqrt(float((fine.area * (
-        sol_fine.p - sol_coarse.p[ns.ancestors]) ** 2).sum()))
-    report = estimate(sol_coarse, load)
-    eta_m = np.sqrt(float(report.eta_sq[ns.neighborhood].sum()))
-    if eta_m == 0.0:
-        if du + dp > 1e-12:
-            raise AssertionError(
-                "discrete reliability violated: zero estimator on the "
-                "refined neighborhood but nonzero solution difference")
-        return 0.0
-    return (du + dp) / eta_m
-
-
-def marking_threshold_check(mesh0: Triangulation, load: LoadFunction,
-                            thetas=(0.1, 0.3, 0.5, 0.7),
-                            max_iterations: int = 12,
-                            element_cap: int = 60_000) -> list[dict]:
-    """Run the loop at several marking parameters and tabulate the outcomes."""
-    rows = []
-    for theta in thetas:
-        p = LoopParams(theta=theta, max_iterations=max_iterations,
-                       element_cap=element_cap)
-        trace = anfem_loop(mesh0, load, p)
-        row = {"theta": theta,
-               "iterations": len(trace.records),
-               "final_nelems": trace.records[-1].nelems,
-               "final_eta": float(np.sqrt(trace.records[-1].eta2)),
-               "marked_fraction": float(np.mean(
-                   [r.nmarked / r.nelems for r in trace.records[:-1]]))
-               if len(trace.records) > 1 else 0.0}
-        monitor = contraction_monitor(trace)
-        row.update({f"alpha_{k}": monitor[k]
-                    for k in ("count", "max", "geomean")})
-        try:
-            row["rate"] = rate_fit(trace)
-        except ValueError:
-            row["rate"] = np.nan
-        rows.append(row)
-    return rows

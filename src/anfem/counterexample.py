@@ -128,23 +128,14 @@ def coarse_jump_term() -> float:
     return (2.0 / 3.0) / 2.0
 
 
-def _pairing(bsum: float, gsq: float) -> float:
-    """The pairing constant from the boundary sum and ||grad v||^2."""
-    if gsq == 0.0:
-        return 0.0
-    return bsum / (np.sqrt(coarse_jump_term()) * np.sqrt(gsq))
-
-
-def pairing_constant(fam: CrissCrossFamily) -> float:
-    nodal = build_test_pair(fam)
-    return _pairing(boundary_sum(fam, nodal), grad_norm_sq(fam, nodal))
-
-
 def scaling_study(n_values) -> dict:
-    """Fit the growth exponent of the pairing constant against N."""
+    """Fit the growth exponent against N of the pairing constant
+    C = boundary_sum / (coarse_jump_term^(1/2) ||grad v||)."""
     n_values = sorted(int(n) for n in n_values)
-    if len(n_values) < 4:
-        raise ValueError("need at least 4 odd N values")
+    if len(set(n_values)) < 4 or n_values[0] < 3 or any(
+            n % 2 == 0 for n in n_values):
+        raise ValueError(f"need at least 4 distinct odd N >= 3, got "
+                         f"{n_values}")
     rows = []
     for n in n_values:
         fam = build_family(n)
@@ -152,7 +143,8 @@ def scaling_study(n_values) -> dict:
         bs = boundary_sum(fam, nodal)
         gsq = grad_norm_sq(fam, nodal)
         rows.append({"N": n, "boundary_sum": bs, "grad_norm_sq": gsq,
-                     "C": _pairing(bs, gsq), "closed_form": closed_form(n)})
+                     "C": bs / (np.sqrt(coarse_jump_term()) * np.sqrt(gsq)),
+                     "closed_form": closed_form(n)})
     logn = np.log([r["N"] for r in rows])
     logc = np.log([r["C"] for r in rows])
     exponent = float(np.polyfit(logn, logc, 1)[0])

@@ -101,32 +101,6 @@ def modified_eta(report: EstimatorReport, beta1: float = 1.0) -> float:
 
 
 # ---------------------------------------------------------------------------
-# residual functional on a finer mesh
-
-
-def residual_functional(sol_coarse: DiscreteSolution, fine: Triangulation,
-                        v: np.ndarray, load: LoadFunction) -> float:
-    """Res(v) = (g, v) - a(u_c, v) - b(v, p_c), broken operators on `fine`.
-
-    v is a CR coefficient vector on `fine`, a mesh that descends from the
-    coarse one by bisect; the coarse solution enters through its
-    piecewise-constant stress on the fine mesh.
-    """
-    ancestors = descent_maps(sol_coarse.mesh, fine)[0]
-    mu = sol_coarse.mu
-    Gc = cr_gradients(sol_coarse.mesh, sol_coarse.u)[ancestors]
-    Gv = cr_gradients(fine, v)
-    a_term = mu * float((fine.area * np.einsum(
-        "tij,tij->t", Gc, Gv)).sum())
-    divv = Gv[:, 0, 0] + Gv[:, 1, 1]
-    b_term = float((fine.area * divv * sol_coarse.p[ancestors]).sum())
-    # the assembled load vector, so Res vanishes on the coarse space exactly
-    # in floating point
-    g_term = float(assemble_saddle(fine, load).F @ v)
-    return g_term - a_term - b_term
-
-
-# ---------------------------------------------------------------------------
 # computable consistency error
 
 

@@ -46,8 +46,7 @@ class Triangulation:
     edge_tris: np.ndarray = field(init=False)    # (ne, 2) incident elements, -1 pad
     boundary_edge: np.ndarray = field(init=False)  # (ne,) bool
     edge_length: np.ndarray = field(init=False)
-    edge_normal: np.ndarray = field(init=False)  # (ne, 2) unit, fixed orientation
-    edge_tangent: np.ndarray = field(init=False)
+    edge_tangent: np.ndarray = field(init=False)  # (ne, 2) unit, low -> high id
     area: np.ndarray = field(init=False)         # (nt,)
     h: np.ndarray = field(init=False)            # (nt,) h_K = |K|^{1/2}
     bary_grads: np.ndarray = field(init=False)   # (nt, 3, 2) gradients of the
@@ -126,18 +125,7 @@ class Triangulation:
         self.edge_length = np.linalg.norm(vec, axis=1)
         if np.any(self.edge_length <= 0):
             raise MeshError("zero-length edge")
-        t = vec / self.edge_length[:, None]
-        n = np.stack([t[:, 1], -t[:, 0]], axis=1)
-        # orientation: nu points from the lower- to the higher-id incident
-        # element; outward on the boundary
-        mid = 0.5 * (v[self.edges[:, 0]] + v[self.edges[:, 1]])
-        k0 = self.edge_tris[:, 0]
-        cent0 = v[tris[k0]].mean(axis=1)
-        into_k0 = np.einsum("ij,ij->i", n, cent0 - mid) > 0
-        flip = np.where(self.boundary_edge, ~into_k0, into_k0)
-        n[flip] *= -1.0
-        self.edge_normal = n
-        self.edge_tangent = np.stack([-n[:, 1], n[:, 0]], axis=1)
+        self.edge_tangent = vec / self.edge_length[:, None]
 
         self.bary_grads = _barycentric_gradients(v, tris, self.area)
         # a hanging node leaves an interior edge on one element only, so it
@@ -399,20 +387,11 @@ def refinement_ratio(coarse: Triangulation, fine: Triangulation) -> float:
 
 
 # ---------------------------------------------------------------------------
-# plain-text mesh IO
+# plain-text mesh reader
 #
 # line 1: `nv nt`; then nv lines `x y`; then nt lines `v0 v1 v2 refedge`
-# (refedge is the local index of the refinement edge; always written as 2
-# since the internal storage keeps the refinement edge at (v0, v1))
-
-
-def write_mesh(tri: Triangulation, path):
-    with open(path, "w") as f:
-        f.write(f"{tri.num_vertices} {tri.num_triangles}\n")
-        for x, y in tri.vertices:
-            f.write(f"{x:.17g} {y:.17g}\n")
-        for t in tri.triangles:
-            f.write(f"{t[0]} {t[1]} {t[2]} 2\n")
+# (refedge is the local index of the refinement edge, edge i opposite
+# vertex i)
 
 
 def read_mesh(path) -> Triangulation:

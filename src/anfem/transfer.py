@@ -147,13 +147,6 @@ def p1_gradients(nodal: np.ndarray, mesh: Triangulation) -> np.ndarray:
     return np.einsum("tic,tid->tcd", vals, mesh.bary_grads)
 
 
-def p1_to_cr(nodal: np.ndarray, mesh: Triangulation) -> np.ndarray:
-    """Edge midpoint values of a continuous P1 field as CR coefficients."""
-    nod = nodal.reshape(-1, 2)
-    e = mesh.edges[mesh.interior_edges]
-    return (0.5 * (nod[e[:, 0]] + nod[e[:, 1]])).ravel()
-
-
 # ---------------------------------------------------------------------------
 # mixed prolongation J
 

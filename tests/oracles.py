@@ -5,8 +5,9 @@ package computes with vectorized array operations or reads from `bisect`'s
 genealogy: geometric point location for ancestor maps, midpoint-on-edge
 classification for edge maps, and loop versions of `build_initial`'s
 orientation, `bisect`'s child emission and the topology fill. For the CR/P0
-system: assembly through a per-element dof map masked on boundary edges, and
-the solve with a Lagrange multiplier row for the zero-mean pressure. For
+system: assembly through a per-element dof map masked on boundary edges,
+the solve with a Lagrange multiplier row for the zero-mean pressure, and
+the edge-midpoint values of a continuous P1 field as CR coefficients. For
 the manufactured solutions: their symbolic derivation with sympy, evaluated
 with mpmath at 40 digits.
 """
@@ -219,6 +220,13 @@ def multiplier_solve(A, B, F, area):
         sol = sol + lu.solve(rhs - K @ sol)
     p = sol[nu:nu + nt]
     return sol[:nu], p - (area @ p) / area.sum()
+
+
+def p1_to_cr(nodal, mesh):
+    """Edge midpoint values of a continuous P1 field as CR coefficients."""
+    nod = nodal.reshape(-1, 2)
+    e = mesh.edges[mesh.interior_edges]
+    return (0.5 * (nod[e[:, 0]] + nod[e[:, 1]])).ravel()
 
 
 # ---------------------------------------------------------------------------

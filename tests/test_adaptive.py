@@ -7,14 +7,12 @@ from hypothesis import given, settings, strategies as st
 import anfem.adaptive
 from anfem import quadrature as quad
 from anfem.adaptive import (IterationRecord, LoopParams, MarkingError,
-                            anfem_loop, contraction_monitor,
-                            discrete_reliability_check, dorfler_mark,
-                            marking_threshold_check, rate_fit, uniform_trace)
-from anfem.domains import l_shape, unit_square
-from anfem.estimator import EstimatorReport, estimate
+                            anfem_loop, contraction_monitor, dorfler_mark,
+                            rate_fit, uniform_trace)
+from anfem.domains import unit_square
+from anfem.estimator import EstimatorReport
 from anfem.mesh import bisect
 from anfem.problems import get_solution, zero_load
-from anfem.spaces import solve
 
 
 def fake_report(eta_sq):
@@ -79,7 +77,8 @@ def test_contraction_params_validation():
 BAD_LOOP_PARAMS = [("theta", 1.0), ("theta", float("nan")), ("eps", -1e-3),
                    ("mu", 0.0), ("mu", float("inf")), ("beta1", -1.0),
                    ("gamma1", -1.0), ("gamma2", -1.0), ("element_cap", 0),
-                   ("max_iterations", 0)]
+                   ("element_cap", 1.5), ("max_iterations", 0),
+                   ("max_iterations", 2.5)]
 
 
 @pytest.mark.parametrize("name,value", BAD_LOOP_PARAMS)
@@ -154,7 +153,7 @@ def test_trace_csv_schema(tmp_path):
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "anfem-trace-v3"
+    assert lines[0] == "anfem-trace-v4"
     names = [f.name for f in dataclasses.fields(IterationRecord)]
     assert lines[1].split(",") == names
     assert len(lines) == 2 + len(trace.records)
@@ -247,25 +246,25 @@ def test_uniform_trace_checks_solver_invariants(monkeypatch):
         uniform_trace(unit_square(1), load, levels=3, rounds_per_level=1)
 
 
-def test_discrete_reliability_identity_and_refined():
-    load = get_solution("smooth1")
-    coarse = unit_square(3)
-    sol_c = solve(coarse, load)
-    # same mesh: zero difference, constant 0
-    assert discrete_reliability_check(sol_c, sol_c, load) == 0.0
-    fine = bisect(coarse, np.arange(coarse.num_triangles // 2))
-    sol_f = solve(fine, load)
-    c = discrete_reliability_check(sol_c, sol_f, load)
-    assert np.isfinite(c) and c > 0
+@pytest.mark.parametrize("solution", ["smooth1", "constant"])
+def test_loop_records_discrete_reliability(solution):
+    # ||u_k - u_{k-1}|| + ||p_k - p_{k-1}|| <= drel eta_{k-1}(R_k), with or
+    # without an exact solution; no previous level on the first record
+    trace = anfem_loop(unit_square(2), get_solution(solution),
+                       LoopParams(theta=0.3, max_iterations=10))
+    drel = trace.column("drel")
+    assert np.isnan(drel[0])
+    assert np.all((drel[1:] > 0) & (drel[1:] < 1))
 
 
 def test_marking_threshold_table():
+    # a theta sweep of the loop: a larger theta marks a larger fraction
     load = get_solution("smooth1")
-    rows = marking_threshold_check(unit_square(2), load,
-                                   thetas=(0.3, 0.7), max_iterations=6)
-    assert [r["theta"] for r in rows] == [0.3, 0.7]
-    # larger theta marks a larger fraction per step
-    assert rows[1]["marked_fraction"] > rows[0]["marked_fraction"]
-    with pytest.raises(MarkingError):
-        marking_threshold_check(unit_square(2), load, thetas=(1.2,),
-                                max_iterations=2)
+    fractions = []
+    for theta in (0.3, 0.7):
+        trace = anfem_loop(unit_square(2), load,
+                           LoopParams(theta=theta, max_iterations=6))
+        assert len(trace.records) == 6
+        marked = trace.column("nmarked")[:-1] / trace.column("nelems")[:-1]
+        fractions.append(marked.mean())
+    assert fractions[1] > fractions[0]

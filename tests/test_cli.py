@@ -35,8 +35,10 @@ def test_counterexample_even_n_usage_error(tmp_path, capsys):
 
 
 def test_counterexample_too_few_n(tmp_path):
-    rc = main(["counterexample", "--n", "5", "7", "9", "--out", str(tmp_path)])
-    assert rc == EXIT_USAGE
+    # N = 1 has C = 0 (log -inf), and repeated N leave the fit rank-deficient
+    for n in (["5", "7", "9"], ["1", "3", "5", "7"], ["5", "5", "5", "5"]):
+        rc = main(["counterexample", "--n", *n, "--out", str(tmp_path)])
+        assert rc == EXIT_USAGE
 
 
 def test_adapt_bad_theta_exits_2(tmp_path):
@@ -91,7 +93,7 @@ def test_adapt_small_run(tmp_path):
                "--out", str(tmp_path)])
     assert rc == EXIT_OK
     lines = (tmp_path / "trace.csv").read_text().splitlines()
-    assert lines[0] == "anfem-trace-v3"
+    assert lines[0] == "anfem-trace-v4"
     assert lines[1].split(",")[:3] == ["iteration", "nelems", "ndofs"]
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["schema"] == "anfem-summary-v2"

@@ -3,8 +3,7 @@ import pytest
 
 from anfem.counterexample import (boundary_sum, build_family, build_test_pair,
                                   ac_segments, closed_form, coarse_jump_term,
-                                  grad_norm_sq, pairing_constant,
-                                  scaling_study)
+                                  grad_norm_sq, scaling_study)
 
 
 @pytest.mark.parametrize("n", [5, 11, 21])
@@ -27,7 +26,6 @@ def test_trivial_family_is_zero():
     nodal = build_test_pair(fam)
     assert np.all(nodal == 0.0)
     assert boundary_sum(fam, nodal) == 0.0
-    assert pairing_constant(fam) == 0.0
     assert closed_form(1) == 0.0
 
 
@@ -47,8 +45,9 @@ def test_coarse_jump_term_value():
 
 
 def test_scaling_study_needs_four_values():
-    with pytest.raises(ValueError):
-        scaling_study([5, 11, 21])
+    for n_values in ([5, 11, 21], [1, 3, 5, 7], [5, 5, 5, 5], [3, 5, 7, 8]):
+        with pytest.raises(ValueError):
+            scaling_study(n_values)
 
 
 def test_scaling_exponent_near_half():

@@ -5,12 +5,10 @@ import pytest
 
 from anfem.domains import l_shape, unit_square
 from anfem.estimator import (consistency_error, estimate, estimate_frozen,
-                             modified_eta, residual_functional,
-                             tangential_jumps)
+                             modified_eta, tangential_jumps)
 from anfem.mesh import bisect, uniform_refine
 from anfem.problems import constant_load, get_solution, zero_load
-from anfem.spaces import (DiscreteSolution, cr_gradients, num_velocity_dofs,
-                          solve)
+from anfem.spaces import cr_gradients, solve
 from anfem import quadrature as quad
 
 
@@ -127,25 +125,6 @@ def test_frozen_estimator_reduction(smooth_solution, smooth):
     rho = 1.0 - 2.0 ** -0.5
     assert frozen.total_eta_sq <= (coarse.total_eta_sq
                                    - rho * coarse.total_eta_sq) + 1e-9
-
-
-def test_residual_vanishes_on_same_level(smooth_solution, smooth):
-    mesh = smooth_solution.mesh
-    rng = np.random.default_rng(5)
-    worst = 0.0
-    for _ in range(5):
-        v = rng.normal(size=num_velocity_dofs(mesh))
-        worst = max(worst, abs(residual_functional(
-            smooth_solution, mesh, v, smooth)))
-    assert worst < 1e-12
-
-
-def test_residual_nonzero_on_finer_level(smooth_solution, smooth):
-    mesh = smooth_solution.mesh
-    fine = bisect(mesh, np.arange(mesh.num_triangles))
-    sol_fine = solve(fine, smooth)
-    res = residual_functional(smooth_solution, fine, sol_fine.u, smooth)
-    assert abs(res) > 1e-8
 
 
 def test_consistency_error_decay(smooth):

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from anfem.mesh import (MeshError, Triangulation, ancestor_map, bisect,
                         build_initial, descent_maps, nesting_sets, read_mesh,
-                        refinement_ratio, uniform_refine, write_mesh)
+                        refinement_ratio, uniform_refine)
 from anfem.domains import diamond, l_shape, unit_square
 
 
@@ -148,7 +148,10 @@ def test_refinement_ratio():
 def test_mesh_io_roundtrip(tmp_path):
     tri = bisect(l_shape(), np.array([1, 4]))
     path = tmp_path / "mesh.txt"
-    write_mesh(tri, path)
+    # refinement edge (v0, v1) is local edge 2
+    path.write_text(f"{tri.num_vertices} {tri.num_triangles}\n" + "".join(
+        f"{x:.17g} {y:.17g}\n" for x, y in tri.vertices) + "".join(
+        f"{a} {b} {c} 2\n" for a, b, c in tri.triangles))
     back = read_mesh(path)
     assert back.num_triangles == tri.num_triangles
     assert np.allclose(back.vertices, tri.vertices)
@@ -197,10 +200,8 @@ def test_read_mesh_rejects_hanging_node(tmp_path):
 
 def test_edge_geometry():
     tri = unit_square(2)
-    # tangent orthogonal to normal, unit length, consistent with vertices
-    assert np.allclose(np.einsum("ei,ei->e", tri.edge_normal,
-                                 tri.edge_tangent), 0.0, atol=1e-14)
-    assert np.allclose(np.linalg.norm(tri.edge_normal, axis=1), 1.0)
+    # unit tangent from the lower to the higher vertex id
+    assert np.allclose(np.linalg.norm(tri.edge_tangent, axis=1), 1.0)
     vec = tri.vertices[tri.edges[:, 1]] - tri.vertices[tri.edges[:, 0]]
-    assert np.allclose(np.abs(np.einsum("ei,ei->e", vec, tri.edge_tangent)),
+    assert np.allclose(np.einsum("ei,ei->e", vec, tri.edge_tangent),
                        tri.edge_length)

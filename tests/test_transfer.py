@@ -11,8 +11,9 @@ from anfem.spaces import (cr_gradients, cr_vertex_values, num_velocity_dofs,
 from anfem.transfer import (classify_fine_edges, conservative_interpolation,
                             edge_means_of_field, mixed_prolongation,
                             naive_prolongation, nodal_averaging, p1_eval,
-                            p1_gradients, p1_to_cr,
-                            prolongation_defect_constant, restriction)
+                            p1_gradients, prolongation_defect_constant,
+                            restriction)
+from oracles import p1_to_cr
 
 
 def random_smooth_field(rng):
