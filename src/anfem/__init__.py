@@ -3,9 +3,8 @@ Stokes problem: meshes with newest-vertex bisection, saddle-point assembly,
 a residual estimator, inter-mesh transfer operators, and the adaptive loop.
 """
 
-from .adaptive import (AdaptiveTrace, LoopParams, anfem_loop,
-                       contraction_monitor, dorfler_mark, rate_fit,
-                       uniform_trace)
+from .adaptive import (AdaptiveTrace, LoopParams, anfem_loop, dorfler_mark,
+                       rate_fit, uniform_trace)
 from .counterexample import (CrissCrossFamily, boundary_sum, build_family,
                              build_test_pair, closed_form, scaling_study)
 from .domains import diamond, get_domain, l_shape, unit_square
@@ -29,11 +28,10 @@ __all__ = [
     "SolverError", "Triangulation", "ancestor_map", "anfem_loop",
     "assemble_saddle", "bisect", "boundary_sum", "build_family",
     "build_initial", "build_test_pair", "closed_form", "consistency_error",
-    "conservative_interpolation", "constant_load", "contraction_monitor",
-    "diamond", "dorfler_mark", "estimate", "estimate_frozen", "get_domain",
-    "get_solution", "l_shape", "mixed_prolongation", "modified_eta",
-    "naive_prolongation", "nesting_sets", "nodal_averaging",
-    "prolongation_defect_constant", "rate_fit", "read_mesh",
+    "conservative_interpolation", "constant_load", "diamond", "dorfler_mark",
+    "estimate", "estimate_frozen", "get_domain", "get_solution", "l_shape",
+    "mixed_prolongation", "modified_eta", "naive_prolongation", "nesting_sets",
+    "nodal_averaging", "prolongation_defect_constant", "rate_fit", "read_mesh",
     "refinement_ratio", "restriction", "scaling_study", "smooth1", "solve",
     "solve_saddle", "uniform_refine", "uniform_trace", "unit_square",
 ]

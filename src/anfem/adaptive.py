@@ -117,6 +117,15 @@ class LoopParams:
     def __post_init__(self):
         # the one place the loop's parameters are checked; frozen, so a
         # checked value cannot be replaced by an unchecked one
+        for f in fields(self):
+            # a bool passes every numeric check below (True == 1), so the
+            # numeric fields reject it; the flag accepts nothing else
+            flag = f.name == "check_reduction"
+            value = getattr(self, f.name)
+            if isinstance(value, bool) != flag:
+                raise ValueError(f"{f.name} must be "
+                                 f"{'a bool' if flag else 'a number'}, "
+                                 f"got {value!r}")
         _check_theta(self.theta)
         if not self.eps >= 0.0:
             raise ValueError(f"eps must be nonnegative, got {self.eps}")
@@ -271,10 +280,11 @@ def _cross_level_monitors(prev, sol, exact, rec):
 # uniform-refinement baseline
 
 
-def uniform_trace(mesh0: Triangulation, load: LoadFunction, levels: int,
-                  rounds_per_level: int = 2) -> AdaptiveTrace:
-    """Solve on `levels` meshes, each `rounds_per_level` uniform bisection
-    rounds finer than the one before, with the adaptive loop's checks."""
+def uniform_trace(mesh0: Triangulation, load: LoadFunction,
+                  levels: int) -> AdaptiveTrace:
+    """Solve on `levels` meshes, each two uniform bisection rounds (four
+    times the elements) finer than the one before, with the adaptive loop's
+    checks."""
     trace = AdaptiveTrace(converged=True)
     mesh = mesh0
     p = LoopParams()          # the default mu and beta1
@@ -282,8 +292,8 @@ def uniform_trace(mesh0: Triangulation, load: LoadFunction, levels: int,
     for it in range(levels):
         if it > 0:
             trace.records[-1].nmarked = mesh.num_triangles
-            mesh = uniform_refine(mesh, rounds_per_level)
-            gamma = 2.0 ** (rounds_per_level / 2.0)
+            mesh = uniform_refine(mesh, 2)
+            gamma = 2.0
         trace.final_solution, _, rec, _ = _solve_level(
             mesh, load, p, it, gamma)
         trace.records.append(rec)
@@ -312,15 +322,3 @@ def rate_fit(trace: AdaptiveTrace) -> float:
         raise ValueError("not enough growing trace points")
     return float(np.polyfit(xs, ys, 1)[0])
 
-
-def contraction_monitor(trace: AdaptiveTrace):
-    """Per-step ratios alpha_k = Lambda_k / Lambda_{k-1}, their count, maximum
-    and geometric mean."""
-    alphas = trace.column("alpha")
-    alphas = alphas[np.isfinite(alphas)]
-    if len(alphas) == 0:
-        return {"alphas": alphas, "count": 0, "max": np.nan,
-                "geomean": np.nan}
-    return {"alphas": alphas, "count": int(len(alphas)),
-            "max": float(alphas.max()),
-            "geomean": float(np.exp(np.mean(np.log(alphas))))}

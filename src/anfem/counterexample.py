@@ -119,18 +119,15 @@ def closed_form(n: int) -> float:
     return n / 2.0 - 1.0 / (2.0 * n)
 
 
-def coarse_jump_term() -> float:
-    """sum over coarse-only edges of h_E^{-1} ||[u]||^2 with [u] = y on AC.
-
-    AC has length 2 and int_{-1}^{1} y^2 dy = 2/3, so the value is 1/3;
-    it carries no fine-mesh quantity and is constant in N.
-    """
-    return (2.0 / 3.0) / 2.0
+# sum over coarse-only edges of h_E^{-1} ||[u]||^2 with [u] = y on AC: AC
+# has length 2 and int_{-1}^{1} y^2 dy = 2/3, so the value is 1/3; it
+# carries no fine-mesh quantity and is constant in N
+COARSE_JUMP_TERM = (2.0 / 3.0) / 2.0
 
 
 def scaling_study(n_values) -> dict:
     """Fit the growth exponent against N of the pairing constant
-    C = boundary_sum / (coarse_jump_term^(1/2) ||grad v||)."""
+    C = boundary_sum / (COARSE_JUMP_TERM^(1/2) ||grad v||)."""
     n_values = sorted(int(n) for n in n_values)
     if len(set(n_values)) < 4 or n_values[0] < 3 or any(
             n % 2 == 0 for n in n_values):
@@ -143,7 +140,7 @@ def scaling_study(n_values) -> dict:
         bs = boundary_sum(fam, nodal)
         gsq = grad_norm_sq(fam, nodal)
         rows.append({"N": n, "boundary_sum": bs, "grad_norm_sq": gsq,
-                     "C": bs / (np.sqrt(coarse_jump_term()) * np.sqrt(gsq)),
+                     "C": bs / (np.sqrt(COARSE_JUMP_TERM) * np.sqrt(gsq)),
                      "closed_form": closed_form(n)})
     logn = np.log([r["N"] for r in rows])
     logc = np.log([r["C"] for r in rows])

@@ -20,7 +20,6 @@ from .spaces import (DiscreteSolution, assemble_saddle, cr_gradients,
 
 @dataclass
 class EstimatorReport:
-    mesh: Triangulation
     eta: np.ndarray           # (nt,) eta_K of the module docstring
     osc_sq: np.ndarray        # (nt,) h_K^2 ||g - g_K||_K^2
     vol_sq: np.ndarray        # (nt,) h_K^2 ||g||_K^2
@@ -75,7 +74,7 @@ def estimator_from_grads(mesh: Triangulation, grads: np.ndarray,
     g_l2sq, osc_raw = _volume_terms(mesh, load)
     volume = mesh.h * np.sqrt(np.maximum(g_l2sq, 0.0))
     eta = volume + np.sqrt(_element_jump_sq(mesh, grads))
-    return EstimatorReport(mesh=mesh, eta=eta, osc_sq=mesh.h ** 2 * osc_raw,
+    return EstimatorReport(eta=eta, osc_sq=mesh.h ** 2 * osc_raw,
                            vol_sq=mesh.h ** 2 * g_l2sq)
 
 

@@ -29,7 +29,6 @@ class LoadFunction:
     velocity: Callable | None = None  # exact u, same signature
     grad_velocity: Callable | None = None  # (x, y) -> (..., 2, 2), d u_i / d x_j
     pressure: Callable | None = None
-    name: str = ""
 
     @property
     def has_exact(self) -> bool:
@@ -133,7 +132,7 @@ def smooth1(mu: float = 1.0) -> LoadFunction:
     return LoadFunction(
         g=g, velocity=lambda x, y: _curl(stream(x, y, _JET1)),
         grad_velocity=lambda x, y: _grad_curl(stream(x, y, _JET2)),
-        pressure=pressure, name="smooth1")
+        pressure=pressure)
 
 
 def constant_load(gx: float = 1.0, gy: float = 0.0) -> LoadFunction:
@@ -143,7 +142,7 @@ def constant_load(gx: float = 1.0, gy: float = 0.0) -> LoadFunction:
         out[..., 0] = gx
         out[..., 1] = gy
         return out
-    return LoadFunction(g=g, name="constant")
+    return LoadFunction(g=g)
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +283,7 @@ def lshape_singular(mu: float = 1.0) -> LoadFunction:
     return LoadFunction(
         g=g, velocity=lambda x, y: _curl(stream(x, y, _JET1)),
         grad_velocity=lambda x, y: _grad_curl(stream(x, y, _JET2)),
-        pressure=pressure, name="lshape_singular")
-
-
-def zero_load() -> LoadFunction:
-    def g(x, y):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape + (2,))
-    return LoadFunction(g=g, name="zero")
+        pressure=pressure)
 
 
 def get_solution(name: str, mu: float = 1.0) -> LoadFunction:
@@ -302,5 +294,5 @@ def get_solution(name: str, mu: float = 1.0) -> LoadFunction:
     if name == "lshape_singular":
         return lshape_singular(mu)
     if name == "zero":
-        return zero_load()
+        return constant_load(0.0, 0.0)
     raise ValueError(f"unknown solution/load '{name}'")

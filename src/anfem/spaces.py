@@ -61,10 +61,6 @@ class SaddleSystem:
     F: np.ndarray                 # load vector, (nu,)
     mu: float
 
-    @property
-    def nu(self) -> int:
-        return self.A.shape[0]
-
 
 @dataclass
 class DiscreteSolution:
@@ -111,7 +107,7 @@ def assemble_saddle(mesh: Triangulation, load: LoadFunction,
 
     # load vector by the edge-midpoint rule, psi_i(m_j) = delta_ij, with g
     # evaluated once per edge
-    mids = 0.5 * mesh.vertices[mesh.edges].sum(axis=1)          # (ne, 2)
+    mids = mesh.edge_midpoints()                                # (ne, 2)
     gvals = load.g(mids[:, 0], mids[:, 1])[mesh.tri_edges]     # (nt, 3, 2)
     F = np.bincount(edof[on], minlength=nu, weights=(
         (mesh.area / 3.0)[:, None, None] * gvals)[on])
@@ -140,7 +136,7 @@ def solve_saddle(system: SaddleSystem) -> DiscreteSolution:
     augmented-Lagrangian Uzawa iteration of the module docstring."""
     mesh = system.mesh
     A, B, F = system.A, system.B, system.F
-    if system.nu == 0:
+    if A.shape[0] == 0:
         raise SolverError("mesh has no interior edges; system is singular")
     BT = B.T.tocsr()
     # r M_p^-1 B: maps u to r times its element divergence
@@ -204,17 +200,11 @@ def cr_gradients(mesh: Triangulation, u: np.ndarray) -> np.ndarray:
                      -2.0 * mesh.bary_grads)
 
 
-def cr_values(mesh: Triangulation, u: np.ndarray, bary: np.ndarray
-              ) -> np.ndarray:
-    """Values at barycentric points: (nt, nq, 2).  psi_i = 1 - 2 lambda_i."""
-    coeffs = cr_element_coeffs(mesh, u)
-    basis = 1.0 - 2.0 * bary                        # (nq, 3)
-    return np.einsum("qi,tic->tqc", basis, coeffs)
-
-
 def cr_vertex_values(mesh: Triangulation, u: np.ndarray) -> np.ndarray:
-    """One-sided values at element corners, (nt, 3, 2)."""
-    return cr_values(mesh, u, np.eye(3))
+    """One-sided values at element corners, (nt, 3, 2): psi_i = 1 - 2
+    lambda_i at the barycentric corners."""
+    basis = 1.0 - 2.0 * np.eye(3)
+    return np.einsum("qi,tic->tqc", basis, cr_element_coeffs(mesh, u))
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +214,6 @@ def cr_vertex_values(mesh: Triangulation, u: np.ndarray) -> np.ndarray:
 def broken_grad_norm_sq(mesh: Triangulation, u: np.ndarray) -> float:
     G = cr_gradients(mesh, u)
     return float((mesh.area * np.einsum("tij,tij->t", G, G)).sum())
-
-
-def broken_div(mesh: Triangulation, u: np.ndarray) -> np.ndarray:
-    G = cr_gradients(mesh, u)
-    return G[:, 0, 0] + G[:, 1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +245,8 @@ def pressure_error_sq(sol: DiscreteSolution, load: LoadFunction,
 
 
 def max_element_divergence(sol: DiscreteSolution) -> float:
-    return float(np.abs(broken_div(sol.mesh, sol.u)).max())
+    G = cr_gradients(sol.mesh, sol.u)
+    return float(np.abs(G[:, 0, 0] + G[:, 1, 1]).max())
 
 
 def galerkin_residual(system: SaddleSystem, sol: DiscreteSolution) -> float:

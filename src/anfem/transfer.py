@@ -19,10 +19,9 @@ from .spaces import (cr_element_coeffs, cr_gradients, cr_vertex_values,
 # conservative interpolation
 
 
-def conservative_interpolation(field, mesh: Triangulation,
-                               npts: int = 10) -> np.ndarray:
-    """CR coefficients with the same edge means as `field` (interior edges)."""
-    return edge_means_of_field(field, mesh, npts)[mesh.interior_edges].ravel()
+def conservative_interpolation(field, mesh: Triangulation) -> np.ndarray:
+    """CR coefficients with the edge means of `field` (10-point Gauss)."""
+    return edge_means_of_field(field, mesh, 10)[mesh.interior_edges].ravel()
 
 
 def edge_means_of_field(field, mesh: Triangulation, npts: int = 16):
@@ -37,26 +36,17 @@ def edge_means_of_field(field, mesh: Triangulation, npts: int = 16):
 
 
 # ---------------------------------------------------------------------------
-# classification of fine edges relative to a coarse mesh
+# genealogy of a nested pair
 
 
-def classify_fine_edges(coarse: Triangulation, fine: Triangulation,
-                        ancestors: np.ndarray | None = None):
-    """For each fine edge: the coarse elements of its patch omega_{E,k}.
-
-    Returns (host, coarse_edge) from bisect's genealogy: coarse_edge[e] is
-    the coarse edge the fine edge lies on (-1 if the edge is interior to a
-    single coarse element) and host[e] the one or two coarse elements of its
-    patch, padded with -1.  A given `ancestors` must match the genealogy.
-    """
+def _descent(coarse: Triangulation, fine: Triangulation,
+             ancestors: np.ndarray | None = None):
+    """`descent_maps(coarse, fine)`: the (ancestor, coarse edge) maps of the
+    fine elements and edges.  A given `ancestors` must match them."""
     anc, coarse_edge = descent_maps(coarse, fine)
     if ancestors is not None and not np.array_equal(ancestors, anc):
         raise MeshError("ancestors do not match the mesh genealogy")
-    host = np.full((fine.num_edges, 2), -1, dtype=np.int64)
-    host[:, 0] = anc[fine.edge_tris[:, 0]]
-    on = coarse_edge >= 0
-    host[on] = coarse.edge_tris[coarse_edge[on]]
-    return host, coarse_edge
+    return anc, coarse_edge
 
 
 def _cr_eval(coarse: Triangulation, coeffs_elem: np.ndarray, elems,
@@ -76,7 +66,7 @@ def restriction(v_fine: np.ndarray, fine: Triangulation,
                 ancestors: np.ndarray | None = None) -> np.ndarray:
     """Coarse CR function whose edge integrals are the summed fine-edge
     integrals of v_fine."""
-    _, coarse_edge = classify_fine_edges(coarse, fine, ancestors)
+    _, coarse_edge = _descent(coarse, fine, ancestors)
     fmeans = edge_values(fine, v_fine)
 
     on = coarse_edge >= 0
@@ -100,11 +90,16 @@ def restriction(v_fine: np.ndarray, fine: Triangulation,
 def naive_prolongation(v_coarse: np.ndarray, coarse: Triangulation,
                        fine: Triangulation,
                        ancestors: np.ndarray | None = None) -> np.ndarray:
-    """Fine-edge means set to the patch average of the one-sided coarse traces."""
-    host, _ = classify_fine_edges(coarse, fine, ancestors)
+    """Each fine-edge mean is the average of the one-sided coarse traces of
+    its patch: the coarse elements at the coarse edge the fine edge lies on,
+    or else the one coarse element it lies inside."""
+    anc, coarse_edge = _descent(coarse, fine, ancestors)
     coeffs_elem = cr_element_coeffs(coarse, v_coarse)
     interior = fine.interior_edges
-    host = host[interior]
+    host = np.full((len(interior), 2), -1, dtype=np.int64)
+    host[:, 0] = anc[fine.edge_tris[interior, 0]]
+    on = coarse_edge[interior] >= 0
+    host[on] = coarse.edge_tris[coarse_edge[interior[on]]]
     mids = fine.edge_midpoints()[interior]
     out = _cr_eval(coarse, coeffs_elem, host[:, 0], mids)
     two = host[:, 1] >= 0
@@ -163,16 +158,16 @@ def mixed_prolongation(v_coarse: np.ndarray, coarse: Triangulation,
     """
     if nesting is None:
         nesting = nesting_sets(coarse, fine)
+    anc, coarse_edge = _descent(coarse, fine, nesting.ancestors)
     refined_mask = np.zeros(coarse.num_triangles, dtype=bool)
     refined_mask[nesting.refined] = True
 
     interior = fine.interior_edges
-    k0, k1 = nesting.ancestors[fine.edge_tris[interior]].T
+    k0, k1 = anc[fine.edge_tris[interior]].T
     avg = refined_mask[k0] | refined_mask[k1]
     out = np.empty((len(interior), 2))
     # an edge between two common elements is a coarse edge: keep its mean
-    coarse_edge = descent_maps(coarse, fine)[1][interior[~avg]]
-    out[~avg] = edge_values(coarse, v_coarse)[coarse_edge]
+    out[~avg] = edge_values(coarse, v_coarse)[coarse_edge[interior[~avg]]]
     nodal = nodal_averaging(v_coarse, coarse)
     out[avg] = p1_eval(nodal, coarse, k0[avg],
                        fine.edge_midpoints()[interior[avg]])
@@ -200,11 +195,10 @@ def prolongation_defect_constant(coarse: Triangulation, fine: Triangulation,
         pv = naive_prolongation(v_coarse, coarse, fine, nesting.ancestors)
     else:
         raise ValueError("operator must be 'mixed' or 'naive'")
-    Gp = cr_gradients(fine, pv)
-    Gc = cr_gradients(coarse, v_coarse)[nesting.ancestors]
-    diff = Gp - Gc
+    Gc = cr_gradients(coarse, v_coarse)
+    diff = cr_gradients(fine, pv) - Gc[nesting.ancestors]
     num = float((fine.area * np.einsum("tij,tij->t", diff, diff)).sum())
-    jumps = _element_jump_sq(coarse, cr_gradients(coarse, v_coarse))
+    jumps = _element_jump_sq(coarse, Gc)
     den = float(jumps[nesting.neighborhood].sum())
     if den == 0.0:
         return 0.0 if num < 1e-24 else np.inf

@@ -7,18 +7,17 @@ from hypothesis import given, settings, strategies as st
 import anfem.adaptive
 from anfem import quadrature as quad
 from anfem.adaptive import (IterationRecord, LoopParams, MarkingError,
-                            anfem_loop, contraction_monitor, dorfler_mark,
-                            rate_fit, uniform_trace)
+                            anfem_loop, dorfler_mark, rate_fit, uniform_trace)
 from anfem.domains import unit_square
 from anfem.estimator import EstimatorReport
 from anfem.mesh import bisect
-from anfem.problems import get_solution, zero_load
+from anfem.problems import get_solution
 
 
 def fake_report(eta_sq):
     eta = np.sqrt(np.asarray(eta_sq, dtype=float))
     n = len(eta)
-    return EstimatorReport(mesh=None, eta=eta, osc_sq=np.zeros(n),
+    return EstimatorReport(eta=eta, osc_sq=np.zeros(n),
                            vol_sq=np.zeros(n))
 
 
@@ -78,7 +77,9 @@ BAD_LOOP_PARAMS = [("theta", 1.0), ("theta", float("nan")), ("eps", -1e-3),
                    ("mu", 0.0), ("mu", float("inf")), ("beta1", -1.0),
                    ("gamma1", -1.0), ("gamma2", -1.0), ("element_cap", 0),
                    ("element_cap", 1.5), ("max_iterations", 0),
-                   ("max_iterations", 2.5)]
+                   ("max_iterations", 2.5), ("max_iterations", True),
+                   ("element_cap", True), ("mu", True),
+                   ("check_reduction", "no"), ("check_reduction", 0)]
 
 
 @pytest.mark.parametrize("name,value", BAD_LOOP_PARAMS)
@@ -92,7 +93,8 @@ def test_loop_params_rejects_out_of_range(name, value):
 
 
 def test_zero_load_terminates_immediately():
-    trace = anfem_loop(unit_square(2), zero_load(), LoopParams(eps=1e-8))
+    trace = anfem_loop(unit_square(2), get_solution("zero"),
+                       LoopParams(eps=1e-8))
     assert trace.converged
     assert len(trace.records) == 1
     assert trace.records[0].eta2 == 0.0
@@ -137,15 +139,6 @@ def test_marked_bounded_by_refined():
         assert ne[k + 1] - ne[k] >= nm[k] > 0
 
 
-def test_contraction_monitor_smooth():
-    load = get_solution("smooth1")
-    trace = anfem_loop(unit_square(2), load,
-                       LoopParams(theta=0.3, max_iterations=12))
-    mon = contraction_monitor(trace)
-    assert mon["count"] >= 10
-    assert 0.0 < mon["geomean"] < 1.0
-
-
 def test_trace_csv_schema(tmp_path):
     load = get_solution("smooth1")
     trace = anfem_loop(unit_square(2), load,
@@ -178,8 +171,7 @@ def test_rate_fit_requires_points():
 
 def test_uniform_rate_smooth():
     load = get_solution("smooth1")
-    trace = uniform_trace(unit_square(2), load, levels=6,
-                          rounds_per_level=1)
+    trace = uniform_trace(unit_square(2), load, levels=6)
     s = rate_fit(trace)
     assert -0.65 < s < -0.35        # optimal N^(-1/2) for smooth data
 
@@ -229,11 +221,11 @@ def test_loop_evaluates_exact_solution_once_per_mesh():
 
 def test_uniform_trace_checks_solver_invariants(monkeypatch):
     load = get_solution("smooth1")
-    trace = uniform_trace(unit_square(1), load, levels=3, rounds_per_level=1)
-    assert trace.column("nmarked").tolist() == [4, 8, 0]
+    trace = uniform_trace(unit_square(1), load, levels=3)
+    assert trace.column("nmarked").tolist() == [4, 16, 0]
     # no previous mesh on the first level, as in anfem_loop
-    assert trace.column("gamma").tolist() == [1.0, 2 ** 0.5, 2 ** 0.5]
-    assert trace.final_solution.mesh.num_triangles == 16
+    assert trace.column("gamma").tolist() == [1.0, 2.0, 2.0]
+    assert trace.final_solution.mesh.num_triangles == 64
     solve_saddle = anfem.adaptive.solve_saddle
 
     def perturbed(system):
@@ -243,7 +235,7 @@ def test_uniform_trace_checks_solver_invariants(monkeypatch):
 
     monkeypatch.setattr(anfem.adaptive, "solve_saddle", perturbed)
     with pytest.raises(AssertionError, match="divergence"):
-        uniform_trace(unit_square(1), load, levels=3, rounds_per_level=1)
+        uniform_trace(unit_square(1), load, levels=3)
 
 
 @pytest.mark.parametrize("solution", ["smooth1", "constant"])

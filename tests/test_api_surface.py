@@ -29,7 +29,9 @@ DELETED = ("MarkingParams", "ContractionParams", "FineFunction", "patches",
            "_lshape_pressure_mean", "MIDPOINT_BARY",
            "discrete_reliability_check", "marking_threshold_check",
            "residual_functional", "pairing_constant", "_pairing",
-           "write_mesh", "p1_to_cr")
+           "write_mesh", "p1_to_cr", "contraction_monitor", "zero_load",
+           "cr_values", "broken_div", "classify_fine_edges",
+           "coarse_jump_term")
 # (class, attribute) pairs deleted from the public classes
 DELETED_MEMBERS = (("counterexample.CrissCrossFamily", "coarse"),
                    ("mesh.Triangulation", "min_angle"),
@@ -45,7 +47,10 @@ DELETED_MEMBERS = (("counterexample.CrissCrossFamily", "coarse"),
                    ("estimator.EstimatorReport", "jump_sq"),
                    ("estimator.EstimatorReport", "to_csv"),
                    ("spaces.DiscreteSolution", "velocity_coeffs"),
-                   ("spaces.SaddleSystem", "load"))
+                   ("spaces.SaddleSystem", "load"),
+                   ("spaces.SaddleSystem", "nu"),
+                   ("problems.LoadFunction", "name"),
+                   ("estimator.EstimatorReport", "mesh"))
 
 
 def _load(path: Path, name: str):

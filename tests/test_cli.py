@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from anfem.adaptive import LoopParams
-from anfem.cli import (EXIT_OK, EXIT_TRUNCATED, EXIT_USAGE,
-                       EXIT_VERIFY_FAILED, main)
+from anfem.cli import EXIT_OK, EXIT_TRUNCATED, EXIT_USAGE, main
 
 
 def test_counterexample_csv_schema_and_determinism(tmp_path):

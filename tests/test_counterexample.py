@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from anfem.counterexample import (boundary_sum, build_family, build_test_pair,
-                                  ac_segments, closed_form, coarse_jump_term,
+                                  ac_segments, closed_form, COARSE_JUMP_TERM,
                                   grad_norm_sq, scaling_study)
 
 
@@ -41,7 +41,7 @@ def test_ac_segment_count():
 
 
 def test_coarse_jump_term_value():
-    assert coarse_jump_term() == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert COARSE_JUMP_TERM == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
 def test_scaling_study_needs_four_values():

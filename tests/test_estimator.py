@@ -7,7 +7,7 @@ from anfem.domains import l_shape, unit_square
 from anfem.estimator import (consistency_error, estimate, estimate_frozen,
                              modified_eta, tangential_jumps)
 from anfem.mesh import bisect, uniform_refine
-from anfem.problems import constant_load, get_solution, zero_load
+from anfem.problems import constant_load, get_solution
 from anfem.spaces import cr_gradients, solve
 from anfem import quadrature as quad
 
@@ -24,8 +24,9 @@ def smooth_solution(smooth):
 
 def test_zero_solution_zero_load():
     mesh = unit_square(2)
-    sol = solve(mesh, zero_load())
-    report = estimate(sol, zero_load())
+    zero = get_solution("zero")
+    sol = solve(mesh, zero)
+    report = estimate(sol, zero)
     assert report.total_eta_sq == 0.0
     assert report.total_osc_sq == 0.0
 

@@ -6,9 +6,8 @@ from anfem.adaptive import _check_solve_invariants
 from anfem.domains import diamond, l_shape, unit_square
 from anfem.mesh import bisect, uniform_refine
 from anfem.problems import (LoadFunction, constant_load, get_solution,
-                            lshape_singular, zero_load)
-from anfem.spaces import (SolverError, assemble_saddle, broken_div,
-                          broken_grad_norm_sq, cr_gradients, cr_values,
+                            lshape_singular)
+from anfem.spaces import (SolverError, assemble_saddle, broken_grad_norm_sq,
                           edge_values, galerkin_residual, interior_dofs,
                           max_element_divergence, num_velocity_dofs,
                           pressure_error_sq, solve, solve_saddle,
@@ -35,7 +34,7 @@ def test_dof_count():
 
 def test_stiffness_spd():
     mesh = unit_square(2)
-    A = assemble_saddle(mesh, zero_load(), 1.0).A.toarray()
+    A = assemble_saddle(mesh, get_solution("zero"), 1.0).A.toarray()
     assert np.allclose(A, A.T)
     w = np.linalg.eigvalsh(A)
     assert w.min() > 0
@@ -44,7 +43,7 @@ def test_stiffness_spd():
 def test_zero_load_zero_solution():
     # the first iterate is exactly divergence-free, so the second step's
     # equal divergence stops the iteration
-    sol = solve(unit_square(2), zero_load())
+    sol = solve(unit_square(2), get_solution("zero"))
     assert not sol.u.any() and not sol.p.any()
     assert sol.iterations <= 2
 
@@ -52,11 +51,11 @@ def test_zero_load_zero_solution():
 @pytest.mark.parametrize("mu", [float("nan"), float("inf")])
 def test_assemble_rejects_bad_viscosity(mu):
     with pytest.raises(ValueError, match="viscosity"):
-        assemble_saddle(unit_square(1), zero_load(), mu)
+        assemble_saddle(unit_square(1), get_solution("zero"), mu)
 
 
 def test_non_finite_load_raises_solver_error():
-    system = assemble_saddle(unit_square(2), zero_load(), 1.0)
+    system = assemble_saddle(unit_square(2), get_solution("zero"), 1.0)
     system.F[3] = np.nan
     with pytest.raises(SolverError):
         solve_saddle(system)
@@ -191,14 +190,6 @@ def test_cr_values_edge_mean_property():
         assert np.allclose(acc, vals[idx], atol=1e-12)
 
 
-def test_broken_div_matches_gradient_trace():
-    mesh = l_shape()
-    rng = np.random.default_rng(3)
-    u = rng.normal(size=num_velocity_dofs(mesh))
-    G = cr_gradients(mesh, u)
-    assert np.allclose(broken_div(mesh, u), G[:, 0, 0] + G[:, 1, 1])
-
-
 def test_solver_determinism(smooth):
     mesh = unit_square(3)
     a = solve(mesh, smooth)
@@ -213,7 +204,7 @@ def test_singular_system_rejected():
     tri = build_initial(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                         np.array([[0, 1, 2]]))
     with pytest.raises(SolverError):
-        solve(tri, zero_load())
+        solve(tri, get_solution("zero"))
 
 
 def test_residual_scaling_under_refinement(smooth):

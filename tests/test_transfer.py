@@ -3,16 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from anfem.domains import l_shape, unit_square
-from anfem.mesh import (MeshError, ancestor_map, bisect, nesting_sets,
-                        uniform_refine)
+from anfem.mesh import MeshError, bisect, descent_maps, nesting_sets
 from anfem.problems import get_solution
-from anfem.spaces import (cr_gradients, cr_vertex_values, num_velocity_dofs,
-                          solve)
-from anfem.transfer import (classify_fine_edges, conservative_interpolation,
-                            edge_means_of_field, mixed_prolongation,
-                            naive_prolongation, nodal_averaging, p1_eval,
-                            p1_gradients, prolongation_defect_constant,
-                            restriction)
+from anfem.spaces import cr_gradients, num_velocity_dofs, solve
+from anfem.transfer import (conservative_interpolation, edge_means_of_field,
+                            mixed_prolongation, naive_prolongation,
+                            nodal_averaging, p1_gradients,
+                            prolongation_defect_constant, restriction)
 from oracles import p1_to_cr
 
 
@@ -41,18 +38,25 @@ def test_conservative_interpolation_preserves_means(seed):
 def test_classify_fine_edges():
     coarse = unit_square(1)
     fine = bisect(coarse, np.arange(coarse.num_triangles))
-    anc = ancestor_map(coarse, fine)
-    host, coarse_edge = classify_fine_edges(coarse, fine, anc)
-    for e in range(fine.num_edges):
-        if coarse_edge[e] >= 0:
-            # the fine edge midpoint sits on the named coarse edge
-            mid = fine.edge_midpoints()[e]
-            a, b = coarse.vertices[coarse.edges[coarse_edge[e]]]
-            cross = (b - a)[0] * (mid - a)[1] - (b - a)[1] * (mid - a)[0]
-            assert abs(cross) < 1e-12
-            assert sorted(host[e]) == sorted(coarse.edge_tris[coarse_edge[e]])
-        else:
-            assert host[e, 0] == anc[fine.edge_tris[e, 0]] and host[e, 1] == -1
+    coarse_edge = descent_maps(coarse, fine)[1]
+    mids = fine.edge_midpoints()
+    for e in np.flatnonzero(coarse_edge >= 0):
+        # the fine edge midpoint sits on the named coarse edge
+        a, b = coarse.vertices[coarse.edges[coarse_edge[e]]]
+        cross = (b - a)[0] * (mids[e] - a)[1] - (b - a)[1] * (mids[e] - a)[0]
+        assert abs(cross) < 1e-12
+
+
+def test_restriction_inverts_naive_prolongation():
+    """Fine edges tile the coarse edges and the naive prolongation keeps
+    the linear coarse traces, so restriction gives v back."""
+    coarse = unit_square(3)
+    fine = coarse
+    for _ in range(3):
+        fine = bisect(fine, np.arange(0, fine.num_triangles, 5))
+    v = np.random.default_rng(4).normal(size=num_velocity_dofs(coarse))
+    pv = naive_prolongation(v, coarse, fine)
+    assert np.abs(restriction(pv, fine, coarse) - v).max() < 1e-13
 
 
 def test_restriction_inverts_means():
@@ -133,6 +137,24 @@ def test_naive_prolongation_averages_traces():
     pv = naive_prolongation(v, coarse, fine)
     assert np.isfinite(pv).all()
     assert np.abs(pv).max() > 0
+
+
+def test_transfer_operators_reject_stale_genealogy():
+    """Two pairs of the same size from different refinements: each operator
+    checks the genealogy it is given against its own pair."""
+    coarse = unit_square(2)
+    f1, f2 = bisect(coarse, [0]), bisect(coarse, [5])
+    assert f1.num_triangles == f2.num_triangles == 10
+    stale = nesting_sets(coarse, f1)
+    v = np.random.default_rng(0).normal(size=num_velocity_dofs(coarse))
+    for call in (
+            lambda: naive_prolongation(v, coarse, f2, stale.ancestors),
+            lambda: mixed_prolongation(v, coarse, f2, stale),
+            lambda: prolongation_defect_constant(coarse, f2, v, stale),
+            lambda: restriction(naive_prolongation(v, coarse, f2), f2,
+                                coarse, stale.ancestors)):
+        with pytest.raises(MeshError, match="genealogy"):
+            call()
 
 
 def test_defect_constant_nonnegative_finite():
