@@ -9,6 +9,7 @@ import numpy as np
 from anfem import (consistency_error, estimate, get_solution, solve,
                    unit_square)
 from anfem.mesh import uniform_refine
+from anfem.problems import PointValues
 from anfem.spaces import pressure_error_sq, velocity_error_sq
 
 
@@ -25,9 +26,11 @@ def main():
     prev = None
     for _ in range(args.levels):
         sol = solve(mesh, load, args.mu)
-        report = estimate(sol, load)
-        err_u = np.sqrt(velocity_error_sq(sol, load))
-        err_p = np.sqrt(pressure_error_sq(sol, load))
+        # one evaluation of g, grad u and p for the estimator and the errors
+        values = PointValues(mesh, load)
+        report = estimate(sol, load, values)
+        err_u = np.sqrt(velocity_error_sq(sol, load, values))
+        err_p = np.sqrt(pressure_error_sq(sol, load, values))
         eta = np.sqrt(report.total_eta_sq)
         consis = consistency_error(load.stress(args.mu), mesh, load)
         h = mesh.h.max()

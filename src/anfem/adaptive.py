@@ -15,11 +15,10 @@ from .estimator import (EstimatorReport, estimate, estimate_frozen,
                         modified_eta)
 from .mesh import (NestingSets, Triangulation, bisect, nesting_sets,
                    refinement_ratio, uniform_refine)
-from .problems import LoadFunction
-from .spaces import (DiscreteSolution, assemble_saddle, broken_grad_norm_sq,
-                     cr_gradients, galerkin_residual, max_element_divergence,
-                     num_velocity_dofs, pressure_error_sq, solve_saddle,
-                     velocity_error_sq)
+from .problems import LoadFunction, PointValues
+from .spaces import (DiscreteSolution, assemble_saddle, cr_gradients,
+                     galerkin_residual, num_velocity_dofs, pressure_error_sq,
+                     solve_saddle, velocity_error_sq)
 
 ESTIMATOR_REDUCTION_RHO = 1.0 - 2.0 ** -0.5
 # relative rounding allowance of the estimator-reduction check
@@ -70,6 +69,8 @@ class IterationRecord:
     # a lower bound that moves with round-off and is not comparable across
     # commits (see DiscreteSolution.lu_fill)
     lu_fill: int
+    # round-off sized, and not comparable across commits either (see
+    # DiscreteSolution.residual)
     solver_residual: float
     err_u2: float = np.nan
     err_p2: float = np.nan
@@ -140,16 +141,18 @@ class LoopParams:
                     f"{name} must be an integer >= 1, got {value!r}")
 
 
-def _solve_level(mesh: Triangulation, load: LoadFunction, p: LoopParams,
-                 it: int, gamma: float):
+def _solve_level(mesh: Triangulation, load: LoadFunction,
+                 values: PointValues, p: LoopParams, it: int, gamma: float):
     """Solve on `mesh`, check the solver invariants and estimate; returns the
-    solution, the estimator, the level's record (nothing marked yet) and the
-    exact grad u and p at the degree-4 points (None without an exact
-    solution), evaluated once for the errors and the monitors."""
-    system = assemble_saddle(mesh, load, p.mu)
+    solution, its `cr_gradients` (computed once per solve), the estimator
+    and the level's record (nothing marked yet). `values` is the mesh's
+    record of the load; its degree-4 part is first needed after the solve,
+    so it is built then."""
+    system = assemble_saddle(mesh, load, p.mu, values)
     sol = solve_saddle(system)
-    _check_solve_invariants(system, sol)
-    report = estimate(sol, load)
+    grads = cr_gradients(mesh, sol.u)
+    _check_solve_invariants(system, sol, grads)
+    report = estimate(sol, load, values, grads)
     rec = IterationRecord(
         iteration=it, nelems=mesh.num_triangles,
         ndofs=num_velocity_dofs(mesh) + mesh.num_triangles,
@@ -157,30 +160,34 @@ def _solve_level(mesh: Triangulation, load: LoadFunction, p: LoopParams,
         osc2=report.total_osc_sq, vol2=report.total_vol_sq,
         nmarked=0, gamma=gamma, solver_iterations=sol.iterations,
         lu_fill=sol.lu_fill, solver_residual=sol.residual)
-    exact = None
     if load.has_exact:
-        exact = (quad.values_at(mesh, load.grad_velocity),
-                 quad.values_at(mesh, load.pressure))
-        rec.err_u2 = velocity_error_sq(sol, load, exact[0])
-        rec.err_p2 = pressure_error_sq(sol, load, exact[1])
-    return sol, report, rec, exact
+        rec.err_u2 = velocity_error_sq(sol, load, values, grads)
+        rec.err_p2 = pressure_error_sq(sol, load, values)
+    return sol, grads, report, rec
 
 
 def anfem_loop(mesh0: Triangulation, load: LoadFunction,
                params: LoopParams | None = None) -> AdaptiveTrace:
     """Solve -> estimate -> mark -> refine until eta < eps, the element cap
-    or the last iteration; the run ends with a solve, never a refinement."""
+    or the last iteration; the run ends with a solve, never a refinement.
+
+    Each mesh has one `PointValues` record of the load, built from the
+    previous mesh's record: only the elements and edges `bisect` created
+    are evaluated."""
     p = params or LoopParams()
     trace = AdaptiveTrace()
     mesh = mesh0
-    # previous solution and estimator, and the nesting of the current mesh
-    # in the previous one
-    prev: tuple[DiscreteSolution, EstimatorReport, NestingSets] | None = None
+    values = PointValues(mesh, load)
+    # previous solution, its gradients and estimator, and the nesting of the
+    # current mesh in the previous one
+    prev: tuple[DiscreteSolution, np.ndarray, EstimatorReport,
+                NestingSets] | None = None
     prev_lam = np.nan
     gamma = 1.0
 
     for it in range(p.max_iterations):
-        sol, report, rec, exact = _solve_level(mesh, load, p, it, gamma)
+        sol, grads, report, rec = _solve_level(mesh, load, values, p, it,
+                                               gamma)
         if load.has_exact:
             rec.lam = rec.err_u2 + p.gamma1 * rec.err_p2 \
                 + p.gamma2 * rec.eta_tilde2
@@ -189,7 +196,7 @@ def anfem_loop(mesh0: Triangulation, load: LoadFunction,
             prev_lam = rec.lam
 
         if prev is not None:
-            _cross_level_monitors(prev, sol, exact, rec)
+            _cross_level_monitors(prev, sol, grads, values, rec)
         trace.records.append(rec)
         trace.final_solution = sol
 
@@ -204,10 +211,13 @@ def anfem_loop(mesh0: Triangulation, load: LoadFunction,
         rec.nmarked = len(marked)
         refined = bisect(mesh, marked)
         ns = nesting_sets(mesh, refined)
-        gamma = refinement_ratio(mesh, refined)
+        gamma = refinement_ratio(mesh, refined, ns.ancestors)
+        values = PointValues(refined, load, values)
 
         if p.check_reduction:
-            frozen = estimate_frozen(sol, refined, load)
+            # its volume terms on `refined` are the next step's
+            frozen = estimate_frozen(sol, refined, load, values, grads,
+                                     ns.ancestors)
             # the estimator and its volume term, reduced by the same factor
             for name, coarse, fine in (
                     ("estimator", report.eta_sq, frozen.eta_sq),
@@ -222,32 +232,37 @@ def anfem_loop(mesh0: Triangulation, load: LoadFunction,
                         f"{name} reduction violated at step {it}: "
                         f"{lhs:.16g} > {rhs:.16g}")
 
-        prev = (sol, report, ns)
+        prev = (sol, grads, report, ns)
         mesh = refined
 
     return trace
 
 
-def _check_solve_invariants(system, sol):
-    gn = np.sqrt(broken_grad_norm_sq(sol.mesh, sol.u))
-    maxdiv = max_element_divergence(sol)
-    if maxdiv > 1e-10 * (1.0 + gn):
-        raise AssertionError(f"discrete divergence too large: {maxdiv:.3e}")
+def _check_solve_invariants(system, sol, grads):
+    """Per element K, |div u_K| <= 1e-10 (1 + max_ij |d_j u_i|_K), from the
+    solution's `cr_gradients` `grads`: the divergence of a CR function is a
+    difference of dof values over h_K, so its round-off scales with the
+    element's own gradient, not the global norm. Then the Galerkin
+    identity."""
+    div = np.abs(grads[:, 0, 0] + grads[:, 1, 1])
+    bound = 1e-10 * (1.0 + np.abs(grads).max(axis=(1, 2)))
+    if np.any(div > bound):
+        k = int(np.argmax(div / bound))
+        raise AssertionError(f"discrete divergence too large: {div[k]:.3e} "
+                             f"> {bound[k]:.3e} on element {k}")
     res = galerkin_residual(system, sol)
     scale = max(1.0, float(np.abs(system.F).max()))
     if res > 1e-10 * scale:
         raise AssertionError(f"Galerkin identity violated: {res:.3e}")
 
 
-def _cross_level_monitors(prev, sol, exact, rec):
+def _cross_level_monitors(prev, sol, grads, values, rec):
     """Constants between consecutive levels: discrete reliability, and,
-    from the exact values `_solve_level` returned, the empirical
+    from the exact values in the mesh's record `values`, the empirical
     quasi-orthogonality constants (skipped without an exact solution)."""
-    sol_prev, report_prev, ns = prev
+    sol_prev, grads_prev, report_prev, ns = prev
     mesh, mu = sol.mesh, sol.mu
-    G_cur = cr_gradients(mesh, sol.u)
-    G_prev = cr_gradients(sol_prev.mesh, sol_prev.u)[ns.ancestors]
-    W = G_cur - G_prev                       # grad(u_k - u_{k-1}) on T_k
+    W = grads - grads_prev[ns.ancestors]     # grad(u_k - u_{k-1}) on T_k
     wnorm = float(np.sqrt((mesh.area * np.einsum(
         "tij,tij->t", W, W)).sum()))
     dp = sol.p - sol_prev.p[ns.ancestors]    # p_k - p_{k-1} on T_k
@@ -255,20 +270,21 @@ def _cross_level_monitors(prev, sol, exact, rec):
     # (A3): ||u_k - u_{k-1}|| + ||p_k - p_{k-1}|| <= C eta_{k-1}(R_k)
     den = np.sqrt(float(report_prev.eta_sq[ns.neighborhood].sum()))
     rec.drel = (wnorm + dpnorm) / den if den > 0 else np.nan
-    if exact is None:
+    if not values.load.has_exact:
         return
-    gu, pe = exact
+    exact = values.at_points
     vol_refined = float(report_prev.vol_sq[ns.refined].sum())
     # a_k(u - u_k, u_k - u_{k-1}), grad w element-wise constant
-    a_exact = float(np.einsum("tij,tij->", quad.integrate_values(mesh, gu),
-                              W))
-    a_disc = float((mesh.area * np.einsum("tij,tij->t", G_cur, W)).sum())
+    a_exact = float(np.einsum("tij,tij->", quad.integrate_values(
+        mesh, exact["grad_velocity"]), W))
+    a_disc = float((mesh.area * np.einsum("tij,tij->t", grads, W)).sum())
     qo_num = abs(mu * (a_exact - a_disc))
     err_u = np.sqrt(rec.err_u2)
     den = err_u * np.sqrt(vol_refined)
     rec.qo_velocity = qo_num / den if den > 0 else np.nan
     # (p - p_k, p_k - p_{k-1})
-    p_exact = float((quad.integrate_values(mesh, pe) * dp).sum())
+    p_exact = float((quad.integrate_values(mesh, exact["pressure"])
+                     * dp).sum())
     p_disc = float((mesh.area * sol.p * dp).sum())
     qp_num = abs(p_exact - p_disc)
     err_p = np.sqrt(rec.err_p2)
@@ -294,8 +310,9 @@ def uniform_trace(mesh0: Triangulation, load: LoadFunction,
             trace.records[-1].nmarked = mesh.num_triangles
             mesh = uniform_refine(mesh, 2)
             gamma = 2.0
-        trace.final_solution, _, rec, _ = _solve_level(
-            mesh, load, p, it, gamma)
+        # every element is split, so there is nothing to carry
+        trace.final_solution, _, _, rec = _solve_level(
+            mesh, load, PointValues(mesh, load), p, it, gamma)
         trace.records.append(rec)
     return trace
 

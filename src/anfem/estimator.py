@@ -2,6 +2,10 @@
 
 Per element: eta_K = h_K ||g||_K + (sum_{E in dK} h_K ||[grad u tau_E]||_E^2)^{1/2}.
 Boundary edges contribute the full tangential trace (jump against zero).
+The volume terms ||g||_K and the oscillation come from the mesh's
+`PointValues` record of the load (g at the degree-4 points), so the frozen
+estimator on a refined mesh and the next step's estimator on that mesh
+share them; a caller without a record gets a fresh one.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import numpy as np
 
 from . import quadrature as quad
 from .mesh import Triangulation, descent_maps
-from .problems import LoadFunction
+from .problems import LoadFunction, PointValues
 from .spaces import (DiscreteSolution, assemble_saddle, cr_gradients,
                      edge_values, interior_dofs, num_velocity_dofs,
                      spd_factor)
@@ -60,36 +64,39 @@ def _element_jump_sq(mesh: Triangulation, grads: np.ndarray) -> np.ndarray:
     return mesh.h * per_elem
 
 
-def _volume_terms(mesh: Triangulation, load: LoadFunction):
-    g = quad.values_at(mesh, load.g)          # (nt, nq, 2)
-    g_l2sq = quad.integrate_values(mesh, np.einsum("...c,...c->...", g, g))
-    g_mean = quad.integrate_values(mesh, g) / mesh.area[:, None]
-    osc_sq = g_l2sq - mesh.area * np.einsum("tc,tc->t", g_mean, g_mean)
-    osc_sq = np.maximum(osc_sq, 0.0)
-    return g_l2sq, osc_sq
-
-
 def estimator_from_grads(mesh: Triangulation, grads: np.ndarray,
-                         load: LoadFunction) -> EstimatorReport:
-    g_l2sq, osc_raw = _volume_terms(mesh, load)
+                         load: LoadFunction,
+                         values: PointValues | None = None) -> EstimatorReport:
+    g_l2sq, osc_raw = (values or PointValues(mesh, load)).volume_terms
     volume = mesh.h * np.sqrt(np.maximum(g_l2sq, 0.0))
     eta = volume + np.sqrt(_element_jump_sq(mesh, grads))
     return EstimatorReport(eta=eta, osc_sq=mesh.h ** 2 * osc_raw,
                            vol_sq=mesh.h ** 2 * g_l2sq)
 
 
-def estimate(sol: DiscreteSolution, load: LoadFunction) -> EstimatorReport:
-    grads = cr_gradients(sol.mesh, sol.u)
-    return estimator_from_grads(sol.mesh, grads, load)
+def estimate(sol: DiscreteSolution, load: LoadFunction,
+             values: PointValues | None = None,
+             grads: np.ndarray | None = None) -> EstimatorReport:
+    """`values` is the mesh's record of `load`'s values and `grads` the
+    solution's `cr_gradients`, if the caller has them."""
+    if grads is None:
+        grads = cr_gradients(sol.mesh, sol.u)
+    return estimator_from_grads(sol.mesh, grads, load, values)
 
 
 def estimate_frozen(sol_coarse: DiscreteSolution, fine: Triangulation,
-                    load: LoadFunction) -> EstimatorReport:
+                    load: LoadFunction, values: PointValues | None = None,
+                    grads: np.ndarray | None = None,
+                    ancestors: np.ndarray | None = None) -> EstimatorReport:
     """Estimator of the frozen coarse solution evaluated on a fine mesh that
-    descends from its mesh by bisect."""
-    ancestors = descent_maps(sol_coarse.mesh, fine)[0]
-    coarse_grads = cr_gradients(sol_coarse.mesh, sol_coarse.u)
-    return estimator_from_grads(fine, coarse_grads[ancestors], load)
+    descends from its mesh by bisect. `values` is the fine mesh's record,
+    `grads` the coarse solution's `cr_gradients` and `ancestors` the first
+    of `descent_maps(sol_coarse.mesh, fine)`, if the caller has them."""
+    if ancestors is None:
+        ancestors = descent_maps(sol_coarse.mesh, fine)[0]
+    if grads is None:
+        grads = cr_gradients(sol_coarse.mesh, sol_coarse.u)
+    return estimator_from_grads(fine, grads[ancestors], load, values)
 
 
 def modified_eta(report: EstimatorReport, beta1: float = 1.0) -> float:

@@ -345,12 +345,17 @@ def ancestor_map(coarse: Triangulation, fine: Triangulation) -> np.ndarray:
     """Map each fine element to the coarse element containing it.
 
     The map comes from bisect's genealogy and is verified geometrically:
-    every fine vertex must lie in its ancestor.
+    every fine vertex must lie in its ancestor. A fine element whose corner
+    coordinates are its ancestor's (one that bisect kept) passes without
+    the barycentric solve.
     """
     anc = descent_maps(coarse, fine)[0]
-    lam = barycentric(coarse, np.repeat(anc, 3),
-                      fine.vertices[fine.triangles].reshape(-1, 2))
-    if lam.min() < -1e-9:
+    corners = fine.vertices[fine.triangles]                  # (nt, 3, 2)
+    moved = np.flatnonzero(
+        (corners != coarse.vertices[coarse.triangles[anc]]).any(axis=(1, 2)))
+    lam = barycentric(coarse, np.repeat(anc[moved], 3),
+                      corners[moved].reshape(-1, 2))
+    if lam.size and lam.min() < -1e-9:
         raise MeshError("fine mesh not nested in coarse mesh")
     return anc
 
@@ -376,14 +381,17 @@ def nesting_sets(coarse: Triangulation, fine: Triangulation) -> NestingSets:
                        ancestors=anc)
 
 
-def refinement_ratio(coarse: Triangulation, fine: Triangulation) -> float:
+def refinement_ratio(coarse: Triangulation, fine: Triangulation,
+                     ancestors: np.ndarray | None = None) -> float:
     """max over coarse K of max over fine T inside K of h_K / h_T.
 
     A kept element has the same vertices, hence the same h, on both meshes,
-    so without refinement the ratio is exactly 1.
+    so without refinement the ratio is exactly 1. `ancestors` is the first
+    of `descent_maps(coarse, fine)`, if the caller has it.
     """
-    anc = descent_maps(coarse, fine)[0]
-    return float(np.max(coarse.h[anc] / fine.h))
+    if ancestors is None:
+        ancestors = descent_maps(coarse, fine)[0]
+    return float(np.max(coarse.h[ancestors] / fine.h))
 
 
 # ---------------------------------------------------------------------------

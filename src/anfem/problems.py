@@ -12,15 +12,35 @@ from its complex (Goursat) form Phi = Re(A z^(1+a) + E z zbar^a), each of
 whose derivatives is two powers of zbar with constant coefficients
 (`_corner`). sympy is not
 used: the tests compare both solutions with their symbolic derivation.
+
+Each manufactured solution is one joint pass, (x, y, names) -> {name:
+values}, that shares the points, the jets and the corner powers between
+the fields it is asked for; its callables `g`, `velocity`,
+`grad_velocity` and `pressure` are views of that pass (`_View`), one field
+each. `PointValues` is a mesh's one record of a load's values at the edge
+midpoints and at the degree-4 points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial, prod
 from typing import Callable
 
 import numpy as np
+
+from . import quadrature as quad
+
+
+class _View:
+    """The field `name` of a joint pass, as a callable (x, y) -> values."""
+
+    def __init__(self, joint: Callable, name: str):
+        self.joint, self.name = joint, name
+
+    def __call__(self, x, y):
+        return self.joint(x, y, (self.name,))[self.name]
 
 
 @dataclass
@@ -33,6 +53,17 @@ class LoadFunction:
     @property
     def has_exact(self) -> bool:
         return self.velocity is not None
+
+    def evaluate(self, x, y, names) -> dict:
+        """{name: the callable `name` at (x, y)} for the named fields: one
+        joint pass when every named callable is a view of the same one,
+        else one call each, so that a callable replaced after construction
+        (`dataclasses.replace`, `setattr`) is the one evaluated."""
+        fns = [getattr(self, name) for name in names]
+        if all(isinstance(f, _View) and f.joint is fns[0].joint
+               for f in fns):
+            return fns[0].joint(x, y, tuple(names))
+        return {name: f(x, y) for name, f in zip(names, fns)}
 
     def stress(self, mu: float) -> Callable:
         """sigma = mu*grad(u) + p*Id as a callable (x, y) -> (..., 2, 2)."""
@@ -107,6 +138,25 @@ def _smooth1_factor_jet(s):
             1.0 - 6.0 * s + 6.0 * s * s, 4.0 * s - 2.0]
 
 
+# the order of the stream function's jet each field needs
+_STREAM_ORDER = {"pressure": 0, "velocity": 1, "grad_velocity": 2, "g": 3}
+
+
+def _stream_fields(s, names) -> dict:
+    """u and grad u, among `names`, from the jet s of the stream function."""
+    out = {}
+    if "velocity" in names:
+        out["velocity"] = _curl(s)
+    if "grad_velocity" in names:
+        out["grad_velocity"] = _grad_curl(s)
+    return out
+
+
+def _from_joint(joint) -> LoadFunction:
+    """A LoadFunction whose four callables are views of `joint`."""
+    return LoadFunction(**{name: _View(joint, name) for name in _STREAM_ORDER})
+
+
 def smooth1(mu: float = 1.0) -> LoadFunction:
     """Divergence-free polynomial flow on the unit square, cubic pressure.
 
@@ -115,24 +165,20 @@ def smooth1(mu: float = 1.0) -> LoadFunction:
     """
     mu = float(mu)
 
-    def stream(x, y, keys):
+    def joint(x, y, names):
         x, y = _xy(x, y)
+        order = max(_STREAM_ORDER[name] for name in names)
         fx, fy = _smooth1_factor_jet(x), _smooth1_factor_jet(y)
-        return {(i, j): fx[i] * fy[j] for i, j in keys}
+        s = {(i, j): fx[i] * fy[j] for i, j in _jet_keys(order)}
+        out = _stream_fields(s, names)
+        if "g" in names:
+            g1, g2 = _minus_lap_curl(s)
+            out["g"] = np.stack([mu * g1 - 3.0 * x * x, mu * g2], axis=-1)
+        if "pressure" in names:
+            out["pressure"] = x ** 3 - 0.25
+        return out
 
-    def pressure(x, y):
-        x, _ = _xy(x, y)
-        return x ** 3 - 0.25
-
-    def g(x, y):
-        g1, g2 = _minus_lap_curl(stream(x, y, _JET3))
-        x, _ = _xy(x, y)
-        return np.stack([mu * g1 - 3.0 * x * x, mu * g2], axis=-1)
-
-    return LoadFunction(
-        g=g, velocity=lambda x, y: _curl(stream(x, y, _JET1)),
-        grad_velocity=lambda x, y: _grad_curl(stream(x, y, _JET2)),
-        pressure=pressure)
+    return _from_joint(joint)
 
 
 def constant_load(gx: float = 1.0, gy: float = 0.0) -> LoadFunction:
@@ -231,12 +277,6 @@ def _lshape_points(x, y):
     return x, y, r, t
 
 
-def _lshape_unit_pressure(x, y):
-    """p = -B p_std for mu = 1."""
-    x, y, r, t = _lshape_points(x, y)
-    return -_bubble_jet(x, y, 0)[0, 0] * _corner(x, y, r, t, ["p"])["p"]
-
-
 def lshape_singular(mu: float = 1.0) -> LoadFunction:
     """Manufactured corner singularity on the L-shaped domain (u ~ r^0.544).
 
@@ -251,39 +291,132 @@ def lshape_singular(mu: float = 1.0) -> LoadFunction:
     (x, y) -> (-y, -x), which maps the L-shape onto itself, so its mean is
     exactly zero.
 
-    Each field takes the Leibniz product of the jets of B and Phi to the
-    order it needs: 1 for u, 2 for grad u, 3 for g. In
-    g = -mu Lap(curl S) + mu grad(B p_std) the terms with no derivative on
-    B sum to mu B (-Lap(curl Phi) + grad(p_std)), which is identically 0
-    (Phi and p_std solve Stokes), so they are left out: they are r^(a-2)
-    sized terms that would cancel in floating point. What is left is
-    bounded (g ~ r^a at the corner) and accurate at any radius.
+    One pass serves every field asked for: the points, B's jet to the
+    highest order a field needs (1 for u, 2 for grad u, 3 for g; its lower
+    entries do not depend on that order) and Phi's jet and p_std from one
+    set of corner powers. In g = -mu Lap(curl S) + mu grad(B p_std) the
+    terms with no derivative on B sum to mu B (-Lap(curl Phi) +
+    grad(p_std)), which is identically 0 (Phi and p_std solve Stokes), so
+    they are left out: they are r^(a-2) sized terms that would cancel in
+    floating point. What is left is bounded (g ~ r^a at the corner) and
+    accurate at any radius, and needs Phi's jet to order 2 only.
     """
     mu = float(mu)
 
-    def stream(x, y, keys):
+    def joint(x, y, names):
         x, y, r, t = _lshape_points(x, y)
-        order = sum(keys[0])
-        return _jet_mul(_bubble_jet(x, y, order),
-                        _corner(x, y, r, t, _jet_keys(order)), keys)
+        order = max(_STREAM_ORDER[name] for name in names)
+        b = _bubble_jet(x, y, order)
+        keys = _jet_keys(min(order, 2)) if order else []
+        with_p = "g" in names or "pressure" in names
+        phi = _corner(x, y, r, t, keys + ["p"] if with_p else keys)
+        pstd = phi.pop("p", None)
+        out = _stream_fields(_jet_mul(
+            b, phi, (_JET1 if "velocity" in names else [])
+            + (_JET2 if "grad_velocity" in names else [])), names)
+        if "pressure" in names:
+            out["pressure"] = mu * (-b[0, 0] * pstd)
+        if "g" in names:
+            # B * (pure corner residual) = 0
+            rest = {key: v for key, v in b.items() if key != (0, 0)}
+            g1, g2 = _minus_lap_curl(_jet_mul(rest, phi, _JET3))
+            out["g"] = mu * np.stack([b[1, 0] * pstd + g1,
+                                      b[0, 1] * pstd + g2], axis=-1)
+        return out
 
-    def pressure(x, y):
-        return mu * _lshape_unit_pressure(x, y)
+    return _from_joint(joint)
 
-    def g(x, y):
-        x, y, r, t = _lshape_points(x, y)
-        b = _bubble_jet(x, y, 3)
-        phi = _corner(x, y, r, t, _jet_keys(2) + ["p"])
-        pstd = phi.pop("p")
-        b.pop((0, 0))                 # B * (pure corner residual) = 0
-        g1, g2 = _minus_lap_curl(_jet_mul(b, phi, _JET3))
-        return mu * np.stack([b[1, 0] * pstd + g1, b[0, 1] * pstd + g2],
-                             axis=-1)
 
-    return LoadFunction(
-        g=g, velocity=lambda x, y: _curl(stream(x, y, _JET1)),
-        grad_velocity=lambda x, y: _grad_curl(stream(x, y, _JET2)),
-        pressure=pressure)
+# ---------------------------------------------------------------------------
+# one record of a load's values per mesh
+
+class PointValues:
+    """A load's values on one mesh, each part evaluated on first use:
+    `at_midpoints`, g at the edge midpoints (the load vector), and
+    `at_points`, g and, with an exact solution, grad u and p at the
+    degree-4 points (`quad.DEG4_BARY`), as {field name: array}.
+    `volume_terms` are the per-element integrals the estimator takes from
+    g.
+
+    `prev` is the record of the mesh that `bisect` refined `mesh` from, or
+    None. With it, a part copies the rows that `bisect` kept: an element
+    that is its parent's only child has its parent's vertex triple, and an
+    edge between two old vertices is an old edge (the edge map of
+    `mesh.lineage[0]`). Only the new elements and edges are evaluated, and
+    the values equal a full evaluation bit for bit.
+    """
+
+    def __init__(self, mesh, load: LoadFunction,
+                 prev: PointValues | None = None):
+        self.mesh, self.load = mesh, load
+        # the previous record's evaluated parts and vertex count; a part
+        # drops its entry once it is built
+        self._carry, self._old_vertices = {}, 0
+        if prev is not None:
+            if prev.load is not load or not mesh.lineage \
+                    or mesh.lineage[0][0] != prev.mesh.token:
+                raise ValueError("prev is not the record of the same load "
+                                 "on the mesh bisect refined this one from")
+            self._carry = {part: vars(prev)[part] for part in
+                           ("at_midpoints", "at_points") if part in vars(prev)}
+            self._old_vertices = prev.mesh.num_vertices
+
+    def _evaluate(self, part, source, points, names) -> dict:
+        """The fields `names` at `points(rows)` for every row; with the
+        previous record's `part`, a row whose `source` row there is >= 0 is
+        copied and only the others are evaluated."""
+        carried = self._carry.pop(part, None)
+        if carried is None:
+            return self.load.evaluate(*points(slice(None)), names)
+        kept = source >= 0
+        new = np.flatnonzero(~kept)
+        fresh = self.load.evaluate(*points(new), names)
+        out = {}
+        for name in names:
+            out[name] = np.empty(source.shape + fresh[name].shape[1:])
+            out[name][kept] = carried[name][source[kept]]
+            out[name][new] = fresh[name]
+        return out
+
+    @cached_property
+    def at_midpoints(self) -> dict:
+        mesh = self.mesh
+        source = None
+        if "at_midpoints" in self._carry:
+            # a < b in every edge, so an edge is old iff b is an old vertex
+            source = np.where(mesh.edges[:, 1] < self._old_vertices,
+                              mesh.lineage[0][2], -1)
+
+        def points(rows):
+            mids = mesh.edge_midpoints()[rows]
+            return mids[:, 0], mids[:, 1]
+        return self._evaluate("at_midpoints", source, points, ("g",))
+
+    @cached_property
+    def at_points(self) -> dict:
+        mesh = self.mesh
+        source = None
+        if "at_points" in self._carry:
+            parent = mesh.lineage[0][1]
+            only = np.bincount(parent)[parent] == 1
+            source = np.where(only, parent, -1)
+
+        def points(rows):
+            pts = quad.tri_points(mesh, quad.DEG4_BARY, rows)
+            return pts[..., 0], pts[..., 1]
+        names = ("g", "grad_velocity", "pressure") if self.load.has_exact \
+            else ("g",)
+        return self._evaluate("at_points", source, points, names)
+
+    @cached_property
+    def volume_terms(self):
+        """(||g||^2_K, ||g - g_K||^2_K) per element, both from the one
+        evaluation of g in `at_points`."""
+        mesh, g = self.mesh, self.at_points["g"]          # (nt, nq, 2)
+        g_l2sq = quad.integrate_values(mesh, np.einsum("...c,...c->...", g, g))
+        g_mean = quad.integrate_values(mesh, g) / mesh.area[:, None]
+        osc_sq = g_l2sq - mesh.area * np.einsum("tc,tc->t", g_mean, g_mean)
+        return g_l2sq, np.maximum(osc_sq, 0.0)
 
 
 def get_solution(name: str, mu: float = 1.0) -> LoadFunction:

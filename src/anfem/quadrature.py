@@ -13,9 +13,10 @@ DEG4_BARY = np.array([
 DEG4_WEIGHTS = np.array([0.109951743655322] * 3 + [0.223381589678011] * 3)
 
 
-def tri_points(mesh, bary):
-    """Physical quadrature points, shape (nt, nq, 2)."""
-    corners = mesh.vertices[mesh.triangles]         # (nt, 3, 2)
+def tri_points(mesh, bary, elements=slice(None)):
+    """Physical quadrature points of `elements` (all by default), shape
+    (nt, nq, 2)."""
+    corners = mesh.vertices[mesh.triangles[elements]]   # (nt, 3, 2)
     return np.einsum("qi,tid->tqd", bary, corners)
 
 

@@ -4,8 +4,10 @@ Velocity dofs: two components per interior edge (edge-mean values); boundary
 edge means are zero and carry no dof.  `interior_dofs` and `edge_values` are
 the only code that knows this layout.  Pressure: one value per element.
 Assembly scatters each element's entries straight onto the interior dofs,
-dropping those of boundary edges, and evaluates the load once per edge
-midpoint.
+dropping those of boundary edges, and takes g at the edge midpoints from
+the mesh's `PointValues` record (built here when the caller passes none);
+the error norms take the exact grad u and p at the degree-4 points from
+the same record.
 
 The solve is augmented-Lagrangian Uzawa iteration (Fortin & Glowinski 1983):
 with the diagonal P0 mass matrix M_p and r = 1e6 * mu it factors the SPD
@@ -29,7 +31,7 @@ import scipy.sparse.linalg as spla
 
 from . import quadrature as quad
 from .mesh import Triangulation
-from .problems import LoadFunction
+from .problems import LoadFunction, PointValues
 
 
 class SolverError(RuntimeError):
@@ -73,13 +75,19 @@ class DiscreteSolution:
     # SuperLU leaves out entries that cancel to exactly 0, so it moves with
     # round-off on the same pattern and is not comparable across commits
     lu_fill: int
-    residual: float               # gated saddle residual / max(||F||, 1)
+    # the gated saddle residual / max(||F||, 1): round-off sized (about
+    # 1e-15), so it moves with the order of the floating-point operations
+    # and is not comparable across commits
+    residual: float
 
 
 def assemble_saddle(mesh: Triangulation, load: LoadFunction,
-                    mu: float = 1.0) -> SaddleSystem:
+                    mu: float = 1.0,
+                    values: PointValues | None = None) -> SaddleSystem:
     """A, B and F scattered straight onto the interior dofs: entries of the
-    per-edge dofs of boundary edges (whose means are zero) are dropped."""
+    per-edge dofs of boundary edges (whose means are zero) are dropped.
+    `values` is the mesh's record of `load`'s values, if the caller keeps
+    one."""
     if not (np.isfinite(mu) and mu > 0):
         raise ValueError(f"viscosity mu must be positive and finite, got {mu}")
     nt, nu = mesh.num_triangles, num_velocity_dofs(mesh)
@@ -107,8 +115,8 @@ def assemble_saddle(mesh: Triangulation, load: LoadFunction,
 
     # load vector by the edge-midpoint rule, psi_i(m_j) = delta_ij, with g
     # evaluated once per edge
-    mids = mesh.edge_midpoints()                                # (ne, 2)
-    gvals = load.g(mids[:, 0], mids[:, 1])[mesh.tri_edges]     # (nt, 3, 2)
+    values = values or PointValues(mesh, load)
+    gvals = values.at_midpoints["g"][mesh.tri_edges]            # (nt, 3, 2)
     F = np.bincount(edof[on], minlength=nu, weights=(
         (mesh.area / 3.0)[:, None, None] * gvals)[on])
 
@@ -221,26 +229,27 @@ def broken_grad_norm_sq(mesh: Triangulation, u: np.ndarray) -> float:
 
 
 def velocity_error_sq(sol: DiscreteSolution, load: LoadFunction,
-                      grad_u: np.ndarray | None = None) -> float:
-    """Broken H1 seminorm error squared, degree-4 quadrature. `grad_u` is the
-    exact gradient at the rule's points (`quad.values_at`) if the caller has
-    evaluated it already."""
+                      values: PointValues | None = None,
+                      grads: np.ndarray | None = None) -> float:
+    """Broken H1 seminorm error squared, degree-4 quadrature. `values` is
+    the mesh's record of `load`'s values and `grads` the solution's
+    `cr_gradients`, if the caller has them."""
     mesh = sol.mesh
-    if grad_u is None:
-        grad_u = quad.values_at(mesh, load.grad_velocity)   # (nt, nq, 2, 2)
-    diff = grad_u - cr_gradients(mesh, sol.u)[:, None, :, :]
+    values = values or PointValues(mesh, load)
+    if grads is None:
+        grads = cr_gradients(mesh, sol.u)
+    diff = values.at_points["grad_velocity"] - grads[:, None, :, :]
     per_pt = np.einsum("tqij,tqij->tq", diff, diff)
     return float((mesh.area * (per_pt @ quad.DEG4_WEIGHTS)).sum())
 
 
 def pressure_error_sq(sol: DiscreteSolution, load: LoadFunction,
-                      p: np.ndarray | None = None) -> float:
-    """L2 pressure error squared, degree-4 quadrature; `p` as `grad_u` in
+                      values: PointValues | None = None) -> float:
+    """L2 pressure error squared, degree-4 quadrature; `values` as in
     `velocity_error_sq`."""
     mesh = sol.mesh
-    if p is None:
-        p = quad.values_at(mesh, load.pressure)
-    diff = (p - sol.p[:, None]) ** 2
+    values = values or PointValues(mesh, load)
+    diff = (values.at_points["pressure"] - sol.p[:, None]) ** 2
     return float((mesh.area * (diff @ quad.DEG4_WEIGHTS)).sum())
 
 

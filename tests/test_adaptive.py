@@ -8,10 +8,10 @@ import anfem.adaptive
 from anfem import quadrature as quad
 from anfem.adaptive import (IterationRecord, LoopParams, MarkingError,
                             anfem_loop, dorfler_mark, rate_fit, uniform_trace)
-from anfem.domains import unit_square
+from anfem.domains import l_shape, unit_square
 from anfem.estimator import EstimatorReport
 from anfem.mesh import bisect
-from anfem.problems import get_solution
+from anfem.problems import PointValues, get_solution
 
 
 def fake_report(eta_sq):
@@ -194,8 +194,10 @@ def test_loop_ends_at_its_last_solve(monkeypatch):
 
 
 def test_loop_evaluates_exact_solution_once_per_mesh():
-    """grad u and p are evaluated once per solve, at the degree-4 points,
-    for both the errors and the quasi-orthogonality monitors."""
+    """grad u and p are evaluated once per element lineage, at the degree-4
+    points, for both the errors and the quasi-orthogonality monitors: on
+    every element of the first mesh, then on each element bisect creates
+    (an element that is its parent's only child keeps its values)."""
     load = get_solution("smooth1")
     calls = []
 
@@ -212,11 +214,41 @@ def test_loop_evaluates_exact_solution_once_per_mesh():
         pressure=counted("pressure"))
     trace = anfem_loop(unit_square(2), counted_load,
                        LoopParams(theta=0.5, max_iterations=4))
+    # the loop's bisections, oldest first
+    steps = trace.final_solution.mesh.lineage[:len(trace.records) - 1]
+    created = [int(np.count_nonzero(np.bincount(parent)[parent] > 1))
+               for _, parent, _ in reversed(steps)]
+    assert all(0 < n < r.nelems for n, r in zip(created, trace.records[1:]))
     nq = len(quad.DEG4_WEIGHTS)
-    assert calls == [(name, (r.nelems, nq)) for r in trace.records
+    assert calls == [(name, (n, nq))
+                     for n in [trace.records[0].nelems] + created
                      for name in ("grad_velocity", "pressure")]
     for name in ("qo_velocity", "qo_pressure"):
         assert np.isfinite(trace.column(name)[1:]).all()
+
+
+def test_carried_record_equals_full_evaluation(monkeypatch):
+    """On every mesh of an L-shape loop, the record built from the previous
+    mesh's record equals a fresh evaluation of every point bit for bit."""
+    records = []
+
+    class Recorded(PointValues):
+        def __init__(self, mesh, load, prev=None):
+            super().__init__(mesh, load, prev)
+            records.append((self, prev is not None))
+
+    monkeypatch.setattr(anfem.adaptive, "PointValues", Recorded)
+    load = get_solution("lshape_singular")
+    anfem_loop(l_shape(), load, LoopParams(theta=0.3, max_iterations=12,
+                                           check_reduction=False))
+    assert [carried for _, carried in records] == [False] + [True] * 11
+    for values, _ in records:
+        fresh = PointValues(values.mesh, load)
+        for part in ("at_midpoints", "at_points"):
+            got, ref = getattr(values, part), getattr(fresh, part)
+            assert sorted(got) == sorted(ref)
+            for name in ref:
+                assert np.array_equal(got[name], ref[name]), (part, name)
 
 
 def test_uniform_trace_checks_solver_invariants(monkeypatch):

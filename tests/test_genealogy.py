@@ -142,6 +142,27 @@ def test_geometric_check_rejects_moved_vertices():
         ancestor_map(coarse, moved)
 
 
+def test_geometric_check_rejects_moved_kept_and_new_vertices():
+    """Kept elements skip the barycentric check only while their corner
+    coordinates are their ancestor's: moving the vertices of a mesh that
+    kept every element, or only the new vertices of a bisection, is still
+    found."""
+    coarse = unit_square(2)
+    kept_all = bisect(coarse, [])
+    moved = Triangulation(kept_all.vertices + 0.25, kept_all.triangles,
+                          lineage=kept_all.lineage)
+    with pytest.raises(MeshError):
+        ancestor_map(coarse, moved)
+    fine = bisect(coarse, [3])
+    kept = np.bincount(fine.parent)[fine.parent] == 1
+    assert kept.any() and not kept.all()
+    vertices = fine.vertices.copy()
+    vertices[coarse.num_vertices:] += [0.01, 0.013]
+    moved = Triangulation(vertices, fine.triangles, lineage=fine.lineage)
+    with pytest.raises(MeshError):
+        ancestor_map(coarse, moved)
+
+
 def test_bisect_rejects_non_integer_marks():
     tri = unit_square(1)
     with pytest.raises(MeshError):        # a mask is not a list of ids

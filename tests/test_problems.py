@@ -1,11 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from anfem import quadrature as quad
 from anfem.domains import l_shape
-from anfem.mesh import uniform_refine
-from anfem.problems import (LSHAPE_ALPHA, constant_load, get_solution,
-                            lshape_singular, smooth1)
+from anfem.mesh import bisect, uniform_refine
+from anfem.problems import (LSHAPE_ALPHA, PointValues, constant_load,
+                            get_solution, lshape_singular, smooth1)
 from oracles import (lshape_singular_expressions, mp_evaluate,
                      smooth1_expressions)
 
@@ -197,3 +199,60 @@ def test_smooth1_matches_oracle(mu):
         ref = mp_evaluate(symbols, exprs[field], x, y)
         got = getattr(load, field)(x, y)
         assert _relative_errors(got, ref).max() < 1e-12, field
+
+
+FIELDS = ("g", "velocity", "grad_velocity", "pressure")
+
+
+@pytest.mark.parametrize("name", ["smooth1", "lshape_singular"])
+def test_joint_pass_equals_separate_callables(name):
+    """The joint pass gives every field bit for bit as its own callable
+    does, at random points, at the reentrant corner r = 0 and at r = 1e-8."""
+    load = get_solution(name)
+    rng = np.random.default_rng(8)
+    t = np.linspace(0.05, 1.5 * np.pi - 0.05, 5)
+    x = np.concatenate([rng.uniform(-1.0, 1.0, 40), [0.0], 1e-8 * np.cos(t)])
+    y = np.concatenate([rng.uniform(-1.0, 1.0, 40), [0.0], 1e-8 * np.sin(t)])
+    alone = {field: getattr(load, field)(x, y) for field in FIELDS}
+    for names in (FIELDS, ("g", "grad_velocity", "pressure"),
+                  ("velocity", "pressure")):
+        joint = load.evaluate(x, y, names)
+        assert sorted(joint) == sorted(names)
+        for field in names:
+            assert np.all(np.isfinite(joint[field]))
+            assert np.array_equal(joint[field], alone[field]), field
+
+
+def test_replaced_callable_is_evaluated():
+    """A callable replaced after construction, by `dataclasses.replace` or
+    by `setattr`, is the one a record evaluates; the others still come from
+    the solution's own pass."""
+    load = lshape_singular()
+    mesh = l_shape(1)
+    ref = PointValues(mesh, load)
+    doubled = dataclasses.replace(load, g=lambda x, y: 2.0 * load.g(x, y))
+    values = PointValues(mesh, doubled)
+    assert np.array_equal(values.at_points["g"], 2.0 * ref.at_points["g"])
+    assert np.array_equal(values.at_midpoints["g"],
+                          2.0 * ref.at_midpoints["g"])
+    for field in ("grad_velocity", "pressure"):
+        assert np.array_equal(values.at_points[field], ref.at_points[field])
+    patched = lshape_singular()
+    patched.pressure = lambda x, y: np.zeros(np.shape(x))
+    values = PointValues(mesh, patched)
+    assert not values.at_points["pressure"].any()
+    assert np.array_equal(values.at_points["g"], ref.at_points["g"])
+
+
+def test_record_rejects_foreign_previous_record():
+    """A record carries values only from the record of the same load on the
+    mesh that bisect refined its own mesh from."""
+    load = smooth1()
+    coarse = l_shape()
+    values = PointValues(coarse, load)
+    fine = bisect(coarse, [0])
+    PointValues(fine, load, values)
+    for mesh, other in ((fine, smooth1()), (bisect(fine, [0]), load),
+                        (l_shape(), load)):
+        with pytest.raises(ValueError, match="prev"):
+            PointValues(mesh, other, values)

@@ -8,10 +8,10 @@ from anfem.mesh import bisect, uniform_refine
 from anfem.problems import (LoadFunction, constant_load, get_solution,
                             lshape_singular)
 from anfem.spaces import (SolverError, assemble_saddle, broken_grad_norm_sq,
-                          edge_values, galerkin_residual, interior_dofs,
-                          max_element_divergence, num_velocity_dofs,
-                          pressure_error_sq, solve, solve_saddle,
-                          velocity_error_sq)
+                          cr_gradients, edge_values, galerkin_residual,
+                          interior_dofs, max_element_divergence,
+                          num_velocity_dofs, pressure_error_sq, solve,
+                          solve_saddle, velocity_error_sq)
 from anfem import quadrature as quad, spaces
 from oracles import multiplier_solve, reference_assembly
 
@@ -61,10 +61,10 @@ def test_non_finite_load_raises_solver_error():
         solve_saddle(system)
 
 
-def corner_graded_l_shape(rounds=20):
-    """The L-shape with the elements at the reentrant corner bisected
-    `rounds` times: element sizes from about 1 down to 2^(-rounds/2)."""
-    mesh = l_shape()
+def corner_graded_l_shape(rounds=20, refine_rounds=0):
+    """`l_shape(refine_rounds)` with the elements at the reentrant corner
+    bisected `rounds` times: element sizes shrink by 2^(-rounds/2)."""
+    mesh = l_shape(refine_rounds)
     for _ in range(rounds):
         at_corner = (mesh.vertices[mesh.triangles] == 0.0).all(-1).any(-1)
         mesh = bisect(mesh, np.flatnonzero(at_corner))
@@ -78,12 +78,32 @@ def test_solve_on_corner_graded_mesh(mu):
     mesh = corner_graded_l_shape()
     system = assemble_saddle(mesh, lshape_singular(mu), mu)
     sol = solve_saddle(system)
-    _check_solve_invariants(system, sol)
+    _check_solve_invariants(system, sol, cr_gradients(mesh, sol.u))
     assert 1 <= sol.iterations <= 5
     assert sol.residual <= 1e-10 and sol.lu_fill >= system.A.nnz
     u, p = multiplier_solve(system.A, system.B, system.F, mesh.area)
     assert np.abs(sol.u - u).max() <= 1e-13 * np.abs(u).max()
     assert np.abs(sol.p - p).max() <= 1e-13 * np.abs(p).max()
+
+
+def test_divergence_gate_scales_with_each_element():
+    """On corner elements of area 1e-25 the divergence's round-off is far
+    above 1e-10 (1 + ||grad_h u||), the global bound the gate used before,
+    but stays near 1e-14 of each element's own gradient: the per-element
+    gate passes the accurate solve that the global one rejected."""
+    mesh = corner_graded_l_shape(rounds=80, refine_rounds=2)
+    assert mesh.num_triangles == 504 and mesh.area.min() < 1e-24
+    load = lshape_singular()
+    system = assemble_saddle(mesh, load, 1.0)
+    sol = solve_saddle(system)
+    assert sol.residual <= 1e-10
+    gn = np.sqrt(broken_grad_norm_sq(mesh, sol.u))
+    assert max_element_divergence(sol) > 1e-10 * (1.0 + gn)
+    G = cr_gradients(mesh, sol.u)
+    ratio = np.abs(G[:, 0, 0] + G[:, 1, 1]) / (1.0 + np.abs(G).max(
+        axis=(1, 2)))
+    assert ratio.max() < 1e-13
+    _check_solve_invariants(system, sol, G)
 
 
 @pytest.mark.parametrize("mesh", [unit_square(3), corner_graded_l_shape()],
