@@ -16,9 +16,9 @@ from .estimator import (EstimatorReport, estimate, estimate_frozen,
 from .mesh import (NestingSets, Triangulation, bisect, nesting_sets,
                    refinement_ratio, uniform_refine)
 from .problems import LoadFunction, PointValues
-from .spaces import (DiscreteSolution, assemble_saddle, cr_gradients,
-                     galerkin_residual, num_velocity_dofs, pressure_error_sq,
-                     solve_saddle, velocity_error_sq)
+from .spaces import (DiscreteSolution, assemble_saddle, galerkin_residual,
+                     num_velocity_dofs, pressure_error_sq, solve_saddle,
+                     velocity_error_sq)
 
 ESTIMATOR_REDUCTION_RHO = 1.0 - 2.0 ** -0.5
 # relative rounding allowance of the estimator-reduction check
@@ -144,15 +144,13 @@ class LoopParams:
 def _solve_level(mesh: Triangulation, load: LoadFunction,
                  values: PointValues, p: LoopParams, it: int, gamma: float):
     """Solve on `mesh`, check the solver invariants and estimate; returns the
-    solution, its `cr_gradients` (computed once per solve), the estimator
-    and the level's record (nothing marked yet). `values` is the mesh's
-    record of the load; its degree-4 part is first needed after the solve,
-    so it is built then."""
+    solution, the estimator and the level's record (nothing marked yet).
+    `values` is the mesh's record of the load; its degree-4 part is first
+    needed after the solve, so it is built then."""
     system = assemble_saddle(mesh, load, p.mu, values)
     sol = solve_saddle(system)
-    grads = cr_gradients(mesh, sol.u)
-    _check_solve_invariants(system, sol, grads)
-    report = estimate(sol, load, values, grads)
+    _check_solve_invariants(system, sol)
+    report = estimate(sol, load, values)
     rec = IterationRecord(
         iteration=it, nelems=mesh.num_triangles,
         ndofs=num_velocity_dofs(mesh) + mesh.num_triangles,
@@ -161,9 +159,9 @@ def _solve_level(mesh: Triangulation, load: LoadFunction,
         nmarked=0, gamma=gamma, solver_iterations=sol.iterations,
         lu_fill=sol.lu_fill, solver_residual=sol.residual)
     if load.has_exact:
-        rec.err_u2 = velocity_error_sq(sol, load, values, grads)
+        rec.err_u2 = velocity_error_sq(sol, load, values)
         rec.err_p2 = pressure_error_sq(sol, load, values)
-    return sol, grads, report, rec
+    return sol, report, rec
 
 
 def anfem_loop(mesh0: Triangulation, load: LoadFunction,
@@ -178,16 +176,14 @@ def anfem_loop(mesh0: Triangulation, load: LoadFunction,
     trace = AdaptiveTrace()
     mesh = mesh0
     values = PointValues(mesh, load)
-    # previous solution, its gradients and estimator, and the nesting of the
-    # current mesh in the previous one
-    prev: tuple[DiscreteSolution, np.ndarray, EstimatorReport,
-                NestingSets] | None = None
+    # previous solution and estimator, and the nesting of the current mesh
+    # in the previous one
+    prev: tuple[DiscreteSolution, EstimatorReport, NestingSets] | None = None
     prev_lam = np.nan
     gamma = 1.0
 
     for it in range(p.max_iterations):
-        sol, grads, report, rec = _solve_level(mesh, load, values, p, it,
-                                               gamma)
+        sol, report, rec = _solve_level(mesh, load, values, p, it, gamma)
         if load.has_exact:
             rec.lam = rec.err_u2 + p.gamma1 * rec.err_p2 \
                 + p.gamma2 * rec.eta_tilde2
@@ -196,7 +192,7 @@ def anfem_loop(mesh0: Triangulation, load: LoadFunction,
             prev_lam = rec.lam
 
         if prev is not None:
-            _cross_level_monitors(prev, sol, grads, values, rec)
+            _cross_level_monitors(prev, sol, values, rec)
         trace.records.append(rec)
         trace.final_solution = sol
 
@@ -211,13 +207,12 @@ def anfem_loop(mesh0: Triangulation, load: LoadFunction,
         rec.nmarked = len(marked)
         refined = bisect(mesh, marked)
         ns = nesting_sets(mesh, refined)
-        gamma = refinement_ratio(mesh, refined, ns.ancestors)
+        gamma = refinement_ratio(mesh, refined)
         values = PointValues(refined, load, values)
 
         if p.check_reduction:
             # its volume terms on `refined` are the next step's
-            frozen = estimate_frozen(sol, refined, load, values, grads,
-                                     ns.ancestors)
+            frozen = estimate_frozen(sol, refined, load, values)
             # the estimator and its volume term, reduced by the same factor
             for name, coarse, fine in (
                     ("estimator", report.eta_sq, frozen.eta_sq),
@@ -232,18 +227,18 @@ def anfem_loop(mesh0: Triangulation, load: LoadFunction,
                         f"{name} reduction violated at step {it}: "
                         f"{lhs:.16g} > {rhs:.16g}")
 
-        prev = (sol, grads, report, ns)
+        prev = (sol, report, ns)
         mesh = refined
 
     return trace
 
 
-def _check_solve_invariants(system, sol, grads):
+def _check_solve_invariants(system, sol):
     """Per element K, |div u_K| <= 1e-10 (1 + max_ij |d_j u_i|_K), from the
-    solution's `cr_gradients` `grads`: the divergence of a CR function is a
-    difference of dof values over h_K, so its round-off scales with the
-    element's own gradient, not the global norm. Then the Galerkin
-    identity."""
+    solution's gradients: the divergence of a CR function is a difference
+    of dof values over h_K, so its round-off scales with the element's own
+    gradient, not the global norm. Then the Galerkin identity."""
+    grads = sol.grads
     div = np.abs(grads[:, 0, 0] + grads[:, 1, 1])
     bound = 1e-10 * (1.0 + np.abs(grads).max(axis=(1, 2)))
     if np.any(div > bound):
@@ -256,13 +251,13 @@ def _check_solve_invariants(system, sol, grads):
         raise AssertionError(f"Galerkin identity violated: {res:.3e}")
 
 
-def _cross_level_monitors(prev, sol, grads, values, rec):
+def _cross_level_monitors(prev, sol, values, rec):
     """Constants between consecutive levels: discrete reliability, and,
     from the exact values in the mesh's record `values`, the empirical
     quasi-orthogonality constants (skipped without an exact solution)."""
-    sol_prev, grads_prev, report_prev, ns = prev
-    mesh, mu = sol.mesh, sol.mu
-    W = grads - grads_prev[ns.ancestors]     # grad(u_k - u_{k-1}) on T_k
+    sol_prev, report_prev, ns = prev
+    mesh, mu, grads = sol.mesh, sol.mu, sol.grads
+    W = grads - sol_prev.grads[ns.ancestors]  # grad(u_k - u_{k-1}) on T_k
     wnorm = float(np.sqrt((mesh.area * np.einsum(
         "tij,tij->t", W, W)).sum()))
     dp = sol.p - sol_prev.p[ns.ancestors]    # p_k - p_{k-1} on T_k
@@ -311,7 +306,7 @@ def uniform_trace(mesh0: Triangulation, load: LoadFunction,
             mesh = uniform_refine(mesh, 2)
             gamma = 2.0
         # every element is split, so there is nothing to carry
-        trace.final_solution, _, _, rec = _solve_level(
+        trace.final_solution, _, rec = _solve_level(
             mesh, load, PointValues(mesh, load), p, it, gamma)
         trace.records.append(rec)
     return trace

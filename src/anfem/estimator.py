@@ -17,9 +17,8 @@ import numpy as np
 from . import quadrature as quad
 from .mesh import Triangulation, descent_maps
 from .problems import LoadFunction, PointValues
-from .spaces import (DiscreteSolution, assemble_saddle, cr_gradients,
-                     edge_values, interior_dofs, num_velocity_dofs,
-                     spd_factor)
+from .spaces import (DiscreteSolution, assemble_saddle, edge_values,
+                     interior_dofs, num_velocity_dofs, spd_factor)
 
 
 @dataclass
@@ -75,28 +74,21 @@ def estimator_from_grads(mesh: Triangulation, grads: np.ndarray,
 
 
 def estimate(sol: DiscreteSolution, load: LoadFunction,
-             values: PointValues | None = None,
-             grads: np.ndarray | None = None) -> EstimatorReport:
-    """`values` is the mesh's record of `load`'s values and `grads` the
-    solution's `cr_gradients`, if the caller has them."""
-    if grads is None:
-        grads = cr_gradients(sol.mesh, sol.u)
-    return estimator_from_grads(sol.mesh, grads, load, values)
+             values: PointValues | None = None) -> EstimatorReport:
+    """`values` is the mesh's record of `load`'s values, if the caller keeps
+    one."""
+    return estimator_from_grads(sol.mesh, sol.grads, load, values)
 
 
 def estimate_frozen(sol_coarse: DiscreteSolution, fine: Triangulation,
-                    load: LoadFunction, values: PointValues | None = None,
-                    grads: np.ndarray | None = None,
-                    ancestors: np.ndarray | None = None) -> EstimatorReport:
+                    load: LoadFunction,
+                    values: PointValues | None = None) -> EstimatorReport:
     """Estimator of the frozen coarse solution evaluated on a fine mesh that
     descends from its mesh by bisect. `values` is the fine mesh's record,
-    `grads` the coarse solution's `cr_gradients` and `ancestors` the first
-    of `descent_maps(sol_coarse.mesh, fine)`, if the caller has them."""
-    if ancestors is None:
-        ancestors = descent_maps(sol_coarse.mesh, fine)[0]
-    if grads is None:
-        grads = cr_gradients(sol_coarse.mesh, sol_coarse.u)
-    return estimator_from_grads(fine, grads[ancestors], load, values)
+    if the caller keeps one."""
+    ancestors = descent_maps(sol_coarse.mesh, fine)[0]
+    return estimator_from_grads(fine, sol_coarse.grads[ancestors], load,
+                                values)
 
 
 def modified_eta(report: EstimatorReport, beta1: float = 1.0) -> float:

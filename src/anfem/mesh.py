@@ -341,6 +341,14 @@ def descent_maps(coarse: Triangulation, fine: Triangulation):
                     "bisect")
 
 
+def _same_corners(coarse: Triangulation, fine: Triangulation,
+                  anc: np.ndarray) -> np.ndarray:
+    """(nt_fine,) whether each fine element has the corner coordinates, in
+    order, of its coarse ancestor `anc`: an element that bisect kept."""
+    return (fine.vertices[fine.triangles]
+            == coarse.vertices[coarse.triangles[anc]]).all(axis=(1, 2))
+
+
 def ancestor_map(coarse: Triangulation, fine: Triangulation) -> np.ndarray:
     """Map each fine element to the coarse element containing it.
 
@@ -350,14 +358,31 @@ def ancestor_map(coarse: Triangulation, fine: Triangulation) -> np.ndarray:
     the barycentric solve.
     """
     anc = descent_maps(coarse, fine)[0]
-    corners = fine.vertices[fine.triangles]                  # (nt, 3, 2)
-    moved = np.flatnonzero(
-        (corners != coarse.vertices[coarse.triangles[anc]]).any(axis=(1, 2)))
+    moved = np.flatnonzero(~_same_corners(coarse, fine, anc))
     lam = barycentric(coarse, np.repeat(anc[moved], 3),
-                      corners[moved].reshape(-1, 2))
+                      fine.vertices[fine.triangles[moved]].reshape(-1, 2))
     if lam.size and lam.min() < -1e-9:
         raise MeshError("fine mesh not nested in coarse mesh")
     return anc
+
+
+def kept_rows(coarse: Triangulation, fine: Triangulation):
+    """(element source, edge source) of a fine mesh descending from
+    `coarse` by bisect: the coarse element with each fine element's corner
+    coordinates in the same order, and the coarse edge with each fine
+    edge's end coordinates, -1 for an element or edge bisect created.
+
+    The candidates come from the genealogy (`descent_maps`) and are kept
+    only where the coordinates are equal, so anything computed from a
+    kept row's points on `coarse` is, bit for bit, its value on `fine`.
+    """
+    anc, edge = descent_maps(coarse, fine)
+    on = np.flatnonzero(edge >= 0)
+    same = (fine.vertices[fine.edges[on]]
+            == coarse.vertices[coarse.edges[edge[on]]]).all(axis=(1, 2))
+    edge_src = np.full(fine.num_edges, -1, dtype=np.int64)
+    edge_src[on[same]] = edge[on[same]]
+    return np.where(_same_corners(coarse, fine, anc), anc, -1), edge_src
 
 
 def nesting_sets(coarse: Triangulation, fine: Triangulation) -> NestingSets:
@@ -381,17 +406,14 @@ def nesting_sets(coarse: Triangulation, fine: Triangulation) -> NestingSets:
                        ancestors=anc)
 
 
-def refinement_ratio(coarse: Triangulation, fine: Triangulation,
-                     ancestors: np.ndarray | None = None) -> float:
+def refinement_ratio(coarse: Triangulation, fine: Triangulation) -> float:
     """max over coarse K of max over fine T inside K of h_K / h_T.
 
     A kept element has the same vertices, hence the same h, on both meshes,
-    so without refinement the ratio is exactly 1. `ancestors` is the first
-    of `descent_maps(coarse, fine)`, if the caller has it.
+    so without refinement the ratio is exactly 1.
     """
-    if ancestors is None:
-        ancestors = descent_maps(coarse, fine)[0]
-    return float(np.max(coarse.h[ancestors] / fine.h))
+    anc = descent_maps(coarse, fine)[0]
+    return float(np.max(coarse.h[anc] / fine.h))
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from typing import Callable
 import numpy as np
 
 from . import quadrature as quad
+from .mesh import Triangulation, kept_rows
 
 
 class _View:
@@ -338,36 +339,34 @@ class PointValues:
     `volume_terms` are the per-element integrals the estimator takes from
     g.
 
-    `prev` is the record of the mesh that `bisect` refined `mesh` from, or
-    None. With it, a part copies the rows that `bisect` kept: an element
-    that is its parent's only child has its parent's vertex triple, and an
-    edge between two old vertices is an old edge (the edge map of
-    `mesh.lineage[0]`). Only the new elements and edges are evaluated, and
-    the values equal a full evaluation bit for bit.
+    `prev` is the record of the same load on a mesh that `mesh` descends
+    from by `bisect`, or None. With it, a part copies from `prev`'s (if
+    that one is built) the rows of the elements and edges whose corner
+    coordinates `bisect` kept (`kept_rows`), and evaluates only the
+    others, so the values equal a full evaluation bit for bit.
     """
 
-    def __init__(self, mesh, load: LoadFunction,
+    def __init__(self, mesh: Triangulation, load: LoadFunction,
                  prev: PointValues | None = None):
         self.mesh, self.load = mesh, load
-        # the previous record's evaluated parts and vertex count; a part
-        # drops its entry once it is built
-        self._carry, self._old_vertices = {}, 0
+        # part -> (the previous record's part, the source row there of each
+        # row here, -1 for a new one); a part drops its entry once built
+        self._carry = {}
         if prev is not None:
-            if prev.load is not load or not mesh.lineage \
-                    or mesh.lineage[0][0] != prev.mesh.token:
-                raise ValueError("prev is not the record of the same load "
-                                 "on the mesh bisect refined this one from")
-            self._carry = {part: vars(prev)[part] for part in
-                           ("at_midpoints", "at_points") if part in vars(prev)}
-            self._old_vertices = prev.mesh.num_vertices
+            if prev.load is not load:
+                raise ValueError("prev is the record of another load")
+            elements, edges = kept_rows(prev.mesh, mesh)
+            for part, source in (("at_midpoints", edges),
+                                 ("at_points", elements)):
+                if part in vars(prev):
+                    self._carry[part] = (vars(prev)[part], source)
 
-    def _evaluate(self, part, source, points, names) -> dict:
-        """The fields `names` at `points(rows)` for every row; with the
-        previous record's `part`, a row whose `source` row there is >= 0 is
-        copied and only the others are evaluated."""
-        carried = self._carry.pop(part, None)
-        if carried is None:
+    def _evaluate(self, part, points, names) -> dict:
+        """The fields `names` at `points(rows)` for every row, the carried
+        rows copied and only the others evaluated."""
+        if part not in self._carry:
             return self.load.evaluate(*points(slice(None)), names)
+        carried, source = self._carry.pop(part)
         kept = source >= 0
         new = np.flatnonzero(~kept)
         fresh = self.load.evaluate(*points(new), names)
@@ -380,33 +379,19 @@ class PointValues:
 
     @cached_property
     def at_midpoints(self) -> dict:
-        mesh = self.mesh
-        source = None
-        if "at_midpoints" in self._carry:
-            # a < b in every edge, so an edge is old iff b is an old vertex
-            source = np.where(mesh.edges[:, 1] < self._old_vertices,
-                              mesh.lineage[0][2], -1)
-
-        def points(rows):
-            mids = mesh.edge_midpoints()[rows]
-            return mids[:, 0], mids[:, 1]
-        return self._evaluate("at_midpoints", source, points, ("g",))
+        mids = self.mesh.edge_midpoints()
+        return self._evaluate(
+            "at_midpoints", lambda rows: (mids[rows, 0], mids[rows, 1]),
+            ("g",))
 
     @cached_property
     def at_points(self) -> dict:
-        mesh = self.mesh
-        source = None
-        if "at_points" in self._carry:
-            parent = mesh.lineage[0][1]
-            only = np.bincount(parent)[parent] == 1
-            source = np.where(only, parent, -1)
-
         def points(rows):
-            pts = quad.tri_points(mesh, quad.DEG4_BARY, rows)
+            pts = quad.tri_points(self.mesh, quad.DEG4_BARY, rows)
             return pts[..., 0], pts[..., 1]
         names = ("g", "grad_velocity", "pressure") if self.load.has_exact \
             else ("g",)
-        return self._evaluate("at_points", source, points, names)
+        return self._evaluate("at_points", points, names)
 
     @cached_property
     def volume_terms(self):

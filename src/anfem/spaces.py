@@ -24,6 +24,7 @@ to max(||F||, 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sparse
@@ -79,6 +80,14 @@ class DiscreteSolution:
     # 1e-15), so it moves with the order of the floating-point operations
     # and is not comparable across commits
     residual: float
+
+    @cached_property
+    def grads(self) -> np.ndarray:
+        """`cr_gradients` of u, computed on first use: the one copy the
+        checks, the estimators, the error norm and the loop's monitors
+        read. It is not recomputed, so u must not change after the first
+        read."""
+        return cr_gradients(self.mesh, self.u)
 
 
 def assemble_saddle(mesh: Triangulation, load: LoadFunction,
@@ -229,16 +238,12 @@ def broken_grad_norm_sq(mesh: Triangulation, u: np.ndarray) -> float:
 
 
 def velocity_error_sq(sol: DiscreteSolution, load: LoadFunction,
-                      values: PointValues | None = None,
-                      grads: np.ndarray | None = None) -> float:
+                      values: PointValues | None = None) -> float:
     """Broken H1 seminorm error squared, degree-4 quadrature. `values` is
-    the mesh's record of `load`'s values and `grads` the solution's
-    `cr_gradients`, if the caller has them."""
+    the mesh's record of `load`'s values, if the caller keeps one."""
     mesh = sol.mesh
     values = values or PointValues(mesh, load)
-    if grads is None:
-        grads = cr_gradients(mesh, sol.u)
-    diff = values.at_points["grad_velocity"] - grads[:, None, :, :]
+    diff = values.at_points["grad_velocity"] - sol.grads[:, None, :, :]
     per_pt = np.einsum("tqij,tqij->tq", diff, diff)
     return float((mesh.area * (per_pt @ quad.DEG4_WEIGHTS)).sum())
 
@@ -254,7 +259,7 @@ def pressure_error_sq(sol: DiscreteSolution, load: LoadFunction,
 
 
 def max_element_divergence(sol: DiscreteSolution) -> float:
-    G = cr_gradients(sol.mesh, sol.u)
+    G = sol.grads
     return float(np.abs(G[:, 0, 0] + G[:, 1, 1]).max())
 
 

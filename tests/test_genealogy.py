@@ -13,7 +13,7 @@ from scipy.spatial import Delaunay
 from anfem.counterexample import build_family
 from anfem.domains import diamond, l_shape, unit_square
 from anfem.mesh import (MeshError, Triangulation, ancestor_map, bisect,
-                        build_initial, descent_maps, nesting_sets,
+                        build_initial, descent_maps, kept_rows, nesting_sets,
                         refinement_ratio, uniform_refine)
 from oracles import (geometric_edge_map, located_ancestors, reference_bisect,
                      reference_orientation, reference_topology)
@@ -161,6 +161,28 @@ def test_geometric_check_rejects_moved_kept_and_new_vertices():
     moved = Triangulation(vertices, fine.triangles, lineage=fine.lineage)
     with pytest.raises(MeshError):
         ancestor_map(coarse, moved)
+
+
+def test_kept_rows_follow_the_coordinates():
+    """After one bisection the kept elements are the only children and the
+    kept edges those between two old vertices; moving only new vertices
+    keeps them, moving every vertex keeps none."""
+    coarse = unit_square(2)
+    fine = bisect(coarse, [3])
+    elements, edges = kept_rows(coarse, fine)
+    only = np.bincount(fine.parent)[fine.parent] == 1
+    assert np.array_equal(elements, np.where(only, fine.parent, -1))
+    old = fine.edges[:, 1] < coarse.num_vertices
+    assert np.array_equal(edges, np.where(old, fine.lineage[0][2], -1))
+    assert 0 < (elements >= 0).sum() < fine.num_triangles
+    vertices = fine.vertices.copy()
+    vertices[coarse.num_vertices:] += [0.01, 0.013]
+    moved = Triangulation(vertices, fine.triangles, lineage=fine.lineage)
+    for got, ref in zip(kept_rows(coarse, moved), (elements, edges)):
+        assert np.array_equal(got, ref)
+    moved = Triangulation(fine.vertices + 0.25, fine.triangles,
+                          lineage=fine.lineage)
+    assert all((rows == -1).all() for rows in kept_rows(coarse, moved))
 
 
 def test_bisect_rejects_non_integer_marks():

@@ -5,7 +5,7 @@ import pytest
 
 from anfem import quadrature as quad
 from anfem.domains import l_shape
-from anfem.mesh import bisect, uniform_refine
+from anfem.mesh import MeshError, Triangulation, bisect, uniform_refine
 from anfem.problems import (LSHAPE_ALPHA, PointValues, constant_load,
                             get_solution, lshape_singular, smooth1)
 from oracles import (lshape_singular_expressions, mp_evaluate,
@@ -244,15 +244,29 @@ def test_replaced_callable_is_evaluated():
     assert np.array_equal(values.at_points["g"], ref.at_points["g"])
 
 
-def test_record_rejects_foreign_previous_record():
-    """A record carries values only from the record of the same load on the
-    mesh that bisect refined its own mesh from."""
-    load = smooth1()
-    coarse = l_shape()
+def test_record_carries_only_unmoved_rows():
+    """A record carries values from the record of the same load on any mesh
+    its own descends from by bisect, and only rows whose points did not
+    move: a mesh with bisect's genealogy but moved vertices still gets the
+    values of a fresh evaluation. Another load's record, or the record of
+    a mesh that is not an ancestor, is rejected."""
+    load = lshape_singular()
+    coarse = l_shape(1)
     values = PointValues(coarse, load)
-    fine = bisect(coarse, [0])
-    PointValues(fine, load, values)
-    for mesh, other in ((fine, smooth1()), (bisect(fine, [0]), load),
-                        (l_shape(), load)):
-        with pytest.raises(ValueError, match="prev"):
-            PointValues(mesh, other, values)
+    values.at_midpoints, values.at_points
+    fine = bisect(coarse, [0, 5])
+    new_moved = fine.vertices.copy()
+    new_moved[coarse.num_vertices:] += [0.01, 0.013]
+    for mesh in (fine, bisect(fine, [0]),
+                 Triangulation(new_moved, fine.triangles, fine.lineage),
+                 Triangulation(fine.vertices + 0.25, fine.triangles,
+                               fine.lineage)):
+        carried, fresh = PointValues(mesh, load, values), PointValues(mesh,
+                                                                      load)
+        for part in ("at_midpoints", "at_points"):
+            for name, ref in getattr(fresh, part).items():
+                assert np.array_equal(getattr(carried, part)[name], ref)
+    with pytest.raises(ValueError, match="another load"):
+        PointValues(fine, lshape_singular(), values)
+    with pytest.raises(MeshError):
+        PointValues(l_shape(1), load, values)
