@@ -1,8 +1,10 @@
-"""Command-line entry point: adaptive runs, verification suites, and the
-criss-cross scaling study.  All commands are deterministic for a fixed seed.
+"""Command-line entry point with two subcommands: `adapt`, the adaptive
+loop, and `counterexample`, the criss-cross scaling study.  Both are
+deterministic.  The paper's properties are checked by the acceptance suite,
+`tests/test_acceptance.py`.
 
-Exit codes: 0 success/convergence, 1 verification failure, 2 usage error,
-3 adaptive run truncated at the element cap.
+Exit codes: 0 success/convergence, 2 usage error, 3 adaptive run truncated
+at the element cap.
 """
 
 from __future__ import annotations
@@ -12,30 +14,21 @@ import json
 import os
 import platform
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 
 import numpy as np
 import scipy
 
-from . import adaptive, counterexample, transfer
+from . import adaptive, counterexample
 from .domains import get_domain
-from .mesh import MeshError, read_mesh, uniform_refine
+from .mesh import MeshError, read_mesh
 from .problems import get_solution
 
 EXIT_OK = 0
-EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_TRUNCATED = 3
 # thread-pool sizes of the BLAS/OpenMP libraries, recorded in summary.json
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _add_shared_flags(p):
-    p.add_argument("--theta", type=float, default=0.3)
-    p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--beta1", type=float, default=1.0)
-    p.add_argument("--element-cap", type=int, default=200_000)
-    p.add_argument("--out", default=".", help="output directory")
 
 
 def build_parser():
@@ -45,7 +38,11 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_adapt = sub.add_parser("adapt", help="run the adaptive loop")
-    _add_shared_flags(p_adapt)
+    p_adapt.add_argument("--theta", type=float, default=0.3)
+    p_adapt.add_argument("--mu", type=float, default=1.0)
+    p_adapt.add_argument("--beta1", type=float, default=1.0)
+    p_adapt.add_argument("--element-cap", type=int, default=200_000)
+    p_adapt.add_argument("--out", default=".", help="output directory")
     p_adapt.add_argument("--domain", default="square",
                          choices=["square", "lshape", "diamond"])
     p_adapt.add_argument("--mesh", default=None,
@@ -56,13 +53,6 @@ def build_parser():
     p_adapt.add_argument("--solution", default="smooth1",
                          choices=["smooth1", "constant", "zero"])
     p_adapt.add_argument("--max-iterations", type=int, default=60)
-
-    p_verify = sub.add_parser("verify", help="run the property suites")
-    _add_shared_flags(p_verify)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--suite", default="all",
-                          choices=["all", "operators", "estimator",
-                                   "quasi-orthogonality", "counterexample"])
 
     p_ce = sub.add_parser("counterexample",
                           help="criss-cross scaling study")
@@ -75,8 +65,6 @@ def build_parser():
 def cmd_adapt(args, mesh0, params) -> int:
     load = get_solution(args.solution, args.mu)
     trace = adaptive.anfem_loop(mesh0, load, params)
-
-    os.makedirs(args.out, exist_ok=True)
     trace.to_csv(os.path.join(args.out, "trace.csv"))
     final = trace.records[-1]
     summary = {"schema": "anfem-summary-v2",
@@ -103,93 +91,12 @@ def cmd_adapt(args, mesh0, params) -> int:
     return EXIT_TRUNCATED if trace.truncated else EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# verification suites
-
-
-def _suite_operators(args, params):
-    rng = np.random.default_rng(args.seed)
-    mesh = uniform_refine(get_domain("square"), 1)
-    checks = []
-    for trial in range(20):
-        a = rng.normal(size=(2, 6))
-
-        def field(x, y, a=a):
-            basis = np.stack([np.ones_like(x), x, y, x * y,
-                              np.sin(x), np.cos(y)], axis=-1)
-            return np.stack([basis @ a[0], basis @ a[1]], axis=-1)
-
-        v = transfer.conservative_interpolation(field, mesh)
-        means = transfer.edge_means_of_field(field, mesh)
-        got = v.reshape(-1, 2)
-        want = means[mesh.interior_edges]
-        checks.append(float(np.abs(got - want).max()))
-    worst = max(checks)
-    ok = worst <= 1e-12
-    return ok, f"conservative interpolation worst edge-mean defect {worst:.2e}"
-
-
-def _suite_estimator(args, params):
-    load = get_solution("constant", params.mu)
-    try:
-        # 16 solves: the loop checks reduction at each of its 15 refinements
-        adaptive.anfem_loop(get_domain("lshape"), load,
-                            replace(params, max_iterations=16))
-    except AssertionError as exc:
-        return False, f"estimator reduction failed: {exc}"
-    return True, "estimator reduction held on 15 refinement steps"
-
-
-def _suite_qo(args, params):
-    load = get_solution("smooth1", params.mu)
-    trace = adaptive.anfem_loop(get_domain("square"), load,
-                                replace(params, max_iterations=12))
-    qv = trace.column("qo_velocity")
-    qp = trace.column("qo_pressure")
-    vals = np.concatenate([qv[np.isfinite(qv)], qp[np.isfinite(qp)]])
-    if len(vals) == 0:
-        return False, "no quasi-orthogonality constants recorded"
-    ok = bool(np.all(np.isfinite(vals)))
-    return ok, (f"quasi-orthogonality constants in "
-                f"[{vals.min():.3g}, {vals.max():.3g}]")
-
-
-def _suite_counterexample(args, params):
-    fam = counterexample.build_family(11)
-    nodal = counterexample.build_test_pair(fam)
-    got = counterexample.boundary_sum(fam, nodal)
-    want = counterexample.closed_form(11)
-    ok = abs(got - want) <= 1e-10
-    return ok, f"boundary sum {got:.12g} vs closed form {want:.12g}"
-
-
-def cmd_verify(args, params) -> int:
-    suites = {"operators": _suite_operators,
-              "estimator": _suite_estimator,
-              "quasi-orthogonality": _suite_qo,
-              "counterexample": _suite_counterexample}
-    names = list(suites) if args.suite == "all" else [args.suite]
-    report = []
-    failed = False
-    for name in names:
-        ok, msg = suites[name](args, params)
-        report.append({"suite": name, "pass": bool(ok), "detail": msg})
-        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {msg}")
-        failed |= not ok
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "verify.json"), "w") as f:
-        json.dump({"schema": "anfem-verify-v1", "suites": report}, f,
-                  indent=2)
-    return EXIT_VERIFY_FAILED if failed else EXIT_OK
-
-
 def cmd_counterexample(args) -> int:
     try:        # scaling_study and build_family validate the grid parameters
         study = counterexample.scaling_study(args.n)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "counterexample.csv")
     with open(path, "w") as f:
         f.write("anfem-counterexample-v1\n")
@@ -206,21 +113,28 @@ def cmd_counterexample(args) -> int:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    if args.command == "adapt":
+        # LoopParams checks every loop parameter that adapt takes
+        given = {f.name: getattr(args, f.name)
+                 for f in fields(adaptive.LoopParams)
+                 if hasattr(args, f.name)}
+        try:
+            params = adaptive.LoopParams(**given)
+        except ValueError as exc:
+            ap.error(str(exc))
+        try:
+            mesh0 = (read_mesh(args.mesh) if args.mesh
+                     else get_domain(args.domain))
+        except (MeshError, OSError) as exc:
+            ap.error(f"--mesh: {exc}")
+    # made before the run, so that a path that cannot be a directory is a
+    # usage error and not a traceback after the work is done
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        ap.error(f"--out: {exc}")
     if args.command == "counterexample":
         return cmd_counterexample(args)
-    # LoopParams checks every loop parameter the subcommand was given
-    given = {f.name: getattr(args, f.name)
-             for f in fields(adaptive.LoopParams) if hasattr(args, f.name)}
-    try:
-        params = adaptive.LoopParams(**given)
-    except ValueError as exc:
-        ap.error(str(exc))
-    if args.command == "verify":
-        return cmd_verify(args, params)
-    try:
-        mesh0 = read_mesh(args.mesh) if args.mesh else get_domain(args.domain)
-    except (MeshError, OSError) as exc:
-        ap.error(f"--mesh: {exc}")
     return cmd_adapt(args, mesh0, params)
 
 

@@ -31,7 +31,9 @@ DELETED = ("MarkingParams", "ContractionParams", "FineFunction", "patches",
            "residual_functional", "pairing_constant", "_pairing",
            "write_mesh", "p1_to_cr", "contraction_monitor", "zero_load",
            "cr_values", "broken_div", "classify_fine_edges",
-           "coarse_jump_term")
+           "coarse_jump_term", "cmd_verify", "EXIT_VERIFY_FAILED",
+           "_suite_operators", "_suite_estimator", "_suite_qo",
+           "_suite_counterexample")
 # (class, attribute) pairs deleted from the public classes
 DELETED_MEMBERS = (("counterexample.CrissCrossFamily", "coarse"),
                    ("mesh.Triangulation", "min_angle"),

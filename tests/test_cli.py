@@ -58,8 +58,8 @@ def test_adapt_bad_loop_flag_exits_2(tmp_path, flag, value):
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", "--domain", "lshape"], ["adapt", "--seed", "1"],
-    ["adapt", "--dof-cap", "20"]])
+    ["counterexample", "--theta", "0.3"], ["adapt", "--seed", "1"],
+    ["adapt", "--dof-cap", "20"], ["verify"]])
 def test_subcommand_rejects_flags_it_does_not_read(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(tmp_path)])
@@ -118,16 +118,24 @@ def test_adapt_truncation_exit_code(tmp_path):
     assert summary["truncated"]
 
 
-def test_verify_counterexample_suite(tmp_path, capsys):
-    rc = main(["verify", "--suite", "counterexample", "--out", str(tmp_path)])
-    assert rc == EXIT_OK
-    assert "[PASS] counterexample" in capsys.readouterr().out
-    report = json.loads((tmp_path / "verify.json").read_text())
-    assert report["schema"] == "anfem-verify-v1"
-    assert report["suites"][0]["pass"] is True
+# a file where the output directory should be, or below it: exit 2 before the
+# run, not a traceback after it
+@pytest.mark.parametrize("command", [
+    ["adapt", "--max-iterations", "1"], ["counterexample"]],
+    ids=["adapt", "counterexample"])
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-file"])
+def test_out_not_a_directory_exits_2_before_the_run(tmp_path, capsys,
+                                                     monkeypatch, command,
+                                                     sub):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
 
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started")
 
-def test_verify_operators_suite(tmp_path, capsys):
-    rc = main(["verify", "--suite", "operators", "--out", str(tmp_path)])
-    assert rc == EXIT_OK
-    assert "[PASS] operators" in capsys.readouterr().out
+    monkeypatch.setattr("anfem.adaptive.anfem_loop", no_run)
+    monkeypatch.setattr("anfem.counterexample.scaling_study", no_run)
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--out", str(blocker / sub)])
+    assert exc.value.code == EXIT_USAGE
+    assert "--out" in capsys.readouterr().err
