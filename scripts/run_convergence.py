@@ -9,7 +9,6 @@ import numpy as np
 from anfem import (consistency_error, estimate, get_solution, solve,
                    unit_square)
 from anfem.mesh import uniform_refine
-from anfem.problems import PointValues
 from anfem.spaces import pressure_error_sq, velocity_error_sq
 
 
@@ -25,14 +24,14 @@ def main():
           f"{'eta':>12} {'consis':>12}")
     prev = None
     for _ in range(args.levels):
+        # the solution carries one evaluation of g, grad u and p, which the
+        # estimator, the errors and the consistency error share
         sol = solve(mesh, load, args.mu)
-        # one evaluation of g, grad u and p for the estimator and the errors
-        values = PointValues(mesh, load)
-        report = estimate(sol, load, values)
-        err_u = np.sqrt(velocity_error_sq(sol, load, values))
-        err_p = np.sqrt(pressure_error_sq(sol, load, values))
+        report = estimate(sol)
+        err_u = np.sqrt(velocity_error_sq(sol))
+        err_p = np.sqrt(pressure_error_sq(sol))
         eta = np.sqrt(report.total_eta_sq)
-        consis = consistency_error(load.stress(args.mu), mesh, load)
+        consis = consistency_error(sol)
         h = mesh.h.max()
         row = (err_u, err_p, eta, consis)
         print(f"{mesh.num_triangles:>8} {h:>10.4g} " +

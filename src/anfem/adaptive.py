@@ -141,16 +141,16 @@ class LoopParams:
                     f"{name} must be an integer >= 1, got {value!r}")
 
 
-def _solve_level(mesh: Triangulation, load: LoadFunction,
-                 values: PointValues, p: LoopParams, it: int, gamma: float):
-    """Solve on `mesh`, check the solver invariants and estimate; returns the
-    solution, the estimator and the level's record (nothing marked yet).
-    `values` is the mesh's record of the load; its degree-4 part is first
-    needed after the solve, so it is built then."""
-    system = assemble_saddle(mesh, load, p.mu, values)
+def _solve_level(values: PointValues, p: LoopParams, it: int, gamma: float):
+    """Solve the load of the record `values` on its mesh, check the solver
+    invariants and estimate; returns the solution, the estimator and the
+    level's record (nothing marked yet). The record's degree-4 part is
+    first needed after the solve, so it is built then."""
+    mesh = values.mesh
+    system = assemble_saddle(mesh, values.load, p.mu, values)
     sol = solve_saddle(system)
     _check_solve_invariants(system, sol)
-    report = estimate(sol, load, values)
+    report = estimate(sol)
     rec = IterationRecord(
         iteration=it, nelems=mesh.num_triangles,
         ndofs=num_velocity_dofs(mesh) + mesh.num_triangles,
@@ -158,9 +158,9 @@ def _solve_level(mesh: Triangulation, load: LoadFunction,
         osc2=report.total_osc_sq, vol2=report.total_vol_sq,
         nmarked=0, gamma=gamma, solver_iterations=sol.iterations,
         lu_fill=sol.lu_fill, solver_residual=sol.residual)
-    if load.has_exact:
-        rec.err_u2 = velocity_error_sq(sol, load, values)
-        rec.err_p2 = pressure_error_sq(sol, load, values)
+    if values.load.has_exact:
+        rec.err_u2 = velocity_error_sq(sol)
+        rec.err_p2 = pressure_error_sq(sol)
     return sol, report, rec
 
 
@@ -183,7 +183,7 @@ def anfem_loop(mesh0: Triangulation, load: LoadFunction,
     gamma = 1.0
 
     for it in range(p.max_iterations):
-        sol, report, rec = _solve_level(mesh, load, values, p, it, gamma)
+        sol, report, rec = _solve_level(values, p, it, gamma)
         if load.has_exact:
             rec.lam = rec.err_u2 + p.gamma1 * rec.err_p2 \
                 + p.gamma2 * rec.eta_tilde2
@@ -192,7 +192,7 @@ def anfem_loop(mesh0: Triangulation, load: LoadFunction,
             prev_lam = rec.lam
 
         if prev is not None:
-            _cross_level_monitors(prev, sol, values, rec)
+            _cross_level_monitors(prev, sol, rec)
         trace.records.append(rec)
         trace.final_solution = sol
 
@@ -212,7 +212,7 @@ def anfem_loop(mesh0: Triangulation, load: LoadFunction,
 
         if p.check_reduction:
             # its volume terms on `refined` are the next step's
-            frozen = estimate_frozen(sol, refined, load, values)
+            frozen = estimate_frozen(sol, values)
             # the estimator and its volume term, reduced by the same factor
             for name, coarse, fine in (
                     ("estimator", report.eta_sq, frozen.eta_sq),
@@ -251,9 +251,9 @@ def _check_solve_invariants(system, sol):
         raise AssertionError(f"Galerkin identity violated: {res:.3e}")
 
 
-def _cross_level_monitors(prev, sol, values, rec):
+def _cross_level_monitors(prev, sol, rec):
     """Constants between consecutive levels: discrete reliability, and,
-    from the exact values in the mesh's record `values`, the empirical
+    from the exact values in the solution's record, the empirical
     quasi-orthogonality constants (skipped without an exact solution)."""
     sol_prev, report_prev, ns = prev
     mesh, mu, grads = sol.mesh, sol.mu, sol.grads
@@ -265,9 +265,9 @@ def _cross_level_monitors(prev, sol, values, rec):
     # (A3): ||u_k - u_{k-1}|| + ||p_k - p_{k-1}|| <= C eta_{k-1}(R_k)
     den = np.sqrt(float(report_prev.eta_sq[ns.neighborhood].sum()))
     rec.drel = (wnorm + dpnorm) / den if den > 0 else np.nan
-    if not values.load.has_exact:
+    if not sol.values.load.has_exact:
         return
-    exact = values.at_points
+    exact = sol.values.at_points
     vol_refined = float(report_prev.vol_sq[ns.refined].sum())
     # a_k(u - u_k, u_k - u_{k-1}), grad w element-wise constant
     a_exact = float(np.einsum("tij,tij->", quad.integrate_values(
@@ -296,6 +296,8 @@ def uniform_trace(mesh0: Triangulation, load: LoadFunction,
     """Solve on `levels` meshes, each two uniform bisection rounds (four
     times the elements) finer than the one before, with the adaptive loop's
     checks."""
+    if levels < 1:
+        raise ValueError(f"levels must be >= 1, got {levels}")
     trace = AdaptiveTrace(converged=True)
     mesh = mesh0
     p = LoopParams()          # the default mu and beta1
@@ -307,7 +309,7 @@ def uniform_trace(mesh0: Triangulation, load: LoadFunction,
             gamma = 2.0
         # every element is split, so there is nothing to carry
         trace.final_solution, _, rec = _solve_level(
-            mesh, load, PointValues(mesh, load), p, it, gamma)
+            PointValues(mesh, load), p, it, gamma)
         trace.records.append(rec)
     return trace
 

@@ -50,8 +50,12 @@ def build_parser():
     p_adapt.add_argument("--eps", type=float, default=1e-3)
     p_adapt.add_argument("--gamma1", type=float, default=1.0)
     p_adapt.add_argument("--gamma2", type=float, default=1.0)
-    p_adapt.add_argument("--solution", default="smooth1",
-                         choices=["smooth1", "constant", "zero"])
+    p_adapt.add_argument(
+        "--solution", default="smooth1",
+        choices=["smooth1", "constant", "zero"],
+        help="no lshape_singular: adapt always checks estimator reduction, "
+             "which fails on it at step 1; scripts/run_lshape.py runs it "
+             "with the check off")
     p_adapt.add_argument("--max-iterations", type=int, default=60)
 
     p_ce = sub.add_parser("counterexample",

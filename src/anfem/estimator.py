@@ -2,10 +2,11 @@
 
 Per element: eta_K = h_K ||g||_K + (sum_{E in dK} h_K ||[grad u tau_E]||_E^2)^{1/2}.
 Boundary edges contribute the full tangential trace (jump against zero).
-The volume terms ||g||_K and the oscillation come from the mesh's
-`PointValues` record of the load (g at the degree-4 points), so the frozen
-estimator on a refined mesh and the next step's estimator on that mesh
-share them; a caller without a record gets a fresh one.
+Each is a function of one discrete solution: the volume terms ||g||_K and
+the oscillation, and the exact stress of the consistency error, come from
+the `PointValues` record the solution carries (g, grad u and p at the
+degree-4 points). The frozen estimator takes the refined mesh's record,
+which the next step's estimator on that mesh shares.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import numpy as np
 
 from . import quadrature as quad
 from .mesh import Triangulation, descent_maps
-from .problems import LoadFunction, PointValues
+from .problems import PointValues
 from .spaces import (DiscreteSolution, assemble_saddle, edge_values,
-                     interior_dofs, num_velocity_dofs, spd_factor)
+                     interior_dofs, spd_factor)
 
 
 @dataclass
@@ -63,38 +64,36 @@ def _element_jump_sq(mesh: Triangulation, grads: np.ndarray) -> np.ndarray:
     return mesh.h * per_elem
 
 
-def estimator_from_grads(mesh: Triangulation, grads: np.ndarray,
-                         load: LoadFunction,
-                         values: PointValues | None = None) -> EstimatorReport:
-    g_l2sq, osc_raw = (values or PointValues(mesh, load)).volume_terms
+def _report(grads: np.ndarray, values: PointValues) -> EstimatorReport:
+    """The estimator of element-wise gradients `grads` on the mesh of the
+    record `values`."""
+    mesh = values.mesh
+    g_l2sq, osc_raw = values.volume_terms
     volume = mesh.h * np.sqrt(np.maximum(g_l2sq, 0.0))
     eta = volume + np.sqrt(_element_jump_sq(mesh, grads))
     return EstimatorReport(eta=eta, osc_sq=mesh.h ** 2 * osc_raw,
                            vol_sq=mesh.h ** 2 * g_l2sq)
 
 
-def estimate(sol: DiscreteSolution, load: LoadFunction,
-             values: PointValues | None = None) -> EstimatorReport:
-    """`values` is the mesh's record of `load`'s values, if the caller keeps
-    one."""
-    return estimator_from_grads(sol.mesh, sol.grads, load, values)
+def estimate(sol: DiscreteSolution) -> EstimatorReport:
+    return _report(sol.grads, sol.values)
 
 
-def estimate_frozen(sol_coarse: DiscreteSolution, fine: Triangulation,
-                    load: LoadFunction,
-                    values: PointValues | None = None) -> EstimatorReport:
+def estimate_frozen(sol_coarse: DiscreteSolution,
+                    values: PointValues) -> EstimatorReport:
     """Estimator of the frozen coarse solution evaluated on a fine mesh that
-    descends from its mesh by bisect. `values` is the fine mesh's record,
-    if the caller keeps one."""
-    ancestors = descent_maps(sol_coarse.mesh, fine)[0]
-    return estimator_from_grads(fine, sol_coarse.grads[ancestors], load,
-                                values)
+    descends from its mesh by bisect; `values` is the fine mesh's record of
+    the solved load."""
+    if values.load is not sol_coarse.values.load:
+        raise ValueError("values is the record of another load")
+    ancestors = descent_maps(sol_coarse.mesh, values.mesh)[0]
+    return _report(sol_coarse.grads[ancestors], values)
 
 
 def modified_eta(report: EstimatorReport, beta1: float = 1.0) -> float:
     """Squared modified estimator sum_K (beta1 h_K^2 ||g||^2 + eta_K^2)."""
-    if beta1 <= 0:
-        raise ValueError("beta1 must be positive")
+    if not 0.0 < beta1 < np.inf:
+        raise ValueError(f"beta1 must be positive and finite, got {beta1}")
     return float((beta1 * report.vol_sq + report.eta_sq).sum())
 
 
@@ -102,17 +101,22 @@ def modified_eta(report: EstimatorReport, beta1: float = 1.0) -> float:
 # computable consistency error
 
 
-def consistency_error(sigma, mesh: Triangulation, load: LoadFunction) -> float:
-    """Dual norm sup_v [(g,v) - (sigma, grad v)] / ||grad v|| over the CR space.
+def consistency_error(sol: DiscreteSolution) -> float:
+    """Dual norm sup_v [(g,v) - (sigma, grad v)] / ||grad v|| over the CR space
+    of the exact stress sigma = mu grad u + p I.
 
     Computed by solving (grad w, grad v) = (g, v) - (sigma, grad v) and
-    returning ||grad w||.  `sigma` is a callable (x, y) -> (..., 2, 2).
+    returning ||grad w||, with g, grad u and p from the solution's record.
     """
-    if num_velocity_dofs(mesh) == 0:
-        return 0.0
-    system = assemble_saddle(mesh, load, 1.0)
-    sigma_int = quad.integrate(
-        mesh, lambda x, y: np.asarray(sigma(x, y)))     # (nt, 2, 2)
+    values, mesh = sol.values, sol.mesh
+    if not values.load.has_exact:
+        raise ValueError("no exact solution available")
+    system = assemble_saddle(mesh, values.load, 1.0, values)
+    exact = values.at_points
+    sigma = sol.mu * exact["grad_velocity"]             # (nt, nq, 2, 2)
+    sigma[..., 0, 0] += exact["pressure"]
+    sigma[..., 1, 1] += exact["pressure"]
+    sigma_int = quad.integrate_values(mesh, sigma)      # (nt, 2, 2)
     # rhs: (g, psi_i e_c) - (sigma, grad(psi_i e_c)), local edge by local edge
     sl = np.einsum("tcd,tid->itc", sigma_int, -2.0 * mesh.bary_grads)
     rhs = edge_values(mesh, system.F)

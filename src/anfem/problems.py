@@ -66,21 +66,6 @@ class LoadFunction:
             return fns[0].joint(x, y, tuple(names))
         return {name: f(x, y) for name, f in zip(names, fns)}
 
-    def stress(self, mu: float) -> Callable:
-        """sigma = mu*grad(u) + p*Id as a callable (x, y) -> (..., 2, 2)."""
-        if not self.has_exact:
-            raise ValueError("no exact solution available")
-
-        def sigma(x, y):
-            gu = self.grad_velocity(x, y)
-            p = self.pressure(x, y)
-            out = mu * gu
-            out[..., 0, 0] += p
-            out[..., 1, 1] += p
-            return out
-
-        return sigma
-
 
 def _xy(x, y):
     return np.broadcast_arrays(np.asarray(x, dtype=float),

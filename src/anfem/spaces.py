@@ -5,9 +5,10 @@ edge means are zero and carry no dof.  `interior_dofs` and `edge_values` are
 the only code that knows this layout.  Pressure: one value per element.
 Assembly scatters each element's entries straight onto the interior dofs,
 dropping those of boundary edges, and takes g at the edge midpoints from
-the mesh's `PointValues` record (built here when the caller passes none);
-the error norms take the exact grad u and p at the degree-4 points from
-the same record.
+the mesh's `PointValues` record (built here when the caller passes none).
+The system and its solution carry that record, so the error norms, the
+estimator and the consistency error take the exact grad u and p and g at
+the degree-4 points from the record the solve used.
 
 The solve is augmented-Lagrangian Uzawa iteration (Fortin & Glowinski 1983):
 with the diagonal P0 mass matrix M_p and r = 1e6 * mu it factors the SPD
@@ -58,16 +59,20 @@ def num_velocity_dofs(mesh: Triangulation) -> int:
 
 @dataclass
 class SaddleSystem:
-    mesh: Triangulation
+    values: PointValues           # the mesh's record of the load's values
     A: sparse.csr_matrix          # velocity block, SPD on the CR space
     B: sparse.csr_matrix          # divergence coupling, (nt, nu)
     F: np.ndarray                 # load vector, (nu,)
     mu: float
 
+    @property
+    def mesh(self) -> Triangulation:
+        return self.values.mesh
+
 
 @dataclass
 class DiscreteSolution:
-    mesh: Triangulation
+    values: PointValues           # the record of the solved load's values
     u: np.ndarray                 # (2 * n_interior_edges,)
     p: np.ndarray                 # (nt,)
     mu: float
@@ -80,6 +85,10 @@ class DiscreteSolution:
     # 1e-15), so it moves with the order of the floating-point operations
     # and is not comparable across commits
     residual: float
+
+    @property
+    def mesh(self) -> Triangulation:
+        return self.values.mesh
 
     @cached_property
     def grads(self) -> np.ndarray:
@@ -96,9 +105,12 @@ def assemble_saddle(mesh: Triangulation, load: LoadFunction,
     """A, B and F scattered straight onto the interior dofs: entries of the
     per-edge dofs of boundary edges (whose means are zero) are dropped.
     `values` is the mesh's record of `load`'s values, if the caller keeps
-    one."""
+    one; the system and its solution carry it."""
     if not (np.isfinite(mu) and mu > 0):
         raise ValueError(f"viscosity mu must be positive and finite, got {mu}")
+    values = values or PointValues(mesh, load)
+    if values.mesh is not mesh or values.load is not load:
+        raise ValueError("values is the record of another mesh or load")
     nt, nu = mesh.num_triangles, num_velocity_dofs(mesh)
     # interior index of each per-edge dof 2 * edge + c, -1 on the boundary
     inner = np.full(2 * mesh.num_edges, -1)
@@ -124,12 +136,11 @@ def assemble_saddle(mesh: Triangulation, load: LoadFunction,
 
     # load vector by the edge-midpoint rule, psi_i(m_j) = delta_ij, with g
     # evaluated once per edge
-    values = values or PointValues(mesh, load)
     gvals = values.at_midpoints["g"][mesh.tri_edges]            # (nt, 3, 2)
     F = np.bincount(edof[on], minlength=nu, weights=(
         (mesh.area / 3.0)[:, None, None] * gvals)[on])
 
-    return SaddleSystem(mesh=mesh, A=A, B=B, F=F, mu=mu)
+    return SaddleSystem(values=values, A=A, B=B, F=F, mu=mu)
 
 
 def spd_factor(M: sparse.spmatrix):
@@ -192,7 +203,7 @@ def solve_saddle(system: SaddleSystem) -> DiscreteSolution:
     resid /= max(np.linalg.norm(F), 1.0)
     if not np.isfinite(resid) or resid > 1e-10:
         raise SolverError(f"linear solve residual too large: {resid:.3e}")
-    return DiscreteSolution(mesh=mesh, u=u, p=p, mu=system.mu,
+    return DiscreteSolution(values=system.values, u=u, p=p, mu=system.mu,
                             iterations=steps,
                             lu_fill=lu.L.nnz + lu.U.nnz, residual=resid)
 
@@ -237,25 +248,17 @@ def broken_grad_norm_sq(mesh: Triangulation, u: np.ndarray) -> float:
 # errors against a manufactured solution
 
 
-def velocity_error_sq(sol: DiscreteSolution, load: LoadFunction,
-                      values: PointValues | None = None) -> float:
-    """Broken H1 seminorm error squared, degree-4 quadrature. `values` is
-    the mesh's record of `load`'s values, if the caller keeps one."""
-    mesh = sol.mesh
-    values = values or PointValues(mesh, load)
-    diff = values.at_points["grad_velocity"] - sol.grads[:, None, :, :]
+def velocity_error_sq(sol: DiscreteSolution) -> float:
+    """Broken H1 seminorm error squared, degree-4 quadrature."""
+    diff = sol.values.at_points["grad_velocity"] - sol.grads[:, None, :, :]
     per_pt = np.einsum("tqij,tqij->tq", diff, diff)
-    return float((mesh.area * (per_pt @ quad.DEG4_WEIGHTS)).sum())
+    return float((sol.mesh.area * (per_pt @ quad.DEG4_WEIGHTS)).sum())
 
 
-def pressure_error_sq(sol: DiscreteSolution, load: LoadFunction,
-                      values: PointValues | None = None) -> float:
-    """L2 pressure error squared, degree-4 quadrature; `values` as in
-    `velocity_error_sq`."""
-    mesh = sol.mesh
-    values = values or PointValues(mesh, load)
-    diff = (values.at_points["pressure"] - sol.p[:, None]) ** 2
-    return float((mesh.area * (diff @ quad.DEG4_WEIGHTS)).sum())
+def pressure_error_sq(sol: DiscreteSolution) -> float:
+    """L2 pressure error squared, degree-4 quadrature."""
+    diff = (sol.values.at_points["pressure"] - sol.p[:, None]) ** 2
+    return float((sol.mesh.area * (diff @ quad.DEG4_WEIGHTS)).sum())
 
 
 def max_element_divergence(sol: DiscreteSolution) -> float:

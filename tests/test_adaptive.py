@@ -270,6 +270,12 @@ def test_uniform_trace_checks_solver_invariants(monkeypatch):
         uniform_trace(unit_square(1), load, levels=3)
 
 
+@pytest.mark.parametrize("levels", [0, -3])
+def test_uniform_trace_rejects_no_levels(levels):
+    with pytest.raises(ValueError, match="levels"):
+        uniform_trace(unit_square(1), get_solution("smooth1"), levels)
+
+
 @pytest.mark.parametrize("solution", ["smooth1", "constant"])
 def test_loop_records_discrete_reliability(solution):
     # ||u_k - u_{k-1}|| + ||p_k - p_{k-1}|| <= drel eta_{k-1}(R_k), with or

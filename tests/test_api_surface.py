@@ -1,6 +1,7 @@
 """The public names other code relies on: the benchmark tracer's spans and
 load factories, `anfem.__all__`, and the imports of the shipped scripts;
-and the package's source holds no `assert` statement."""
+and the package's source holds no `assert` statement and no unused
+import."""
 
 import ast
 import dataclasses
@@ -33,7 +34,7 @@ DELETED = ("MarkingParams", "ContractionParams", "FineFunction", "patches",
            "cr_values", "broken_div", "classify_fine_edges",
            "coarse_jump_term", "cmd_verify", "EXIT_VERIFY_FAILED",
            "_suite_operators", "_suite_estimator", "_suite_qo",
-           "_suite_counterexample")
+           "_suite_counterexample", "estimator_from_grads")
 # (class, attribute) pairs deleted from the public classes
 DELETED_MEMBERS = (("counterexample.CrissCrossFamily", "coarse"),
                    ("mesh.Triangulation", "min_angle"),
@@ -52,7 +53,8 @@ DELETED_MEMBERS = (("counterexample.CrissCrossFamily", "coarse"),
                    ("spaces.SaddleSystem", "load"),
                    ("spaces.SaddleSystem", "nu"),
                    ("problems.LoadFunction", "name"),
-                   ("estimator.EstimatorReport", "mesh"))
+                   ("estimator.EstimatorReport", "mesh"),
+                   ("problems.LoadFunction", "stress"))
 
 
 def _load(path: Path, name: str):
@@ -121,4 +123,24 @@ def test_package_has_no_assert_statements():
              for path in sorted((ROOT / "src" / "anfem").glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
+    assert not found, found
+
+
+def test_package_has_no_unused_imports():
+    """Every name a module of the package imports is used in it. The
+    package's `__init__.py` imports to re-export, so it is not checked."""
+    found = []
+    for path in sorted((ROOT / "src" / "anfem").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(
+                    node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        found.append(f"{path.name}:{node.lineno} {name}")
     assert not found, found

@@ -7,8 +7,9 @@ from anfem.domains import l_shape, unit_square
 from anfem.estimator import (consistency_error, estimate, estimate_frozen,
                              modified_eta, tangential_jumps)
 from anfem.mesh import bisect, uniform_refine
-from anfem.problems import constant_load, get_solution
-from anfem.spaces import cr_gradients, solve
+from anfem.problems import PointValues, constant_load, get_solution
+from anfem.spaces import (assemble_saddle, cr_gradients, pressure_error_sq,
+                          solve, velocity_error_sq)
 from anfem import quadrature as quad
 
 
@@ -26,7 +27,7 @@ def test_zero_solution_zero_load():
     mesh = unit_square(2)
     zero = get_solution("zero")
     sol = solve(mesh, zero)
-    report = estimate(sol, zero)
+    report = estimate(sol)
     assert report.total_eta_sq == 0.0
     assert report.total_osc_sq == 0.0
 
@@ -64,23 +65,33 @@ def test_affine_field_no_interior_jumps():
 
 
 def test_oscillation_below_volume(smooth):
-    report = estimate(solve(unit_square(3), smooth), smooth)
+    report = estimate(solve(unit_square(3), smooth))
     assert np.all(report.osc_sq <= report.vol_sq + 1e-15)
+
+
+def _counted(load, names, calls):
+    """`load` with the callables `names` logging (name, points shape) to
+    `calls` on each evaluation."""
+    def counted(name):
+        field = getattr(load, name)
+
+        def evaluate(x, y):
+            calls.append((name, np.shape(x)))
+            return field(x, y)
+        return evaluate
+
+    return dataclasses.replace(load, **{name: counted(name) for name in names})
 
 
 def test_volume_terms_evaluate_load_once(smooth):
     """|g|^2 and the mean of g come from one evaluation of g, with the same
     arithmetic as integrating each on its own."""
     calls = []
-
-    def g(x, y):
-        calls.append(x.shape)
-        return smooth.g(x, y)
-
     mesh = uniform_refine(l_shape(), 2)
-    sol = solve(mesh, smooth)
-    report = estimate(sol, dataclasses.replace(smooth, g=g))
-    assert calls == [(mesh.num_triangles, len(quad.DEG4_WEIGHTS))]
+    sol = solve(mesh, _counted(smooth, ("g",), calls))
+    report = estimate(sol)
+    assert calls == [("g", (mesh.num_edges,)),
+                     ("g", (mesh.num_triangles, len(quad.DEG4_WEIGHTS)))]
 
     def gsq(x, y):
         v = smooth.g(x, y)
@@ -96,24 +107,24 @@ def test_volume_terms_evaluate_load_once(smooth):
 
 def test_oscillation_zero_for_constant_load():
     load = constant_load(3.0, -1.0)
-    assert estimate(solve(l_shape(), load), load).total_osc_sq < 1e-13
+    assert estimate(solve(l_shape(), load)).total_osc_sq < 1e-13
 
 
-def test_modified_eta(smooth_solution, smooth):
-    report = estimate(smooth_solution, smooth)
+def test_modified_eta(smooth_solution):
+    report = estimate(smooth_solution)
     assert np.isclose(modified_eta(report),
                       report.total_vol_sq + report.total_eta_sq)
     assert np.isclose(modified_eta(report, 2.0),
                       2.0 * report.total_vol_sq + report.total_eta_sq)
-    with pytest.raises(ValueError):
-        modified_eta(report, 0.0)
+    for beta1 in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            modified_eta(report, beta1)
 
 
-def test_frozen_estimator_identity(smooth_solution, smooth):
+def test_frozen_estimator_identity(smooth_solution):
     """Frozen on the same mesh = plain estimator."""
-    mesh = smooth_solution.mesh
-    rep_a = estimate(smooth_solution, smooth)
-    rep_b = estimate_frozen(smooth_solution, mesh, smooth)
+    rep_a = estimate(smooth_solution)
+    rep_b = estimate_frozen(smooth_solution, smooth_solution.values)
     assert np.array_equal(rep_a.eta, rep_b.eta)
 
 
@@ -121,8 +132,8 @@ def test_frozen_estimator_reduction(smooth_solution, smooth):
     """One bisection round reduces the frozen estimator by the paper factor."""
     mesh = smooth_solution.mesh
     fine = bisect(mesh, np.arange(mesh.num_triangles))
-    coarse = estimate(smooth_solution, smooth)
-    frozen = estimate_frozen(smooth_solution, fine, smooth)
+    coarse = estimate(smooth_solution)
+    frozen = estimate_frozen(smooth_solution, PointValues(fine, smooth))
     rho = 1.0 - 2.0 ** -0.5
     assert frozen.total_eta_sq <= (coarse.total_eta_sq
                                    - rho * coarse.total_eta_sq) + 1e-9
@@ -131,6 +142,40 @@ def test_frozen_estimator_reduction(smooth_solution, smooth):
 def test_consistency_error_decay(smooth):
     vals = []
     for rounds in (4, 6):
-        mesh = unit_square(rounds)
-        vals.append(consistency_error(smooth.stress(1.0), mesh, smooth))
+        vals.append(consistency_error(solve(unit_square(rounds), smooth)))
     assert 1.6 < vals[0] / vals[1] < 2.4
+
+
+def test_consistency_error_needs_exact_solution():
+    with pytest.raises(ValueError, match="no exact solution"):
+        consistency_error(solve(unit_square(2), constant_load()))
+
+
+def test_solution_functionals_share_one_evaluation(smooth):
+    """After one solve, the estimator, both error norms and the consistency
+    error evaluate g once at the edge midpoints (the solve's) and g, grad u
+    and p once at the degree-4 points: all from the solution's record."""
+    calls = []
+    mesh = unit_square(3)
+    sol = solve(mesh, _counted(smooth, ("g", "grad_velocity", "pressure"),
+                               calls))
+    estimate(sol)
+    velocity_error_sq(sol)
+    pressure_error_sq(sol)
+    consistency_error(sol)
+    points = (mesh.num_triangles, len(quad.DEG4_WEIGHTS))
+    assert calls == [("g", (mesh.num_edges,)), ("g", points),
+                     ("grad_velocity", points), ("pressure", points)]
+
+
+def test_records_of_another_mesh_or_load_are_rejected(smooth):
+    mesh = unit_square(2)
+    other = get_solution("smooth1")
+    with pytest.raises(ValueError, match="another mesh or load"):
+        assemble_saddle(mesh, smooth, 1.0, PointValues(unit_square(2), smooth))
+    with pytest.raises(ValueError, match="another mesh or load"):
+        assemble_saddle(mesh, smooth, 1.0, PointValues(mesh, other))
+    sol = solve(mesh, smooth)
+    fine = bisect(mesh, np.arange(mesh.num_triangles))
+    with pytest.raises(ValueError, match="another load"):
+        estimate_frozen(sol, PointValues(fine, other))

@@ -175,7 +175,7 @@ def test_first_order_velocity_convergence(smooth):
     errs = []
     for rounds in (3, 5, 7):
         sol = solve(unit_square(rounds), smooth)
-        errs.append(np.sqrt(velocity_error_sq(sol, smooth)))
+        errs.append(np.sqrt(velocity_error_sq(sol)))
     # h halves between entries
     assert 1.6 < errs[0] / errs[1] < 2.4
     assert 1.7 < errs[1] / errs[2] < 2.3
@@ -185,7 +185,7 @@ def test_pressure_convergence(smooth):
     errs = []
     for rounds in (3, 5, 7):
         sol = solve(unit_square(rounds), smooth)
-        errs.append(np.sqrt(pressure_error_sq(sol, smooth)))
+        errs.append(np.sqrt(pressure_error_sq(sol)))
     assert errs[2] < errs[1] < errs[0]
 
 
