@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Adaptive run on the L-shaped domain with the manufactured corner
-singularity, plus a uniform baseline, writing both traces and fitted rates."""
+singularity, plus a uniform baseline, writing both traces and fitted rates
+and printing the process's peak resident memory."""
 
 import argparse
 import os
+import resource
 
 import numpy as np
 
@@ -40,6 +42,9 @@ def main():
     mesh = trace.final_solution.mesh
     d = np.linalg.norm(mesh.centroids() - corner, axis=1)
     print(f"closest element centroid to the reentrant corner: {d.min():.2e}")
+    # ru_maxrss is in KiB on Linux
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    print(f"peak RSS: {peak / 1024:.1f} MiB ({peak} KiB)")
 
 
 if __name__ == "__main__":

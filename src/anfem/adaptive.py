@@ -66,8 +66,8 @@ class IterationRecord:
     nmarked: int
     gamma: float              # refinement ratio vs the previous mesh
     solver_iterations: int    # the solve's diagnostics (DiscreteSolution)
-    # a lower bound that moves with round-off and is not comparable across
-    # commits (see DiscreteSolution.lu_fill)
+    # the factor's stored entries, fixed by the sparsity pattern and the
+    # ordering (see DiscreteSolution.lu_fill)
     lu_fill: int
     # round-off sized, and not comparable across commits either (see
     # DiscreteSolution.residual)

@@ -316,6 +316,12 @@ def lshape_singular(mu: float = 1.0) -> LoadFunction:
 # ---------------------------------------------------------------------------
 # one record of a load's values per mesh
 
+# elements or edges per call of a load in `PointValues`: a joint pass at the
+# degree-4 points holds several times its results in temporaries, so
+# evaluating in blocks keeps those to one block's worth
+EVAL_BLOCK = 2048
+
+
 class PointValues:
     """A load's values on one mesh, each part evaluated on first use:
     `at_midpoints`, g at the edge midpoints (the load vector), and
@@ -346,20 +352,26 @@ class PointValues:
                 if part in vars(prev):
                     self._carry[part] = (vars(prev)[part], source)
 
-    def _evaluate(self, part, points, names) -> dict:
-        """The fields `names` at `points(rows)` for every row, the carried
-        rows copied and only the others evaluated."""
-        if part not in self._carry:
-            return self.load.evaluate(*points(slice(None)), names)
-        carried, source = self._carry.pop(part)
-        kept = source >= 0
-        new = np.flatnonzero(~kept)
-        fresh = self.load.evaluate(*points(new), names)
+    def _evaluate(self, part, points, count, names) -> dict:
+        """The fields `names` at `points(rows)` for each of the `count`
+        rows, the carried rows copied and the others evaluated
+        `EVAL_BLOCK` rows at a time."""
+        carried, source = self._carry.pop(part, (None, None))
+        new = np.arange(count) if source is None else np.flatnonzero(
+            source < 0)
         out = {}
-        for name in names:
-            out[name] = np.empty(source.shape + fresh[name].shape[1:])
-            out[name][kept] = carried[name][source[kept]]
-            out[name][new] = fresh[name]
+        # at least one pass, so that the fields' shapes are known
+        for start in range(0, max(len(new), 1), EVAL_BLOCK):
+            rows = new[start:start + EVAL_BLOCK]
+            fresh = self.load.evaluate(*points(rows), names)
+            for name in names:
+                if name not in out:
+                    out[name] = np.empty((count,) + fresh[name].shape[1:])
+                out[name][rows] = fresh[name]
+        if source is not None:
+            kept = source >= 0
+            for name in names:
+                out[name][kept] = carried[name][source[kept]]
         return out
 
     @cached_property
@@ -367,7 +379,7 @@ class PointValues:
         mids = self.mesh.edge_midpoints()
         return self._evaluate(
             "at_midpoints", lambda rows: (mids[rows, 0], mids[rows, 1]),
-            ("g",))
+            self.mesh.num_edges, ("g",))
 
     @cached_property
     def at_points(self) -> dict:
@@ -376,7 +388,8 @@ class PointValues:
             return pts[..., 0], pts[..., 1]
         names = ("g", "grad_velocity", "pressure") if self.load.has_exact \
             else ("g",)
-        return self._evaluate("at_points", points, names)
+        return self._evaluate("at_points", points, self.mesh.num_triangles,
+                              names)
 
     @cached_property
     def volume_terms(self):

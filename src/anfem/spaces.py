@@ -77,9 +77,9 @@ class DiscreteSolution:
     p: np.ndarray                 # (nt,)
     mu: float
     iterations: int               # Uzawa steps of the solve
-    # L.nnz + U.nnz of its SPD factor: a lower bound on the fill, since
-    # SuperLU leaves out entries that cancel to exactly 0, so it moves with
-    # round-off on the same pattern and is not comparable across commits
+    # the entries SuperLU stores for its SPD factor (`nnz`, supernode
+    # padding included): fixed by the sparsity pattern and the ordering,
+    # not by round-off
     lu_fill: int
     # the gated saddle residual / max(||F||, 1): round-off sized (about
     # 1e-15), so it moves with the order of the floating-point operations
@@ -113,21 +113,24 @@ def assemble_saddle(mesh: Triangulation, load: LoadFunction,
         raise ValueError("values is the record of another mesh or load")
     nt, nu = mesh.num_triangles, num_velocity_dofs(mesh)
     # interior index of each per-edge dof 2 * edge + c, -1 on the boundary
-    inner = np.full(2 * mesh.num_edges, -1)
+    inner = np.full(2 * mesh.num_edges, -1, dtype=np.int32)
     inner[interior_dofs(mesh)] = np.arange(nu)
     edof = inner[2 * mesh.tri_edges[..., None] + np.arange(2)]   # (nt, 3, 2)
     on = edof >= 0
     gpsi = -2.0 * mesh.bary_grads               # (nt, 3, 2) grad of CR basis
 
-    # scalar stiffness S_ij = mu |K| gpsi_i . gpsi_j, same for both components
+    # scalar stiffness S_ij = mu |K| gpsi_i . gpsi_j, same for both
+    # components; the (nt, 3, 3, 2) index and value arrays of A's entries
+    # are broadcast views, so only the kept entries are copied
     S = mu * mesh.area[:, None, None] * np.einsum(
         "tid,tjd->tij", gpsi, gpsi)
-    rows = np.repeat(edof[:, :, None], 3, axis=2)       # (nt, 3, 3, 2)
-    cols = np.repeat(edof[:, None], 3, axis=1)
-    both = (rows >= 0) & (cols >= 0)
+    shape4 = (nt, 3, 3, 2)
+    rows = np.broadcast_to(edof[:, :, None], shape4)
+    cols = np.broadcast_to(edof[:, None], shape4)
+    both = on[:, :, None] & on[:, None]
     A = sparse.csr_matrix(
-        (np.repeat(S[..., None], 2, axis=3)[both], (rows[both], cols[both])),
-        shape=(nu, nu))
+        (np.broadcast_to(S[..., None], shape4)[both],
+         (rows[both], cols[both])), shape=(nu, nu))
 
     # divergence coupling b(v, q) = sum_K q_K |K| div v|_K
     B = sparse.csr_matrix(
@@ -172,7 +175,8 @@ def solve_saddle(system: SaddleSystem) -> DiscreteSolution:
     rdiv.data *= np.repeat(AL_WEIGHT * system.mu / mesh.area,
                            np.diff(B.indptr))
     try:
-        lu = spd_factor(A + BT @ rdiv)
+        # one CSC copy of K: the CSR sum is freed before the factorization
+        lu = spd_factor((A + BT @ rdiv).tocsc())
     except RuntimeError as exc:
         raise SolverError(f"saddle-point factorization failed: {exc}") from exc
     p = np.zeros(mesh.num_triangles)
@@ -205,7 +209,7 @@ def solve_saddle(system: SaddleSystem) -> DiscreteSolution:
         raise SolverError(f"linear solve residual too large: {resid:.3e}")
     return DiscreteSolution(values=system.values, u=u, p=p, mu=system.mu,
                             iterations=steps,
-                            lu_fill=lu.L.nnz + lu.U.nnz, residual=resid)
+                            lu_fill=lu.nnz, residual=resid)
 
 
 def solve(mesh: Triangulation, load: LoadFunction,

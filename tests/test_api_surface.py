@@ -1,15 +1,19 @@
 """The public names other code relies on: the benchmark tracer's spans and
 load factories, `anfem.__all__`, and the imports of the shipped scripts;
-and the package's source holds no `assert` statement and no unused
-import."""
+and the package's source holds no `assert` statement, no unused import
+and no annotation that names an unbound class."""
 
 import ast
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import os
+import pkgutil
 import subprocess
 import sys
+import typing
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -144,3 +148,35 @@ def test_package_has_no_unused_imports():
                     if name not in used:
                         found.append(f"{path.name}:{node.lineno} {name}")
     assert not found, found
+
+
+def _annotated(cls):
+    """The functions of a class's own methods and properties."""
+    for member in vars(cls).values():
+        if isinstance(member, (staticmethod, classmethod)):
+            yield member.__func__
+        elif isinstance(member, property):
+            yield from (f for f in (member.fget, member.fset) if f)
+        elif isinstance(member, cached_property):
+            yield member.func
+        elif inspect.isfunction(member):
+            yield member
+
+
+def test_annotations_resolve():
+    """With `from __future__ import annotations` no annotation is evaluated
+    on import, so one that names a class its module does not bind would
+    pass every other test: resolve them all."""
+    checked = []
+    for info in pkgutil.iter_modules(anfem.__path__):
+        module = importlib.import_module(f"anfem.{info.name}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj):
+                checked += [obj, *_annotated(obj)]
+            elif inspect.isfunction(obj):
+                checked.append(obj)
+    for obj in checked:
+        typing.get_type_hints(obj)
+    assert len(checked) > 100

@@ -6,8 +6,9 @@ import pytest
 from anfem import quadrature as quad
 from anfem.domains import l_shape
 from anfem.mesh import MeshError, Triangulation, bisect, uniform_refine
-from anfem.problems import (LSHAPE_ALPHA, PointValues, constant_load,
-                            get_solution, lshape_singular, smooth1)
+from anfem.problems import (EVAL_BLOCK, LSHAPE_ALPHA, PointValues,
+                            constant_load, get_solution, lshape_singular,
+                            smooth1)
 from oracles import (lshape_singular_expressions, mp_evaluate,
                      smooth1_expressions)
 
@@ -270,3 +271,33 @@ def test_record_carries_only_unmoved_rows():
         PointValues(fine, lshape_singular(), values)
     with pytest.raises(MeshError):
         PointValues(l_shape(1), load, values)
+
+
+def test_point_values_evaluate_in_blocks():
+    """Above `EVAL_BLOCK` rows a record calls the load block by block: each
+    part equals one pass over all its points bit for bit, and g is called
+    on at most `EVAL_BLOCK` edges at a time, each edge exactly once."""
+    mesh = uniform_refine(l_shape(), 10)
+    assert mesh.num_triangles > EVAL_BLOCK
+    load = lshape_singular()
+    values = PointValues(mesh, load)
+    mids = mesh.edge_midpoints()
+    pts = quad.tri_points(mesh, quad.DEG4_BARY)
+    for part, points in (("at_midpoints", mids), ("at_points", pts)):
+        got = getattr(values, part)
+        ref = load.evaluate(points[..., 0], points[..., 1], tuple(got))
+        for name in ref:
+            assert np.array_equal(got[name], ref[name]), (part, name)
+
+    calls = []
+
+    def g(x, y):
+        calls.append(np.stack([x, y], axis=-1))
+        return load.g(x, y)
+
+    PointValues(mesh, dataclasses.replace(load, g=g)).at_midpoints
+    assert len(calls) > 1
+    assert max(len(c) for c in calls) <= EVAL_BLOCK
+    # the called points, sorted, are the midpoints, sorted: every edge once
+    seen = np.concatenate(calls)
+    assert np.array_equal(seen[np.lexsort(seen.T)], mids[np.lexsort(mids.T)])

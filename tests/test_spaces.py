@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -120,7 +122,7 @@ def test_solve_cost(mesh, smooth, monkeypatch):
         factors.append(M.shape)
 
         class Counted:
-            L, U = lu.L, lu.U
+            nnz = lu.nnz
 
             def solve(self, rhs):
                 solves.append(len(rhs))
@@ -131,6 +133,22 @@ def test_solve_cost(mesh, smooth, monkeypatch):
     sol = solve(mesh, smooth)
     assert len(factors) == 1
     assert len(solves) == sol.iterations + 1
+
+
+def test_solve_holds_no_copy_of_its_factor():
+    """At 24 576 L-shape elements the arrays `solve_saddle` allocates peak
+    below 8 bytes per stored factor entry (SuperLU's own storage is not
+    traced): one copy of K and the iterates fit, a CSC copy of L and U,
+    at 12 bytes per entry, does not."""
+    system = assemble_saddle(uniform_refine(l_shape(), 12),
+                             lshape_singular())
+    tracemalloc.start()
+    try:
+        sol = solve_saddle(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * sol.lu_fill, (peak, sol.lu_fill)
 
 
 def test_load_evaluated_once_per_edge(smooth):
