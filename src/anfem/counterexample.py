@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import Triangulation, build_initial
-from .transfer import p1_gradients
+from .transfer import _p1_gradients, p1_gradients
 
 
 @dataclass
@@ -75,23 +75,27 @@ def build_test_pair(fam: CrissCrossFamily) -> np.ndarray:
     """
     k = (fam.n - 1) // 2
     nodal = np.zeros((fam.fine.num_vertices, 2))
-    for i, z in zip(range(-k, k + 1), fam.sign_nodes):
-        nodal[z, 0] = float(np.sign(i))
+    nodal[fam.sign_nodes, 0] = np.sign(np.arange(-k, k + 1))
     return nodal.ravel()
 
 
 def ac_segments(fam: CrissCrossFamily):
     """Fine edges along AC with their left/right incident elements."""
     fine = fam.fine
-    segs = np.flatnonzero(np.isin(fine.edges, fam.ac_vertex_col).all(axis=1))
+    # the edges between consecutive AC vertices, by sorted key a * nv + b
+    nv, col = fine.num_vertices, fam.ac_vertex_col
+    keys = fine.edges[:, 0] * nv + fine.edges[:, 1]
+    want = np.minimum(col[:-1], col[1:]) * nv + np.maximum(col[:-1], col[1:])
+    at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    segs = at[keys[at] == want]
     if len(segs) != fam.n:
         raise RuntimeError(f"{len(segs)} fine edges on AC, not {fam.n}")
     t0, t1 = fine.edge_tris[segs].T
     if np.any(t1 < 0):
         raise RuntimeError("AC segment on the boundary")
-    t0_left = fine.centroids()[t0, 0] < 0
+    t0_left = fine.corners(t0).mean(axis=1)[:, 0] < 0
     left, right = np.where(t0_left, t0, t1), np.where(t0_left, t1, t0)
-    ymid = fine.edge_midpoints()[segs, 1]
+    ymid = 0.5 * fine.vertices[fine.edges[segs], 1].sum(axis=1)
     order = np.argsort(ymid, kind="stable")
     return list(zip(segs[order], left[order], right[order], ymid[order]))
 
@@ -100,14 +104,15 @@ def boundary_sum(fam: CrissCrossFamily, nodal: np.ndarray) -> float:
     """int_AC [u] {dv/dnu} ds with [u] = y and nu = (1, 0).
 
     The normal-derivative average is constant per fine segment; the jump is
-    linear, so per-segment exact integration is midpoint * length.
+    linear, so per-segment exact integration is midpoint * length.  Only
+    the 2N elements along AC are read.
     """
-    grads = p1_gradients(nodal, fam.fine)
-    total = 0.0
-    for e, left, right, ymid in ac_segments(fam):
-        avg = 0.5 * (grads[left][0, 0] + grads[right][0, 0])
-        total += avg * ymid * fam.fine.edge_length[e]
-    return float(total)
+    segs, left, right, ymid = map(np.array, zip(*ac_segments(fam)))
+    grads = _p1_gradients(nodal, fam.fine, np.concatenate([left, right]))
+    n = len(segs)
+    avg = 0.5 * (grads[:n, 0, 0] + grads[n:, 0, 0])
+    # summed segment by segment, in order
+    return float(np.cumsum(avg * ymid * fam.fine.edge_length[segs])[-1])
 
 
 def grad_norm_sq(fam: CrissCrossFamily, nodal: np.ndarray) -> float:

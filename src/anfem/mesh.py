@@ -25,8 +25,8 @@ class MeshError(ValueError):
     pass
 
 
-# local edge i is opposite local vertex i
-_LOCAL_EDGES = ((1, 2), (2, 0), (0, 1))
+# local edge i is opposite local vertex i, from vertex i + 1 to i + 2
+_EDGE_FROM, _EDGE_TO = [1, 2, 0], [2, 0, 1]
 
 _TOKENS = itertools.count()
 
@@ -88,79 +88,78 @@ class Triangulation:
     def _build_topology(self):
         if not np.all(np.isfinite(self.vertices)):
             raise MeshError("non-finite vertex coordinates")
-        tris = self.triangles
-        v = self.vertices
-        e1 = v[tris[:, 1]] - v[tris[:, 0]]
-        e2 = v[tris[:, 2]] - v[tris[:, 0]]
-        self.area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+        tris, v = self.triangles, self.vertices
+        # row 3t + i: local edge i of triangle t, from vertex a to b
+        a, b = tris[:, _EDGE_FROM].ravel(), tris[:, _EDGE_TO].ravel()
+        e = v.take(b, axis=0) - v.take(a, axis=0)
+        e3 = e.reshape(-1, 3, 2)
+        self.area = 0.5 * (e3[:, 1, 0] * e3[:, 2, 1]
+                           - e3[:, 2, 0] * e3[:, 1, 1])
         bad = np.flatnonzero(self.area <= 0)
         if bad.size:
             raise MeshError(f"degenerate or misoriented triangle {bad[0]}")
         self.h = np.sqrt(self.area)
 
-        # unique edges, lexicographic in the sorted vertex pair a < b < nv
-        nt, nv = len(tris), len(v)
-        raw = np.sort(np.concatenate(
-            [tris[:, [a, b]] for a, b in _LOCAL_EDGES], axis=0), axis=1)
-        keys, inverse = np.unique(raw[:, 0] * nv + raw[:, 1],
-                                  return_inverse=True)
-        self.edges = np.stack([keys // nv, keys % nv], axis=1)
-        self.tri_edges = inverse.reshape(3, -1).T.copy()
+        # one stable sort of the rows' keys lo * nv + hi gives the unique
+        # edges in lexicographic order, tri_edges, and the incident
+        # triangles of each edge in ascending id
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        keys = lo * len(v) + hi
+        order = np.argsort(keys, kind="stable")
+        new = np.diff(keys[order], prepend=-1) != 0    # row starts an edge
+        first = np.flatnonzero(new)
+        inverse = np.empty_like(order)
+        inverse[order] = np.cumsum(new) - 1
+        self.tri_edges = inverse.reshape(-1, 3)
+        row = order[first]                    # first row of each edge
+        self.edges = np.stack([lo[row], hi[row]], axis=1)
 
-        ne = len(self.edges)
-        counts = np.bincount(inverse, minlength=ne)
+        counts = np.diff(first, append=len(order))
         if counts.max() > 2:
             raise MeshError("edge shared by more than two triangles")
-        # incident triangles, ascending triangle id per edge; row r of `raw`
-        # belongs to triangle r % nt
-        tri_sorted = np.argsort(inverse * nt + np.arange(3 * nt) % nt) % nt
-        start = np.cumsum(counts) - counts
-        self.edge_tris = np.full((ne, 2), -1, dtype=np.int64)
-        self.edge_tris[:, 0] = tri_sorted[start]
-        two = counts == 2
-        self.edge_tris[two, 1] = tri_sorted[start[two] + 1]
-        self.boundary_edge = self.edge_tris[:, 1] < 0
+        self.edge_tris = np.stack([row // 3, np.where(
+            counts == 2, np.append(order, 0)[first + 1] // 3, -1)], axis=1)
+        self.boundary_edge = counts == 1
 
-        vec = v[self.edges[:, 1]] - v[self.edges[:, 0]]
-        self.edge_length = np.linalg.norm(vec, axis=1)
+        # the row's edge vector, from the low to the high vertex id
+        vec = e.take(row, axis=0)
+        vec *= np.where(a[row] < b[row], 1.0, -1.0)[:, None]
+        self.edge_length = np.sqrt(vec[:, 0] ** 2 + vec[:, 1] ** 2)
         if np.any(self.edge_length <= 0):
             raise MeshError("zero-length edge")
         self.edge_tangent = vec / self.edge_length[:, None]
 
-        self.bary_grads = _barycentric_gradients(v, tris, self.area)
-        # a hanging node leaves an interior edge on one element only, so it
-        # shows up as an open chain of "boundary" edges
-        _check_cover(self)
+        # grad lambda_i is the inward normal of local edge i over 2|K|
+        self.bary_grads = np.stack([-e3[..., 1], e3[..., 0]], axis=-1)
+        self.bary_grads /= (2.0 * self.area)[:, None, None]
+        # conformity: the boundary edges form closed loops (two at each
+        # boundary vertex), or a hanging node left an open chain
+        deg = np.bincount(self.edges[self.boundary_edge].ravel())
+        if np.any((deg != 0) & (deg != 2)):
+            raise MeshError("non-conforming input: open boundary chain "
+                            "(hanging node or inconsistent connectivity)")
 
     # -- queries -----------------------------------------------------------
     def edge_midpoints(self) -> np.ndarray:
-        return 0.5 * (self.vertices[self.edges[:, 0]]
-                      + self.vertices[self.edges[:, 1]])
+        return 0.5 * self.vertices.take(self.edges, axis=0).sum(axis=1)
+
+    def corners(self, elems=slice(None)) -> np.ndarray:
+        """(..., 3, 2) corner coordinates of the elements `elems`."""
+        return self.vertices.take(self.triangles[elems], axis=0)
 
     def centroids(self) -> np.ndarray:
-        return self.vertices[self.triangles].mean(axis=1)
-
-
-def _barycentric_gradients(v, tris, area):
-    # grad lambda_i is the inward normal of the opposite edge scaled by 1/(2|K|)
-    p = v[tris]                                   # (nt, 3, 2)
-    g = np.empty((len(tris), 3, 2))
-    for i in range(3):
-        a, b = _LOCAL_EDGES[i]
-        e = p[:, b] - p[:, a]
-        g[:, i, 0] = -e[:, 1]
-        g[:, i, 1] = e[:, 0]
-    g /= (2.0 * area)[:, None, None]
-    return g
+        return self.corners().mean(axis=1)
 
 
 def barycentric(mesh: Triangulation, elems, points) -> np.ndarray:
-    """Barycentric coordinates (..., 3) of points[i] in element elems[i]."""
-    p = mesh.vertices[mesh.triangles[elems]]      # (..., 3, 2)
-    T = np.stack([p[..., 1, :] - p[..., 0, :], p[..., 2, :] - p[..., 0, :]],
-                 axis=-1)
-    ab = np.linalg.solve(T, (np.asarray(points) - p[..., 0, :])[..., None])
-    a, b = ab[..., 0, 0], ab[..., 1, 0]
+    """Barycentric coordinates (..., 3) of points[i] in element elems[i],
+    by Cramer's rule: the 2 x 2 system's determinant is 2|K| > 0."""
+    p = mesh.corners(elems)
+    e1, e2 = p[..., 1, :] - p[..., 0, :], p[..., 2, :] - p[..., 0, :]
+    r = np.asarray(points) - p[..., 0, :]
+    det = 2.0 * mesh.area[elems]
+    a = (r[..., 0] * e2[..., 1] - r[..., 1] * e2[..., 0]) / det
+    b = (e1[..., 0] * r[..., 1] - e1[..., 1] * r[..., 0]) / det
     return np.stack([1.0 - a - b, a, b], axis=-1)
 
 
@@ -172,44 +171,27 @@ def build_initial(vertices, triangle_connectivity) -> Triangulation:
     are reordered.
     """
     v = np.asarray(vertices, dtype=float)
-    tris = np.asarray(triangle_connectivity, dtype=np.int64).copy()
+    tris = np.asarray(triangle_connectivity, dtype=np.int64)
     if tris.ndim != 2 or tris.shape[1] != 3:
         raise MeshError("connectivity must be (nt, 3)")
     repeated = ((tris[:, 0] == tris[:, 1]) | (tris[:, 1] == tris[:, 2])
                 | (tris[:, 2] == tris[:, 0]))
-    p = v[tris]
-    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
-    area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    e = v.take(tris[:, _EDGE_TO], 0) - v.take(tris[:, _EDGE_FROM], 0)
+    area = 0.5 * (e[:, 1, 0] * e[:, 2, 1] - e[:, 2, 0] * e[:, 1, 1])
     bad = np.flatnonzero(repeated | (area == 0))
     if bad.size:
         k = bad[0]
         raise MeshError(f"degenerate triangle {k}: " + (
             "repeated vertex" if repeated[k] else "zero area"))
-    tris[area < 0] = tris[area < 0][:, [0, 2, 1]]
-    # rotate so that the refinement edge (longest, rounded to 14 digits; tie
-    # -> smallest opposite vertex id) sits at local positions (0, 1)
-    p = v[tris]
-    lengths = np.round(np.stack(
-        [np.linalg.norm(p[:, (i + 2) % 3] - p[:, (i + 1) % 3], axis=1)
-         for i in range(3)], axis=1), 14)
+    # the refinement edge is the longest, rounded to 14 digits; a tie goes
+    # to the smallest opposite vertex id, whose corner c becomes v2 and is
+    # followed by c + 1, c + 2 (c + 2, c + 1 for a negative area) as v0, v1
+    lengths = np.round(np.sqrt(e[..., 0] ** 2 + e[..., 1] ** 2), 14)
     longest = lengths == lengths.max(axis=1, keepdims=True)
-    best = np.argmin(np.where(longest, tris, np.iinfo(np.int64).max), axis=1)
-    # refinement edge opposite local vertex `best`; want it as (v0, v1)
-    shift = (best + 1) % 3
-    tris = np.take_along_axis(tris, (np.arange(3) + shift[:, None]) % 3, 1)
+    c = np.argmin(np.where(longest, tris, np.iinfo(np.int64).max), axis=1)
+    step = np.where(area < 0, 2, 1)[:, None]
+    tris = np.take_along_axis(tris, (c[:, None] + step * [1, 2, 0]) % 3, 1)
     return Triangulation(v, tris)
-
-
-def _check_cover(mesh: Triangulation):
-    # conformity cross-check: the boundary edges must form closed loops,
-    # i.e. each boundary vertex has exactly two incident boundary edges
-    bnd = mesh.edges[mesh.boundary_edge]
-    if len(bnd):
-        counts = np.bincount(bnd.ravel())
-        deg = counts[counts > 0]
-        if np.any(deg != 2):
-            raise MeshError("non-conforming input: open boundary chain "
-                            "(hanging node or inconsistent connectivity)")
 
 
 def bisect(tri: Triangulation, marked) -> Triangulation:
@@ -345,8 +327,7 @@ def _same_corners(coarse: Triangulation, fine: Triangulation,
                   anc: np.ndarray) -> np.ndarray:
     """(nt_fine,) whether each fine element has the corner coordinates, in
     order, of its coarse ancestor `anc`: an element that bisect kept."""
-    return (fine.vertices[fine.triangles]
-            == coarse.vertices[coarse.triangles[anc]]).all(axis=(1, 2))
+    return (fine.corners() == coarse.corners(anc)).all(axis=(1, 2))
 
 
 def ancestor_map(coarse: Triangulation, fine: Triangulation) -> np.ndarray:
@@ -360,7 +341,7 @@ def ancestor_map(coarse: Triangulation, fine: Triangulation) -> np.ndarray:
     anc = descent_maps(coarse, fine)[0]
     moved = np.flatnonzero(~_same_corners(coarse, fine, anc))
     lam = barycentric(coarse, np.repeat(anc[moved], 3),
-                      fine.vertices[fine.triangles[moved]].reshape(-1, 2))
+                      fine.corners(moved).reshape(-1, 2))
     if lam.size and lam.min() < -1e-9:
         raise MeshError("fine mesh not nested in coarse mesh")
     return anc
@@ -378,8 +359,9 @@ def kept_rows(coarse: Triangulation, fine: Triangulation):
     """
     anc, edge = descent_maps(coarse, fine)
     on = np.flatnonzero(edge >= 0)
-    same = (fine.vertices[fine.edges[on]]
-            == coarse.vertices[coarse.edges[edge[on]]]).all(axis=(1, 2))
+    same = (fine.vertices.take(fine.edges[on], axis=0)
+            == coarse.vertices.take(coarse.edges[edge[on]], axis=0)).all(
+                axis=(1, 2))
     edge_src = np.full(fine.num_edges, -1, dtype=np.int64)
     edge_src[on[same]] = edge[on[same]]
     return np.where(_same_corners(coarse, fine, anc), anc, -1), edge_src
@@ -390,17 +372,15 @@ def nesting_sets(coarse: Triangulation, fine: Triangulation) -> NestingSets:
     counts = np.bincount(anc, minlength=coarse.num_triangles)
     if counts.min() == 0:
         raise MeshError("fine mesh does not cover the coarse mesh")
-    fine_area = np.zeros(coarse.num_triangles)
-    np.add.at(fine_area, anc, fine.area)
+    fine_area = np.bincount(anc, fine.area, minlength=coarse.num_triangles)
     if np.any(np.abs(fine_area - coarse.area) > 1e-12 * coarse.area):
         raise MeshError("fine mesh not nested: ancestor areas do not match")
     refined = np.flatnonzero(counts > 1)
 
     # touching = sharing at least one vertex with a refined coarse element,
     # which every refined element does
-    refined_verts = np.unique(coarse.triangles[refined]) if len(refined) \
-        else np.empty(0, dtype=np.int64)
-    touch = np.isin(coarse.triangles, refined_verts).any(axis=1)
+    touch = np.isin(coarse.triangles,
+                    np.unique(coarse.triangles[refined])).any(axis=1)
     neighborhood = np.flatnonzero(touch)
     return NestingSets(refined=refined, neighborhood=neighborhood,
                        ancestors=anc)

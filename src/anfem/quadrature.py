@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 # 6-point rule, exact for degree 4
@@ -13,11 +15,15 @@ DEG4_BARY = np.array([
 DEG4_WEIGHTS = np.array([0.109951743655322] * 3 + [0.223381589678011] * 3)
 
 
+def combine3(w, x):
+    """sum_i w[..., i] x[..., i, :], added for i = 0, 1, 2 as einsum does."""
+    return (w[..., 0, None] * x[..., 0, :] + w[..., 1, None] * x[..., 1, :]
+            + w[..., 2, None] * x[..., 2, :])
+
+
 def tri_points(mesh, bary, elements=slice(None)):
-    """Physical quadrature points of `elements` (all by default), shape
-    (nt, nq, 2)."""
-    corners = mesh.vertices[mesh.triangles[elements]]   # (nt, 3, 2)
-    return np.einsum("qi,tid->tqd", bary, corners)
+    """Physical quadrature points (nt, nq, 2) of `elements` (default all)."""
+    return combine3(bary, mesh.corners(elements)[:, None])
 
 
 def values_at(mesh, f, bary=DEG4_BARY):
@@ -39,7 +45,10 @@ def integrate_values(mesh, vals, weights=DEG4_WEIGHTS):
     return sums * mesh.area.reshape((-1,) + (1,) * len(extra))
 
 
+@cache
 def gauss_edge(npts: int = 4):
-    """Nodes in [0, 1] and weights summing to 1."""
+    """Nodes in [0, 1] and weights summing to 1 (cached, read-only)."""
     x, w = np.polynomial.legendre.leggauss(npts)
-    return 0.5 * (x + 1.0), 0.5 * w
+    s, w = 0.5 * (x + 1.0), 0.5 * w
+    s.flags.writeable = w.flags.writeable = False
+    return s, w

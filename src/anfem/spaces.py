@@ -122,8 +122,9 @@ def assemble_saddle(mesh: Triangulation, load: LoadFunction,
     # scalar stiffness S_ij = mu |K| gpsi_i . gpsi_j, same for both
     # components; the (nt, 3, 3, 2) index and value arrays of A's entries
     # are broadcast views, so only the kept entries are copied
-    S = mu * mesh.area[:, None, None] * np.einsum(
-        "tid,tjd->tij", gpsi, gpsi)
+    S = mu * mesh.area[:, None, None] * (
+        gpsi[:, :, None, 0] * gpsi[:, None, :, 0]
+        + gpsi[:, :, None, 1] * gpsi[:, None, :, 1])
     shape4 = (nt, 3, 3, 2)
     rows = np.broadcast_to(edof[:, :, None], shape4)
     cols = np.broadcast_to(edof[:, None], shape4)
@@ -139,7 +140,7 @@ def assemble_saddle(mesh: Triangulation, load: LoadFunction,
 
     # load vector by the edge-midpoint rule, psi_i(m_j) = delta_ij, with g
     # evaluated once per edge
-    gvals = values.at_midpoints["g"][mesh.tri_edges]            # (nt, 3, 2)
+    gvals = values.at_midpoints["g"].take(mesh.tri_edges, axis=0)  # (nt,3,2)
     F = np.bincount(edof[on], minlength=nu, weights=(
         (mesh.area / 3.0)[:, None, None] * gvals)[on])
 
@@ -223,20 +224,20 @@ def solve(mesh: Triangulation, load: LoadFunction,
 
 def cr_element_coeffs(mesh: Triangulation, u: np.ndarray) -> np.ndarray:
     """(nt, 3, 2) edge-mean values per element (zeros on boundary edges)."""
-    return edge_values(mesh, u)[mesh.tri_edges]
+    return edge_values(mesh, u).take(mesh.tri_edges, axis=0)
 
 
 def cr_gradients(mesh: Triangulation, u: np.ndarray) -> np.ndarray:
     """Per-element gradient tensor G[t, i, j] = d u_i / d x_j, (nt, 2, 2)."""
-    return np.einsum("tic,tid->tcd", cr_element_coeffs(mesh, u),
-                     -2.0 * mesh.bary_grads)
+    return quad.combine3(cr_element_coeffs(mesh, u).transpose(0, 2, 1),
+                         -2.0 * mesh.bary_grads[:, None])
 
 
 def cr_vertex_values(mesh: Triangulation, u: np.ndarray) -> np.ndarray:
     """One-sided values at element corners, (nt, 3, 2): psi_i = 1 - 2
     lambda_i at the barycentric corners."""
-    basis = 1.0 - 2.0 * np.eye(3)
-    return np.einsum("qi,tic->tqc", basis, cr_element_coeffs(mesh, u))
+    c0, c1, c2 = cr_element_coeffs(mesh, u).transpose(1, 0, 2)
+    return np.stack([c1 - c0 + c2, c0 - c1 + c2, c0 + c1 - c2], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -27,12 +27,10 @@ def conservative_interpolation(field, mesh: Triangulation) -> np.ndarray:
 def edge_means_of_field(field, mesh: Triangulation, npts: int = 16):
     """(ne, 2) edge means of a field, by npts-point Gauss rules."""
     s, w = quad.gauss_edge(npts)
-    p0 = mesh.vertices[mesh.edges[:, 0]]
-    p1 = mesh.vertices[mesh.edges[:, 1]]
-    pts = p0[:, None, :] * (1.0 - s)[None, :, None] \
-        + p1[:, None, :] * s[None, :, None]
-    vals = field(pts[..., 0], pts[..., 1])
-    return np.einsum("q,eqc->ec", w, vals)
+    p0, p1 = mesh.vertices.take(mesh.edges.T, axis=0)
+    # point-major (npts, ne, 2): the sum adds point by point, in order
+    pts = p0 * (1.0 - s)[:, None, None] + p1 * s[:, None, None]
+    return (w[:, None, None] * field(pts[..., 0], pts[..., 1])).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +52,7 @@ def _cr_eval(coarse: Triangulation, coeffs_elem: np.ndarray, elems,
     """CR field with element coefficients `coeffs_elem` at points[i] in
     element elems[i]."""
     basis = 1.0 - 2.0 * barycentric(coarse, elems, points)
-    return np.einsum("...i,...ic->...c", basis, coeffs_elem[elems])
+    return quad.combine3(basis, coeffs_elem.take(elems, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -118,11 +116,11 @@ def nodal_averaging(v: np.ndarray, mesh: Triangulation) -> np.ndarray:
     Returns (2 * nv,) nodal values of a continuous piecewise linear field.
     """
     vv = cr_vertex_values(mesh, v)                  # (nt, 3, 2)
-    sums = np.zeros((mesh.num_vertices, 2))
-    counts = np.zeros(mesh.num_vertices)
-    for i in range(3):
-        np.add.at(sums, mesh.triangles[:, i], vv[:, i])
-        np.add.at(counts, mesh.triangles[:, i], 1.0)
+    # onto dof 2 * vertex + c, corner by corner, then element by element
+    dof = 2 * mesh.triangles.T[..., None] + np.arange(2)     # (3, nt, 2)
+    sums = np.bincount(dof.ravel(), vv.transpose(1, 0, 2).ravel(),
+                       minlength=2 * mesh.num_vertices).reshape(-1, 2)
+    counts = np.bincount(mesh.triangles.ravel(), minlength=len(sums))
     nodal = sums / np.maximum(counts, 1.0)[:, None]
     nodal[mesh.boundary_vertices] = 0.0
     return nodal.ravel()
@@ -132,14 +130,20 @@ def p1_eval(nodal: np.ndarray, mesh: Triangulation, elems,
             points) -> np.ndarray:
     """P1 nodal field at points[i] in element elems[i]."""
     lam = barycentric(mesh, elems, points)
-    return np.einsum("...i,...ic->...c", lam,
-                     nodal.reshape(-1, 2)[mesh.triangles[elems]])
+    return quad.combine3(lam, nodal.reshape(-1, 2).take(mesh.triangles[elems],
+                                                        axis=0))
 
 
 def p1_gradients(nodal: np.ndarray, mesh: Triangulation) -> np.ndarray:
     """(nt, 2, 2) gradients of a P1 nodal field."""
-    vals = nodal.reshape(-1, 2)[mesh.triangles]     # (nt, 3, 2)
-    return np.einsum("tic,tid->tcd", vals, mesh.bary_grads)
+    return _p1_gradients(nodal, mesh, slice(None))
+
+
+def _p1_gradients(nodal, mesh: Triangulation, elems) -> np.ndarray:
+    """`p1_gradients` on the elements `elems` only."""
+    vals = nodal.reshape(-1, 2).take(mesh.triangles[elems], axis=0)
+    return quad.combine3(vals.transpose(0, 2, 1),
+                         mesh.bary_grads[elems][:, None])
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,26 @@ def reference_topology(triangles):
     return edges, tri_edges, edge_tris
 
 
+def brute_topology(triangles):
+    """(edges, tri_edges, edge_tris, boundary_edge) from a dict over the
+    sorted vertex pairs of the local edges: the edges in lexicographic
+    order, each with its incident elements in ascending id, -1 padded."""
+    owners = {}
+    for t, tri in enumerate(np.asarray(triangles).tolist()):
+        for i, (a, b) in enumerate(LOCAL_EDGES):
+            pair = (min(tri[a], tri[b]), max(tri[a], tri[b]))
+            owners.setdefault(pair, []).append((t, i))
+    edges = sorted(owners)
+    tri_edges = np.full((len(triangles), 3), -1, dtype=np.int64)
+    edge_tris = np.full((len(edges), 2), -1, dtype=np.int64)
+    for e, pair in enumerate(edges):
+        for k, (t, i) in enumerate(sorted(owners[pair])):
+            tri_edges[t, i] = e
+            edge_tris[e, k] = t
+    return (np.array(edges, dtype=np.int64).reshape(-1, 2), tri_edges,
+            edge_tris, edge_tris[:, 1] < 0)
+
+
 def reference_bisect(tri, marked):
     """(vertices, triangles, parent) by the per-element emit loop, for a
     non-empty list of integer element ids."""

@@ -55,3 +55,44 @@ def test_scaling_exponent_near_half():
     assert 0.4 <= out["exponent"] <= 0.6
     for row in out["rows"]:
         assert abs(row["boundary_sum"] - row["closed_form"]) < 1e-10
+
+
+def ac_segments_by_scan(fam):
+    """AC's segments by a scan of every fine edge for two AC vertices."""
+    fine = fam.fine
+    segs = np.flatnonzero(np.isin(fine.edges, fam.ac_vertex_col).all(axis=1))
+    t0, t1 = fine.edge_tris[segs].T
+    t0_left = fine.centroids()[t0, 0] < 0
+    left, right = np.where(t0_left, t0, t1), np.where(t0_left, t1, t0)
+    ymid = fine.edge_midpoints()[segs, 1]
+    order = np.argsort(ymid, kind="stable")
+    return list(zip(segs[order], left[order], right[order], ymid[order]))
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 81])
+def test_ac_segments_match_all_edge_scan(n):
+    """The same segments, left/right elements and ymid, in the same order,
+    bit for bit."""
+    fam = build_family(n)
+    got = [tuple(map(float, s)) for s in ac_segments(fam)]
+    assert len(got) == n
+    assert got == [tuple(map(float, s)) for s in ac_segments_by_scan(fam)]
+
+
+# (N, repr(boundary_sum), repr(grad_norm_sq), repr(C)) of
+# scaling_study([5, 11, 21, 41, 81]) as computed from the gradients of every
+# fine element
+PINNED_ROWS = [
+    (5, "2.4", "12.0", "1.2000000000000002"),
+    (11, "5.454545454545454", "36.0", "1.5745916432444338"),
+    (21, "10.476190476190478", "76.0", "2.081407989673641"),
+    (41, "20.487804878048784", "156.0", "2.8411473465194668"),
+    (81, "40.493827160493815", "316.0", "3.9455350964336087"),
+]
+
+
+def test_scaling_study_rows_are_pinned():
+    """Reading only the strip along AC changes no bit of the rows."""
+    rows = scaling_study([5, 11, 21, 41, 81])["rows"]
+    assert [(r["N"], repr(r["boundary_sum"]), repr(r["grad_norm_sq"]),
+             repr(float(r["C"]))) for r in rows] == PINNED_ROWS

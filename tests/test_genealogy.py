@@ -15,8 +15,9 @@ from anfem.domains import diamond, l_shape, unit_square
 from anfem.mesh import (MeshError, Triangulation, ancestor_map, bisect,
                         build_initial, descent_maps, kept_rows, nesting_sets,
                         refinement_ratio, uniform_refine)
-from oracles import (geometric_edge_map, located_ancestors, reference_bisect,
-                     reference_orientation, reference_topology)
+from oracles import (brute_topology, geometric_edge_map, located_ancestors,
+                     reference_bisect, reference_orientation,
+                     reference_topology)
 
 DOMAINS = {"square": lambda: unit_square(1), "lshape": l_shape,
            "diamond": diamond}
@@ -89,6 +90,29 @@ def refined_subset_ratio(coarse, fine):
     sel = np.bincount(anc, minlength=coarse.num_triangles)[anc] > 1
     return float(np.max(coarse.h[anc[sel]] / fine.h[sel])) if sel.any() \
         else 1.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_topology_matches_brute_force(data):
+    """`edges` (lexicographic), `tri_edges`, `edge_tris` (ascending ids, -1
+    padded) and `boundary_edge` equal a dict over sorted vertex pairs, on
+    random bisections of l_shape() and unit_square(2) and on criss-cross
+    meshes of small odd N."""
+    kind = data.draw(st.sampled_from(["lshape", "square", "criss-cross"]))
+    if kind == "criss-cross":
+        meshes = [build_family(data.draw(st.sampled_from([1, 3, 5, 7, 9]),
+                                         label="N")).fine]
+    else:
+        meshes = [l_shape() if kind == "lshape" else unit_square(2)]
+        for _ in range(data.draw(st.integers(1, 4), label="rounds")):
+            meshes.append(bisect(meshes[-1], draw_marks(data, meshes[-1])))
+    for mesh in meshes:
+        edges, tri_edges, edge_tris, boundary = brute_topology(mesh.triangles)
+        assert np.array_equal(mesh.edges, edges)
+        assert np.array_equal(mesh.tri_edges, tri_edges)
+        assert np.array_equal(mesh.edge_tris, edge_tris)
+        assert np.array_equal(mesh.boundary_edge, boundary)
 
 
 @settings(max_examples=20, deadline=None)

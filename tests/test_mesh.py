@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from anfem.mesh import (MeshError, Triangulation, ancestor_map, bisect,
-                        build_initial, descent_maps, nesting_sets, read_mesh,
-                        refinement_ratio, uniform_refine)
+from anfem.mesh import (MeshError, Triangulation, ancestor_map, barycentric,
+                        bisect, build_initial, descent_maps, nesting_sets,
+                        read_mesh, refinement_ratio, uniform_refine)
 from anfem.domains import diamond, l_shape, unit_square
 
 
@@ -205,3 +205,44 @@ def test_edge_geometry():
     vec = tri.vertices[tri.edges[:, 1]] - tri.vertices[tri.edges[:, 0]]
     assert np.allclose(np.einsum("ei,ei->e", vec, tri.edge_tangent),
                        tri.edge_length)
+
+
+def solved_barycentric(mesh, elems, points):
+    """Barycentric coordinates by a batched np.linalg.solve of each
+    element's 2 x 2 system."""
+    p = mesh.vertices[mesh.triangles[elems]]
+    T = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
+    ab = np.linalg.solve(T, (points - p[:, 0])[..., None])[..., 0]
+    return np.column_stack([1.0 - ab[:, 0] - ab[:, 1], ab])
+
+
+def randomly_bisected_square():
+    rng = np.random.default_rng(5)
+    mesh = unit_square(2)
+    for _ in range(6):
+        mesh = bisect(mesh, rng.choice(mesh.num_triangles, 3, replace=False))
+    return mesh
+
+
+@pytest.mark.parametrize("name", ["l_shape3", "bisected_square",
+                                  "corner_graded"])
+def test_barycentric_matches_linear_solve(name):
+    """The closed form agrees with np.linalg.solve to 1e-13 relative to the
+    coordinates' sum, 1, at random points of random elements, down to the
+    areas of 1e-25 of the corner-graded mesh."""
+    from test_spaces import corner_graded_l_shape
+    mesh = {"l_shape3": lambda: l_shape(3),
+            "bisected_square": randomly_bisected_square,
+            "corner_graded": lambda: corner_graded_l_shape(
+                rounds=80, refine_rounds=2)}[name]()
+    rng = np.random.default_rng(17)
+    elems = np.concatenate([np.argsort(mesh.area)[:20],
+                            rng.integers(0, mesh.num_triangles, 2000)])
+    weights = rng.dirichlet(np.ones(3), len(elems))
+    points = np.einsum("ti,tid->td", weights,
+                       mesh.vertices[mesh.triangles[elems]])
+    lam = barycentric(mesh, elems, points)
+    assert np.abs(lam - solved_barycentric(mesh, elems, points)).max() \
+        <= 1e-13
+    if name == "corner_graded":
+        assert mesh.area[elems].min() < 1e-24

@@ -207,6 +207,17 @@ def test_pressure_convergence(smooth):
     assert errs[2] < errs[1] < errs[0]
 
 
+def test_gauss_edge_rule_is_cached_and_read_only():
+    s, w = quad.gauss_edge(16)
+    assert quad.gauss_edge(16)[0] is s and quad.gauss_edge(16)[1] is w
+    x, wx = np.polynomial.legendre.leggauss(16)
+    assert np.array_equal(s, 0.5 * (x + 1.0))
+    assert np.array_equal(w, 0.5 * wx)
+    for a in (s, w):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
 def test_cr_values_edge_mean_property():
     """The CR basis reproduces coefficients as interior-edge means."""
     from anfem.mesh import barycentric
