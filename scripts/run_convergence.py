@@ -26,7 +26,7 @@ def main():
     for _ in range(args.levels):
         # the solution carries one evaluation of g, grad u and p, which the
         # estimator, the errors and the consistency error share
-        sol = solve(mesh, load, args.mu)
+        sol = solve(mesh, load)
         report = estimate(sol)
         err_u = np.sqrt(velocity_error_sq(sol))
         err_p = np.sqrt(pressure_error_sq(sol))

@@ -12,7 +12,7 @@ from .estimator import (EstimatorReport, consistency_error, estimate,
                         estimate_frozen, modified_eta)
 from .mesh import (MeshError, NestingSets, Triangulation, ancestor_map,
                    bisect, build_initial, nesting_sets, read_mesh,
-                   refinement_ratio, uniform_refine)
+                   uniform_refine)
 from .problems import LoadFunction, constant_load, get_solution, smooth1
 from .spaces import (DiscreteSolution, SaddleSystem, SolverError,
                      assemble_saddle, solve, solve_saddle)
@@ -32,6 +32,6 @@ __all__ = [
     "estimate", "estimate_frozen", "get_domain", "get_solution", "l_shape",
     "mixed_prolongation", "modified_eta", "naive_prolongation", "nesting_sets",
     "nodal_averaging", "prolongation_defect_constant", "rate_fit", "read_mesh",
-    "refinement_ratio", "restriction", "scaling_study", "smooth1", "solve",
-    "solve_saddle", "uniform_refine", "uniform_trace", "unit_square",
+    "restriction", "scaling_study", "smooth1", "solve", "solve_saddle",
+    "uniform_refine", "uniform_trace", "unit_square",
 ]

@@ -14,7 +14,7 @@ from . import quadrature as quad
 from .estimator import (EstimatorReport, estimate, estimate_frozen,
                         modified_eta)
 from .mesh import (NestingSets, Triangulation, bisect, nesting_sets,
-                   refinement_ratio, uniform_refine)
+                   uniform_refine)
 from .problems import LoadFunction, PointValues
 from .spaces import (DiscreteSolution, assemble_saddle, galerkin_residual,
                      num_velocity_dofs, pressure_error_sq, solve_saddle,
@@ -107,7 +107,6 @@ class AdaptiveTrace:
 class LoopParams:
     theta: float = 0.3
     eps: float = 0.0
-    mu: float = 1.0
     beta1: float = 1.0
     gamma1: float = 1.0
     gamma2: float = 1.0
@@ -130,7 +129,7 @@ class LoopParams:
         _check_theta(self.theta)
         if not self.eps >= 0.0:
             raise ValueError(f"eps must be nonnegative, got {self.eps}")
-        for name in ("mu", "beta1", "gamma1", "gamma2"):
+        for name in ("beta1", "gamma1", "gamma2"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got "
                                  f"{getattr(self, name)}")
@@ -141,20 +140,20 @@ class LoopParams:
                     f"{name} must be an integer >= 1, got {value!r}")
 
 
-def _solve_level(values: PointValues, p: LoopParams, it: int, gamma: float):
+def _solve_level(values: PointValues, beta1: float, it: int, gamma: float):
     """Solve the load of the record `values` on its mesh, check the solver
     invariants and estimate; returns the solution, the estimator and the
     level's record (nothing marked yet). The record's degree-4 part is
     first needed after the solve, so it is built then."""
     mesh = values.mesh
-    system = assemble_saddle(mesh, values.load, p.mu, values)
+    system = assemble_saddle(mesh, values.load, values=values)
     sol = solve_saddle(system)
     _check_solve_invariants(system, sol)
     report = estimate(sol)
     rec = IterationRecord(
         iteration=it, nelems=mesh.num_triangles,
         ndofs=num_velocity_dofs(mesh) + mesh.num_triangles,
-        eta2=report.total_eta_sq, eta_tilde2=modified_eta(report, p.beta1),
+        eta2=report.total_eta_sq, eta_tilde2=modified_eta(report, beta1),
         osc2=report.total_osc_sq, vol2=report.total_vol_sq,
         nmarked=0, gamma=gamma, solver_iterations=sol.iterations,
         lu_fill=sol.lu_fill, solver_residual=sol.residual)
@@ -169,7 +168,7 @@ def anfem_loop(mesh0: Triangulation, load: LoadFunction,
     """Solve -> estimate -> mark -> refine until eta < eps, the element cap
     or the last iteration; the run ends with a solve, never a refinement.
 
-    Each mesh has one `PointValues` record of the load, built from the
+    Each mesh has one `PointValues` record of the load, descended from the
     previous mesh's record: only the elements and edges `bisect` created
     are evaluated."""
     p = params or LoopParams()
@@ -183,7 +182,7 @@ def anfem_loop(mesh0: Triangulation, load: LoadFunction,
     gamma = 1.0
 
     for it in range(p.max_iterations):
-        sol, report, rec = _solve_level(values, p, it, gamma)
+        sol, report, rec = _solve_level(values, p.beta1, it, gamma)
         if load.has_exact:
             rec.lam = rec.err_u2 + p.gamma1 * rec.err_p2 \
                 + p.gamma2 * rec.eta_tilde2
@@ -207,8 +206,8 @@ def anfem_loop(mesh0: Triangulation, load: LoadFunction,
         rec.nmarked = len(marked)
         refined = bisect(mesh, marked)
         ns = nesting_sets(mesh, refined)
-        gamma = refinement_ratio(mesh, refined)
-        values = PointValues(refined, load, values)
+        gamma = ns.gamma
+        values = values.descend(refined)
 
         if p.check_reduction:
             # its volume terms on `refined` are the next step's
@@ -256,7 +255,7 @@ def _cross_level_monitors(prev, sol, rec):
     from the exact values in the solution's record, the empirical
     quasi-orthogonality constants (skipped without an exact solution)."""
     sol_prev, report_prev, ns = prev
-    mesh, mu, grads = sol.mesh, sol.mu, sol.grads
+    mesh, grads = sol.mesh, sol.grads
     W = grads - sol_prev.grads[ns.ancestors]  # grad(u_k - u_{k-1}) on T_k
     wnorm = float(np.sqrt((mesh.area * np.einsum(
         "tij,tij->t", W, W)).sum()))
@@ -273,7 +272,7 @@ def _cross_level_monitors(prev, sol, rec):
     a_exact = float(np.einsum("tij,tij->", quad.integrate_values(
         mesh, exact["grad_velocity"]), W))
     a_disc = float((mesh.area * np.einsum("tij,tij->t", grads, W)).sum())
-    qo_num = abs(mu * (a_exact - a_disc))
+    qo_num = abs(sol.values.load.mu * (a_exact - a_disc))
     err_u = np.sqrt(rec.err_u2)
     den = err_u * np.sqrt(vol_refined)
     rec.qo_velocity = qo_num / den if den > 0 else np.nan
@@ -300,16 +299,16 @@ def uniform_trace(mesh0: Triangulation, load: LoadFunction,
         raise ValueError(f"levels must be >= 1, got {levels}")
     trace = AdaptiveTrace(converged=True)
     mesh = mesh0
-    p = LoopParams()          # the default mu and beta1
     gamma = 1.0               # no previous mesh, as in anfem_loop
     for it in range(levels):
         if it > 0:
             trace.records[-1].nmarked = mesh.num_triangles
             mesh = uniform_refine(mesh, 2)
             gamma = 2.0
-        # every element is split, so there is nothing to carry
+        # every element is split, so there is nothing to carry; beta1 is
+        # the loop's default
         trace.final_solution, _, rec = _solve_level(
-            PointValues(mesh, load), p, it, gamma)
+            PointValues(mesh, load), LoopParams.beta1, it, gamma)
         trace.records.append(rec)
     return trace
 

@@ -66,19 +66,18 @@ def build_parser():
     return ap
 
 
-def cmd_adapt(args, mesh0, params) -> int:
-    load = get_solution(args.solution, args.mu)
+def cmd_adapt(args, mesh0, load, params) -> int:
     trace = adaptive.anfem_loop(mesh0, load, params)
     trace.to_csv(os.path.join(args.out, "trace.csv"))
     final = trace.records[-1]
-    summary = {"schema": "anfem-summary-v2",
+    summary = {"schema": "anfem-summary-v3",
                "converged": trace.converged, "truncated": trace.truncated,
                "iterations": len(trace.records),
                "final_nelems": final.nelems, "final_ndofs": final.ndofs,
                "final_eta": float(np.sqrt(final.eta2)),
                "solver_iterations": int(
                    trace.column("solver_iterations").sum()),
-               "params": asdict(params),
+               "mu": load.mu, "params": asdict(params),
                "versions": {"python": platform.python_version(),
                             "numpy": np.__version__,
                             "scipy": scipy.__version__},
@@ -118,17 +117,20 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     if args.command == "adapt":
-        # LoopParams checks every loop parameter that adapt takes
+        # LoopParams checks every loop parameter adapt takes, the load mu
         given = {f.name: getattr(args, f.name)
                  for f in fields(adaptive.LoopParams)
                  if hasattr(args, f.name)}
         try:
             params = adaptive.LoopParams(**given)
+            load = get_solution(args.solution, args.mu)
         except ValueError as exc:
             ap.error(str(exc))
         try:
             mesh0 = (read_mesh(args.mesh) if args.mesh
                      else get_domain(args.domain))
+            if not len(mesh0.interior_edges):
+                raise MeshError("no interior edge, so no velocity unknown")
         except (MeshError, OSError) as exc:
             ap.error(f"--mesh: {exc}")
     # made before the run, so that a path that cannot be a directory is a
@@ -139,7 +141,7 @@ def main(argv=None) -> int:
         ap.error(f"--out: {exc}")
     if args.command == "counterexample":
         return cmd_counterexample(args)
-    return cmd_adapt(args, mesh0, params)
+    return cmd_adapt(args, mesh0, load, params)
 
 
 if __name__ == "__main__":

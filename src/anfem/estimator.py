@@ -102,15 +102,17 @@ def consistency_error(sol: DiscreteSolution) -> float:
     """Dual norm sup_v [(g,v) - (sigma, grad v)] / ||grad v|| over the CR space
     of the exact stress sigma = mu grad u + p I.
 
-    Computed by solving (grad w, grad v) = (g, v) - (sigma, grad v) and
-    returning ||grad w||, with g, grad u and p from the solution's record.
+    Computed by solving mu (grad w, grad v) = (g, v) - (sigma, grad v) with
+    the system's A and returning mu ||grad w|| = sqrt(mu w.Aw), with mu, g,
+    grad u and p from the solution's record.
     """
     values, mesh = sol.values, sol.mesh
     if not values.load.has_exact:
         raise ValueError("no exact solution available")
-    system = assemble_saddle(mesh, values.load, 1.0, values)
+    mu = values.load.mu
+    system = assemble_saddle(mesh, values.load, values=values)
     exact = values.at_points
-    sigma = sol.mu * exact["grad_velocity"]             # (nt, nq, 2, 2)
+    sigma = mu * exact["grad_velocity"]                 # (nt, nq, 2, 2)
     sigma[..., 0, 0] += exact["pressure"]
     sigma[..., 1, 1] += exact["pressure"]
     sigma_int = quad.integrate_values(mesh, sigma)      # (nt, 2, 2)
@@ -124,4 +126,4 @@ def consistency_error(sol: DiscreteSolution) -> float:
                                       -sl.reshape(-1, 2)]).ravel())
     rhs = rhs[interior_dofs(mesh)]
     w = spd_factor(system.A).solve(rhs)
-    return float(np.sqrt(max(w @ (system.A @ w), 0.0)))
+    return float(np.sqrt(mu * max(w @ (system.A @ w), 0.0)))

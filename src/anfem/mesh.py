@@ -302,6 +302,9 @@ class NestingSets:
     refined: np.ndarray      # coarse element ids that were subdivided
     neighborhood: np.ndarray  # coarse elements touching the refined region
     ancestors: np.ndarray    # (nt_fine,) coarse ancestor of each fine element
+    # max over fine T of h_K / h_T, K the ancestor of T: exactly 1 without
+    # refinement, as a kept element keeps its vertices and so its h
+    gamma: float
 
 
 def descent_maps(coarse: Triangulation, fine: Triangulation):
@@ -383,17 +386,8 @@ def nesting_sets(coarse: Triangulation, fine: Triangulation) -> NestingSets:
                     np.unique(coarse.triangles[refined])).any(axis=1)
     neighborhood = np.flatnonzero(touch)
     return NestingSets(refined=refined, neighborhood=neighborhood,
-                       ancestors=anc)
-
-
-def refinement_ratio(coarse: Triangulation, fine: Triangulation) -> float:
-    """max over coarse K of max over fine T inside K of h_K / h_T.
-
-    A kept element has the same vertices, hence the same h, on both meshes,
-    so without refinement the ratio is exactly 1.
-    """
-    anc = descent_maps(coarse, fine)[0]
-    return float(np.max(coarse.h[anc] / fine.h))
+                       ancestors=anc,
+                       gamma=float(np.max(coarse.h[anc] / fine.h)))
 
 
 # ---------------------------------------------------------------------------

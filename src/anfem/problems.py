@@ -3,6 +3,9 @@
 Sign convention: the weak form is a(u,v) + b(v,p) + b(u,q) = (g,v) with
 b(v,q) = (div v, q), so the strong form is -mu*Lap(u) - grad(p) = g.
 
+A load owns its viscosity: `LoadFunction.mu`, the mu of its g and exact
+solution, is the one copy assembly, the solve and the monitors read.
+
 Both manufactured solutions are closed forms in numpy. `smooth1` is a
 product of 1-D polynomials. `lshape_singular` is the curl of the stream
 function S = B(x, y) * Phi with the smooth cut-off B and the pure corner
@@ -18,7 +21,8 @@ values}, that shares the points, the jets and the corner powers between
 the fields it is asked for; its callables `g`, `velocity`,
 `grad_velocity` and `pressure` are views of that pass (`_View`), one field
 each. `PointValues` is a mesh's one record of a load's values at the edge
-midpoints and at the degree-4 points.
+midpoints and at the degree-4 points; `PointValues.descend` derives the
+record of a refined mesh from it.
 """
 
 from __future__ import annotations
@@ -50,6 +54,13 @@ class LoadFunction:
     velocity: Callable | None = None  # exact u, same signature
     grad_velocity: Callable | None = None  # (x, y) -> (..., 2, 2), d u_i / d x_j
     pressure: Callable | None = None
+    mu: float = 1.0                 # the viscosity of -mu Lap(u) - grad(p) = g
+
+    def __post_init__(self):
+        # a bool is a number to every comparison (True == 1)
+        if isinstance(self.mu, bool) or not 0.0 < self.mu < np.inf:
+            raise ValueError(f"viscosity mu must be positive and finite, "
+                             f"got {self.mu!r}")
 
     @property
     def has_exact(self) -> bool:
@@ -138,9 +149,9 @@ def _stream_fields(s, names) -> dict:
     return out
 
 
-def _from_joint(joint) -> LoadFunction:
-    """A LoadFunction whose four callables are views of `joint`."""
-    return LoadFunction(**{name: _View(joint, name) for name in _STREAM_ORDER})
+def _from_joint(joint, mu) -> LoadFunction:
+    """A LoadFunction of viscosity `mu` whose callables view `joint`."""
+    return LoadFunction(mu=mu, **{n: _View(joint, n) for n in _STREAM_ORDER})
 
 
 def smooth1(mu: float = 1.0) -> LoadFunction:
@@ -149,7 +160,6 @@ def smooth1(mu: float = 1.0) -> LoadFunction:
     u = curl(f(x) f(y)) with f(s) = s^2 (1-s)^2, which vanishes with its
     derivative on the boundary, and p = x^3 - 1/4 (zero mean).
     """
-    mu = float(mu)
 
     def joint(x, y, names):
         x, y = _xy(x, y)
@@ -164,17 +174,18 @@ def smooth1(mu: float = 1.0) -> LoadFunction:
             out["pressure"] = x ** 3 - 0.25
         return out
 
-    return _from_joint(joint)
+    return _from_joint(joint, mu)
 
 
-def constant_load(gx: float = 1.0, gy: float = 0.0) -> LoadFunction:
+def constant_load(gx: float = 1.0, gy: float = 0.0,
+                  mu: float = 1.0) -> LoadFunction:
     def g(x, y):
         x = np.asarray(x, dtype=float)
         out = np.empty(x.shape + (2,))
         out[..., 0] = gx
         out[..., 1] = gy
         return out
-    return LoadFunction(g=g)
+    return LoadFunction(g=g, mu=mu)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +298,6 @@ def lshape_singular(mu: float = 1.0) -> LoadFunction:
     floating point. What is left is bounded (g ~ r^a at the corner) and
     accurate at any radius, and needs Phi's jet to order 2 only.
     """
-    mu = float(mu)
 
     def joint(x, y, names):
         x, y, r, t = _lshape_points(x, y)
@@ -310,7 +320,7 @@ def lshape_singular(mu: float = 1.0) -> LoadFunction:
                                       b[0, 1] * pstd + g2], axis=-1)
         return out
 
-    return _from_joint(joint)
+    return _from_joint(joint, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -328,29 +338,29 @@ class PointValues:
     `at_points`, g and, with an exact solution, grad u and p at the
     degree-4 points (`quad.DEG4_BARY`), as {field name: array}.
     `volume_terms` are the per-element integrals the estimator takes from
-    g.
-
-    `prev` is the record of the same load on a mesh that `mesh` descends
-    from by `bisect`, or None. With it, a part copies from `prev`'s (if
-    that one is built) the rows of the elements and edges whose corner
-    coordinates `bisect` kept (`kept_rows`), and evaluates only the
-    others, so the values equal a full evaluation bit for bit.
+    g. `descend` gives the record of the same load on a refined mesh.
     """
 
-    def __init__(self, mesh: Triangulation, load: LoadFunction,
-                 prev: PointValues | None = None):
+    def __init__(self, mesh: Triangulation, load: LoadFunction):
         self.mesh, self.load = mesh, load
         # part -> (the previous record's part, the source row there of each
         # row here, -1 for a new one); a part drops its entry once built
         self._carry = {}
-        if prev is not None:
-            if prev.load is not load:
-                raise ValueError("prev is the record of another load")
-            elements, edges = kept_rows(prev.mesh, mesh)
-            for part, source in (("at_midpoints", edges),
-                                 ("at_points", elements)):
-                if part in vars(prev):
-                    self._carry[part] = (vars(prev)[part], source)
+
+    def descend(self, fine: Triangulation) -> PointValues:
+        """The record of this load on `fine`, a mesh that descends from this
+        record's mesh by `bisect` (else `MeshError`). Each part copies from
+        this record's (if that one is built) the rows of the elements and
+        edges whose corner coordinates `bisect` kept (`kept_rows`) and
+        evaluates only the others, so the values equal a full evaluation
+        bit for bit."""
+        out = PointValues(fine, self.load)
+        elements, edges = kept_rows(self.mesh, fine)
+        for part, source in (("at_midpoints", edges),
+                             ("at_points", elements)):
+            if part in vars(self):
+                out._carry[part] = (vars(self)[part], source)
+        return out
 
     def _evaluate(self, part, points, count, names) -> dict:
         """The fields `names` at `points(rows)` for each of the `count`
@@ -406,9 +416,9 @@ def get_solution(name: str, mu: float = 1.0) -> LoadFunction:
     if name == "smooth1":
         return smooth1(mu)
     if name == "constant":
-        return constant_load()
+        return constant_load(mu=mu)
     if name == "lshape_singular":
         return lshape_singular(mu)
     if name == "zero":
-        return constant_load(0.0, 0.0)
+        return constant_load(0.0, 0.0, mu)
     raise ValueError(f"unknown solution/load '{name}'")

@@ -26,15 +26,10 @@ def tri_points(mesh, bary, elements=slice(None)):
     return combine3(bary, mesh.corners(elements)[:, None])
 
 
-def values_at(mesh, f, bary=DEG4_BARY):
-    """f(x, y) at the rule's points, shape (nt, nq, ...)."""
-    pts = tri_points(mesh, bary)
-    return f(pts[..., 0], pts[..., 1])
-
-
 def integrate(mesh, f, bary=DEG4_BARY, weights=DEG4_WEIGHTS):
     """Elementwise integrals of f(x, y); returns (nt, ...) array."""
-    return integrate_values(mesh, values_at(mesh, f, bary), weights)
+    pts = tri_points(mesh, bary)
+    return integrate_values(mesh, f(pts[..., 0], pts[..., 1]), weights)
 
 
 def integrate_values(mesh, vals, weights=DEG4_WEIGHTS):

@@ -8,7 +8,8 @@ dropping those of boundary edges, and takes g at the edge midpoints from
 the mesh's `PointValues` record (built here when the caller passes none).
 The system and its solution carry that record, so the error norms, the
 estimator and the consistency error take the exact grad u and p and g at
-the degree-4 points from the record the solve used.
+the degree-4 points from the record the solve used, and the viscosity mu
+from its load (`LoadFunction.mu`).
 
 The solve is augmented-Lagrangian Uzawa iteration (Fortin & Glowinski 1983):
 with the diagonal P0 mass matrix M_p and r = 1e6 * mu it factors the SPD
@@ -63,7 +64,6 @@ class SaddleSystem:
     A: sparse.csr_matrix          # velocity block, SPD on the CR space
     B: sparse.csr_matrix          # divergence coupling, (nt, nu)
     F: np.ndarray                 # load vector, (nu,)
-    mu: float
 
     @property
     def mesh(self) -> Triangulation:
@@ -75,7 +75,6 @@ class DiscreteSolution:
     values: PointValues           # the record of the solved load's values
     u: np.ndarray                 # (2 * n_interior_edges,)
     p: np.ndarray                 # (nt,)
-    mu: float
     iterations: int               # Uzawa steps of the solve
     # the entries SuperLU stores for its SPD factor (`nnz`, supernode
     # padding included): fixed by the sparsity pattern and the ordering,
@@ -99,15 +98,13 @@ class DiscreteSolution:
         return cr_gradients(self.mesh, self.u)
 
 
-def assemble_saddle(mesh: Triangulation, load: LoadFunction,
-                    mu: float = 1.0,
+def assemble_saddle(mesh: Triangulation, load: LoadFunction, *,
                     values: PointValues | None = None) -> SaddleSystem:
-    """A, B and F scattered straight onto the interior dofs: entries of the
-    per-edge dofs of boundary edges (whose means are zero) are dropped.
-    `values` is the mesh's record of `load`'s values, if the caller keeps
-    one; the system and its solution carry it."""
-    if not (np.isfinite(mu) and mu > 0):
-        raise ValueError(f"viscosity mu must be positive and finite, got {mu}")
+    """A, B and F of `load` (with its viscosity `load.mu`) scattered
+    straight onto the interior dofs: entries of the per-edge dofs of
+    boundary edges (whose means are zero) are dropped. `values` is the
+    mesh's record of `load`'s values, if the caller keeps one; the system
+    and its solution carry it."""
     values = values or PointValues(mesh, load)
     if values.mesh is not mesh or values.load is not load:
         raise ValueError("values is the record of another mesh or load")
@@ -122,7 +119,7 @@ def assemble_saddle(mesh: Triangulation, load: LoadFunction,
     # scalar stiffness S_ij = mu |K| gpsi_i . gpsi_j, same for both
     # components; the (nt, 3, 3, 2) index and value arrays of A's entries
     # are broadcast views, so only the kept entries are copied
-    S = mu * mesh.area[:, None, None] * (
+    S = load.mu * mesh.area[:, None, None] * (
         gpsi[:, :, None, 0] * gpsi[:, None, :, 0]
         + gpsi[:, :, None, 1] * gpsi[:, None, :, 1])
     shape4 = (nt, 3, 3, 2)
@@ -144,7 +141,7 @@ def assemble_saddle(mesh: Triangulation, load: LoadFunction,
     F = np.bincount(edof[on], minlength=nu, weights=(
         (mesh.area / 3.0)[:, None, None] * gvals)[on])
 
-    return SaddleSystem(values=values, A=A, B=B, F=F, mu=mu)
+    return SaddleSystem(values=values, A=A, B=B, F=F)
 
 
 def spd_factor(M: sparse.spmatrix):
@@ -173,7 +170,7 @@ def solve_saddle(system: SaddleSystem) -> DiscreteSolution:
     BT = B.T.tocsr()
     # r M_p^-1 B: maps u to r times its element divergence
     rdiv = B.copy()
-    rdiv.data *= np.repeat(AL_WEIGHT * system.mu / mesh.area,
+    rdiv.data *= np.repeat(AL_WEIGHT * system.values.load.mu / mesh.area,
                            np.diff(B.indptr))
     try:
         # one CSC copy of K: the CSR sum is freed before the factorization
@@ -208,14 +205,12 @@ def solve_saddle(system: SaddleSystem) -> DiscreteSolution:
     resid /= max(np.linalg.norm(F), 1.0)
     if not np.isfinite(resid) or resid > 1e-10:
         raise SolverError(f"linear solve residual too large: {resid:.3e}")
-    return DiscreteSolution(values=system.values, u=u, p=p, mu=system.mu,
-                            iterations=steps,
+    return DiscreteSolution(values=system.values, u=u, p=p, iterations=steps,
                             lu_fill=lu.nnz, residual=resid)
 
 
-def solve(mesh: Triangulation, load: LoadFunction,
-          mu: float = 1.0) -> DiscreteSolution:
-    return solve_saddle(assemble_saddle(mesh, load, mu))
+def solve(mesh: Triangulation, load: LoadFunction) -> DiscreteSolution:
+    return solve_saddle(assemble_saddle(mesh, load))
 
 
 # ---------------------------------------------------------------------------

@@ -182,7 +182,7 @@ def reference_orientation(vertices, triangles):
     return tris
 
 
-def reference_assembly(mesh, load, mu=1.0):
+def reference_assembly(mesh, load):
     """(A, B, F) over the interior-edge dofs, scattered element by element
     with boundary edges masked out of a per-element dof map; the load is
     evaluated at each element's three edge midpoints."""
@@ -192,7 +192,8 @@ def reference_assembly(mesh, load, mu=1.0):
     ldof = dof[mesh.tri_edges]
     nt, nu = mesh.num_triangles, 2 * len(mesh.interior_edges)
     gpsi = -2.0 * mesh.bary_grads
-    S = mu * mesh.area[:, None, None] * np.einsum("tid,tjd->tij", gpsi, gpsi)
+    S = load.mu * mesh.area[:, None, None] * np.einsum("tid,tjd->tij",
+                                                       gpsi, gpsi)
     rows, cols, vals = [], [], []
     for i in range(3):
         for j in range(3):

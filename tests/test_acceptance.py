@@ -93,7 +93,7 @@ def test_acceptance_04_divergence_and_galerkin(capsys, smooth):
     """Discrete divergence and Galerkin residual at solver precision."""
     worst_div, worst_res = 0.0, 0.0
     for mesh in (unit_square(3), unit_square(5), l_shape(1), l_shape(3)):
-        system = assemble_saddle(mesh, smooth, 1.0)
+        system = assemble_saddle(mesh, smooth)
         sol = solve_saddle(system)
         gn = np.sqrt(broken_grad_norm_sq(mesh, sol.u))
         worst_div = max(worst_div,

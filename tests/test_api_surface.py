@@ -1,7 +1,8 @@
 """The public names other code relies on: the benchmark tracer's spans and
 load factories, `anfem.__all__`, and the imports of the shipped scripts;
-and the package's source holds no `assert` statement, no unused import
-and no annotation that names an unbound class."""
+only a load takes a viscosity; and the package's source holds no `assert`
+statement, no unused import and no annotation that names an unbound
+class."""
 
 import ast
 import dataclasses
@@ -38,7 +39,8 @@ DELETED = ("MarkingParams", "ContractionParams", "FineFunction", "patches",
            "cr_values", "broken_div", "classify_fine_edges",
            "coarse_jump_term", "cmd_verify", "EXIT_VERIFY_FAILED",
            "_suite_operators", "_suite_estimator", "_suite_qo",
-           "_suite_counterexample", "estimator_from_grads")
+           "_suite_counterexample", "estimator_from_grads",
+           "refinement_ratio", "values_at")
 # (class, attribute) pairs deleted from the public classes
 DELETED_MEMBERS = (("counterexample.CrissCrossFamily", "coarse"),
                    ("mesh.Triangulation", "min_angle"),
@@ -58,7 +60,14 @@ DELETED_MEMBERS = (("counterexample.CrissCrossFamily", "coarse"),
                    ("spaces.SaddleSystem", "nu"),
                    ("problems.LoadFunction", "name"),
                    ("estimator.EstimatorReport", "mesh"),
-                   ("problems.LoadFunction", "stress"))
+                   ("problems.LoadFunction", "stress"),
+                   ("adaptive.LoopParams", "mu"),
+                   ("spaces.SaddleSystem", "mu"),
+                   ("spaces.DiscreteSolution", "mu"))
+# the constructors of a load: the only public callables or dataclasses that
+# take or hold a viscosity `mu`, as the load is its one owner
+LOAD_CONSTRUCTORS = {"LoadFunction", "smooth1", "lshape_singular",
+                     "constant_load", "get_solution"}
 
 
 def _load(path: Path, name: str):
@@ -102,6 +111,39 @@ def test_script_imports(script):
     # loaded under a name other than __main__, so main() does not run
     module = _load(ROOT / "scripts" / script, f"_anfem_script_{script[:-3]}")
     assert callable(module.main)
+
+
+def _public_members():
+    """(qualified name, object) of each public function, class and method
+    the package's modules define."""
+    for info in pkgutil.iter_modules(anfem.__path__):
+        module = importlib.import_module(f"anfem.{info.name}")
+        for name, obj in vars(module).items():
+            if (name.startswith("_")
+                    or getattr(obj, "__module__", None) != module.__name__):
+                continue
+            yield name, obj
+            if inspect.isclass(obj):
+                yield from ((f"{name}.{attr}", member)
+                            for attr, member in vars(obj).items()
+                            if not attr.startswith("_")
+                            and inspect.isfunction(member))
+
+
+def test_only_a_load_takes_a_viscosity():
+    """No public function, method or dataclass of the package takes a
+    parameter or holds a field named `mu` except the load constructors, so
+    a run cannot state a second viscosity that disagrees with its load's."""
+    found = set()
+    for name, obj in _public_members():
+        if inspect.isclass(obj) and issubclass(obj, BaseException):
+            continue        # no signature to read; takes a message only
+        if callable(obj) and "mu" in inspect.signature(obj).parameters:
+            found.add(name)
+        if dataclasses.is_dataclass(obj) and "mu" in {
+                f.name for f in dataclasses.fields(obj)}:
+            found.add(name)
+    assert found == LOAD_CONSTRUCTORS
 
 
 def test_runtime_does_not_import_sympy():

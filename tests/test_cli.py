@@ -86,16 +86,28 @@ def test_adapt_non_conforming_mesh_exits_2(tmp_path, capsys):
     assert "hanging.txt" in capsys.readouterr().err
 
 
+def test_adapt_one_triangle_mesh_exits_2_before_the_run(tmp_path, capsys):
+    # valid, but every edge is on the boundary: no velocity unknown to solve
+    one = tmp_path / "one.txt"
+    one.write_text("3 1\n0 0\n1 0\n0 1\n0 1 2 2\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["adapt", "--mesh", str(one), "--out", str(tmp_path / "out")])
+    assert exc.value.code == EXIT_USAGE
+    assert "interior edge" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_adapt_small_run(tmp_path):
     rc = main(["adapt", "--solution", "smooth1", "--theta", "0.5",
-               "--max-iterations", "5", "--eps", "0",
+               "--max-iterations", "5", "--eps", "0", "--mu", "2",
                "--out", str(tmp_path)])
     assert rc == EXIT_OK
     lines = (tmp_path / "trace.csv").read_text().splitlines()
     assert lines[0] == "anfem-trace-v4"
     assert lines[1].split(",")[:3] == ["iteration", "nelems", "ndofs"]
     summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["schema"] == "anfem-summary-v2"
+    assert summary["schema"] == "anfem-summary-v3"
+    assert summary["mu"] == 2.0
     assert summary["iterations"] == 5
     assert summary["final_eta"] > 0
     assert not summary["truncated"]

@@ -172,9 +172,10 @@ def test_records_of_another_mesh_or_load_are_rejected(smooth):
     mesh = unit_square(2)
     other = get_solution("smooth1")
     with pytest.raises(ValueError, match="another mesh or load"):
-        assemble_saddle(mesh, smooth, 1.0, PointValues(unit_square(2), smooth))
+        assemble_saddle(mesh, smooth,
+                        values=PointValues(unit_square(2), smooth))
     with pytest.raises(ValueError, match="another mesh or load"):
-        assemble_saddle(mesh, smooth, 1.0, PointValues(mesh, other))
+        assemble_saddle(mesh, smooth, values=PointValues(mesh, other))
     sol = solve(mesh, smooth)
     fine = bisect(mesh, np.arange(mesh.num_triangles))
     with pytest.raises(ValueError, match="another load"):

@@ -14,7 +14,7 @@ from anfem.counterexample import build_family
 from anfem.domains import diamond, l_shape, unit_square
 from anfem.mesh import (MeshError, Triangulation, ancestor_map, bisect,
                         build_initial, descent_maps, kept_rows, nesting_sets,
-                        refinement_ratio, uniform_refine)
+                        uniform_refine)
 from oracles import (brute_topology, geometric_edge_map, located_ancestors,
                      reference_bisect, reference_orientation,
                      reference_topology)
@@ -118,19 +118,20 @@ def test_topology_matches_brute_force(data):
 @settings(max_examples=20, deadline=None)
 @given(st.data())
 def test_refinement_ratio_matches_refined_subset(data):
-    """Over random NVB chains, the ratio over all elements equals the one
-    over the refined elements exactly (a kept element contributes exactly 1),
-    and `parent` is the newest lineage step."""
+    """Over random NVB chains, the ratio `NestingSets.gamma` over all
+    elements equals the one over the refined elements exactly (a kept
+    element contributes exactly 1), and `parent` is the newest lineage
+    step."""
     coarse = DOMAINS[data.draw(st.sampled_from(sorted(DOMAINS)))]()
     fine = coarse
     for _ in range(data.draw(st.integers(1, 3), label="rounds")):
         refined = bisect(fine, draw_marks(data, fine))
         assert refined.parent is refined.lineage[0][1]
-        assert refinement_ratio(fine, refined) == refined_subset_ratio(
+        assert nesting_sets(fine, refined).gamma == refined_subset_ratio(
             fine, refined)
         fine = refined
-    assert refinement_ratio(coarse, fine) == refined_subset_ratio(coarse,
-                                                                  fine)
+    assert nesting_sets(coarse, fine).gamma == refined_subset_ratio(coarse,
+                                                                    fine)
 
 
 @settings(max_examples=10, deadline=None)

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from anfem.mesh import (MeshError, Triangulation, ancestor_map, barycentric,
                         bisect, build_initial, descent_maps, nesting_sets,
-                        read_mesh, refinement_ratio, uniform_refine)
+                        read_mesh, uniform_refine)
 from anfem.domains import diamond, l_shape, unit_square
 
 
@@ -138,11 +138,11 @@ def test_nesting_rejects_unrelated_mesh():
 
 def test_refinement_ratio():
     coarse = unit_square(1)
-    assert refinement_ratio(coarse, coarse) == 1.0
+    assert nesting_sets(coarse, coarse).gamma == 1.0
     one = bisect(coarse, np.arange(coarse.num_triangles))
-    assert abs(refinement_ratio(coarse, one) - np.sqrt(2.0)) < 1e-12
+    assert abs(nesting_sets(coarse, one).gamma - np.sqrt(2.0)) < 1e-12
     two = bisect(one, np.arange(one.num_triangles))
-    assert abs(refinement_ratio(coarse, two) - 2.0) < 1e-12
+    assert abs(nesting_sets(coarse, two).gamma - 2.0) < 1e-12
 
 
 def test_mesh_io_roundtrip(tmp_path):

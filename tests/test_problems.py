@@ -6,9 +6,9 @@ import pytest
 from anfem import quadrature as quad
 from anfem.domains import l_shape
 from anfem.mesh import MeshError, Triangulation, bisect, uniform_refine
-from anfem.problems import (EVAL_BLOCK, LSHAPE_ALPHA, PointValues,
-                            constant_load, get_solution, lshape_singular,
-                            smooth1)
+from anfem.problems import (EVAL_BLOCK, LSHAPE_ALPHA, LoadFunction,
+                            PointValues, constant_load, get_solution,
+                            lshape_singular, smooth1)
 from oracles import (lshape_singular_expressions, mp_evaluate,
                      smooth1_expressions)
 
@@ -174,7 +174,8 @@ def test_lshape_pressure_odd_under_reflection():
 
 def test_lshape_pressure_mean_zero():
     mesh = uniform_refine(l_shape(), 8)
-    vals = quad.values_at(mesh, lshape_singular().pressure)
+    pts = quad.tri_points(mesh, quad.DEG4_BARY)
+    vals = lshape_singular().pressure(pts[..., 0], pts[..., 1])
     total = quad.integrate_values(mesh, vals).sum()
     assert abs(total) <= 1e-13 * mesh.area.sum() * np.abs(vals).max()
 
@@ -188,6 +189,29 @@ def test_lshape_singular_linear_in_mu():
     assert np.allclose(mu.g(x, y), 2.5 * one.g(x, y), rtol=1e-15, atol=0)
     p = 2.5 * one.pressure(x, y)
     assert np.abs(mu.pressure(x, y) - p).max() < 1e-14 * np.abs(p).max()
+
+
+# every constructor of a load, called with the viscosity alone
+LOAD_CONSTRUCTORS = {
+    "LoadFunction": lambda mu: LoadFunction(g=constant_load().g, mu=mu),
+    "smooth1": smooth1, "lshape_singular": lshape_singular,
+    "constant_load": lambda mu: constant_load(mu=mu),
+    "get_solution": lambda mu: get_solution("zero", mu)}
+
+
+@pytest.mark.parametrize("mu", [0.0, -1.0, float("nan"), float("inf"), True])
+@pytest.mark.parametrize("make", sorted(LOAD_CONSTRUCTORS))
+def test_load_rejects_bad_viscosity(make, mu):
+    """The load is the one owner of mu and the one place it is checked; a
+    bool is rejected although True == 1."""
+    with pytest.raises(ValueError, match="viscosity"):
+        LOAD_CONSTRUCTORS[make](mu)
+
+
+def test_replaced_load_keeps_its_viscosity():
+    load = smooth1(2.5)
+    assert load.mu == 2.5 and get_solution("constant", 2.5).mu == 2.5
+    assert dataclasses.replace(load, g=constant_load().g).mu == 2.5
 
 
 @pytest.mark.parametrize("mu", [0.5, 1.0, 3.0])
@@ -246,11 +270,11 @@ def test_replaced_callable_is_evaluated():
 
 
 def test_record_carries_only_unmoved_rows():
-    """A record carries values from the record of the same load on any mesh
-    its own descends from by bisect, and only rows whose points did not
-    move: a mesh with bisect's genealogy but moved vertices still gets the
-    values of a fresh evaluation. Another load's record, or the record of
-    a mesh that is not an ancestor, is rejected."""
+    """A record descends to any mesh its own mesh is an ancestor of by
+    bisect, and carries only rows whose points did not move: a mesh with
+    bisect's genealogy but moved vertices still gets the values of a fresh
+    evaluation. A mesh that does not descend from the record's is
+    rejected."""
     load = lshape_singular()
     coarse = l_shape(1)
     values = PointValues(coarse, load)
@@ -262,15 +286,13 @@ def test_record_carries_only_unmoved_rows():
                  Triangulation(new_moved, fine.triangles, fine.lineage),
                  Triangulation(fine.vertices + 0.25, fine.triangles,
                                fine.lineage)):
-        carried, fresh = PointValues(mesh, load, values), PointValues(mesh,
-                                                                      load)
+        carried, fresh = values.descend(mesh), PointValues(mesh, load)
+        assert carried.load is load
         for part in ("at_midpoints", "at_points"):
             for name, ref in getattr(fresh, part).items():
                 assert np.array_equal(getattr(carried, part)[name], ref)
-    with pytest.raises(ValueError, match="another load"):
-        PointValues(fine, lshape_singular(), values)
     with pytest.raises(MeshError):
-        PointValues(l_shape(1), load, values)
+        values.descend(l_shape(1))
 
 
 def test_point_values_evaluate_in_blocks():

@@ -8,7 +8,7 @@ from anfem.adaptive import _check_solve_invariants
 from anfem.domains import diamond, l_shape, unit_square
 from anfem.mesh import bisect, uniform_refine
 from anfem.problems import (LoadFunction, constant_load, get_solution,
-                            lshape_singular)
+                            lshape_singular, smooth1)
 from anfem.spaces import (SolverError, assemble_saddle, broken_grad_norm_sq,
                           cr_gradients, edge_values, galerkin_residual,
                           interior_dofs, max_element_divergence,
@@ -36,7 +36,7 @@ def test_dof_count():
 
 def test_stiffness_spd():
     mesh = unit_square(2)
-    A = assemble_saddle(mesh, get_solution("zero"), 1.0).A.toarray()
+    A = assemble_saddle(mesh, get_solution("zero")).A.toarray()
     assert np.allclose(A, A.T)
     w = np.linalg.eigvalsh(A)
     assert w.min() > 0
@@ -52,12 +52,27 @@ def test_zero_load_zero_solution():
 
 @pytest.mark.parametrize("mu", [float("nan"), float("inf")])
 def test_assemble_rejects_bad_viscosity(mu):
+    # the viscosity reaches assembly only through the load, which rejects
+    # it; a positional viscosity after the load is not a parameter any more
     with pytest.raises(ValueError, match="viscosity"):
+        assemble_saddle(unit_square(1), get_solution("zero", mu))
+    with pytest.raises(TypeError):
         assemble_saddle(unit_square(1), get_solution("zero"), mu)
 
 
+def test_stiffness_scales_with_the_load_viscosity():
+    """A is assembled with the load's own mu: doubling mu doubles every
+    entry exactly (a power of 2), and B and F do not move."""
+    mesh = unit_square(3)
+    one, two = (assemble_saddle(mesh, smooth1(mu)) for mu in (1.0, 2.0))
+    assert np.array_equal(two.A.indptr, one.A.indptr)
+    assert np.array_equal(two.A.indices, one.A.indices)
+    assert np.array_equal(two.A.data, 2 * one.A.data)
+    assert (two.B != one.B).nnz == 0
+
+
 def test_non_finite_load_raises_solver_error():
-    system = assemble_saddle(unit_square(2), get_solution("zero"), 1.0)
+    system = assemble_saddle(unit_square(2), get_solution("zero"))
     system.F[3] = np.nan
     with pytest.raises(SolverError):
         solve_saddle(system)
@@ -78,7 +93,7 @@ def test_solve_on_corner_graded_mesh(mu):
     """Both solver gates hold and the solution matches the multiplier solve
     relative to its max-norm, across six decades of viscosity."""
     mesh = corner_graded_l_shape()
-    system = assemble_saddle(mesh, lshape_singular(mu), mu)
+    system = assemble_saddle(mesh, lshape_singular(mu))
     sol = solve_saddle(system)
     _check_solve_invariants(system, sol)
     assert 1 <= sol.iterations <= 5
@@ -96,7 +111,7 @@ def test_divergence_gate_scales_with_each_element():
     mesh = corner_graded_l_shape(rounds=80, refine_rounds=2)
     assert mesh.num_triangles == 504 and mesh.area.min() < 1e-24
     load = lshape_singular()
-    system = assemble_saddle(mesh, load, 1.0)
+    system = assemble_saddle(mesh, load)
     sol = solve_saddle(system)
     assert sol.residual <= 1e-10
     gn = np.sqrt(broken_grad_norm_sq(mesh, sol.u))
@@ -159,14 +174,14 @@ def test_load_evaluated_once_per_edge(smooth):
         calls.append(np.size(x))
         return smooth.g(x, y)
 
-    assemble_saddle(mesh, LoadFunction(g=g), 1.0)
+    assemble_saddle(mesh, LoadFunction(g=g))
     assert calls == [mesh.num_edges]
 
 
 def test_divergence_free_and_galerkin(smooth):
     for rounds in (2, 3, 4):
         mesh = unit_square(rounds)
-        system = assemble_saddle(mesh, smooth, 1.0)
+        system = assemble_saddle(mesh, smooth)
         sol = solve_saddle(system)
         gn = np.sqrt(broken_grad_norm_sq(mesh, sol.u))
         assert max_element_divergence(sol) <= 1e-10 * (1.0 + gn)
@@ -260,7 +275,7 @@ def test_singular_system_rejected():
 def test_residual_scaling_under_refinement(smooth):
     """Galerkin residual stays at solver precision as the mesh grows."""
     for mesh in (unit_square(3), uniform_refine(unit_square(3), 2)):
-        system = assemble_saddle(mesh, smooth, 1.0)
+        system = assemble_saddle(mesh, smooth)
         sol = solve_saddle(system)
         assert galerkin_residual(system, sol) < 1e-11
 
@@ -270,7 +285,7 @@ def check_against_references(mesh, load):
     rows of B sum to exactly zero (so ker B^T is the constants and the zero
     mean shift changes no residual), and the solve equals the
     Lagrange-multiplier solve."""
-    system = assemble_saddle(mesh, load, 1.0)
+    system = assemble_saddle(mesh, load)
     A, B, F = reference_assembly(mesh, load)
     for got, ref in ((system.A, A), (system.B, B)):
         assert got.shape == ref.shape and got.nnz == ref.nnz
