@@ -9,7 +9,7 @@ from .counterexample import (CrissCrossFamily, boundary_sum, build_family,
                              build_test_pair, closed_form, scaling_study)
 from .domains import diamond, get_domain, l_shape, unit_square
 from .estimator import (EstimatorReport, consistency_error, estimate,
-                        estimate_frozen, modified_eta)
+                        estimate_frozen)
 from .mesh import (MeshError, NestingSets, Triangulation, ancestor_map,
                    bisect, build_initial, nesting_sets, read_mesh,
                    uniform_refine)
@@ -30,7 +30,7 @@ __all__ = [
     "build_initial", "build_test_pair", "closed_form", "consistency_error",
     "conservative_interpolation", "constant_load", "diamond", "dorfler_mark",
     "estimate", "estimate_frozen", "get_domain", "get_solution", "l_shape",
-    "mixed_prolongation", "modified_eta", "naive_prolongation", "nesting_sets",
+    "mixed_prolongation", "naive_prolongation", "nesting_sets",
     "nodal_averaging", "prolongation_defect_constant", "rate_fit", "read_mesh",
     "restriction", "scaling_study", "smooth1", "solve", "solve_saddle",
     "uniform_refine", "uniform_trace", "unit_square",

@@ -1,5 +1,6 @@
 """Bulk marking, the adaptive solve-estimate-mark-refine loop, and monitors
-for estimator reduction, contraction, quasi-orthogonality, discrete
+for estimator reduction, contraction (under the paper's weights, the
+constants BETA1, GAMMA1 and GAMMA2), quasi-orthogonality, discrete
 reliability and empirical convergence rates.
 """
 
@@ -11,8 +12,7 @@ from dataclasses import astuple, dataclass, field, fields
 import numpy as np
 
 from . import quadrature as quad
-from .estimator import (EstimatorReport, estimate, estimate_frozen,
-                        modified_eta)
+from .estimator import EstimatorReport, estimate, estimate_frozen
 from .mesh import (NestingSets, Triangulation, bisect, nesting_sets,
                    uniform_refine)
 from .problems import LoadFunction, PointValues
@@ -21,6 +21,11 @@ from .spaces import (DiscreteSolution, assemble_saddle, galerkin_residual,
                      velocity_error_sq)
 
 ESTIMATOR_REDUCTION_RHO = 1.0 - 2.0 ** -0.5
+# the paper's weights, devices of its convergence proof, in the modified
+# estimator eta~^2 (eta_tilde2) and the contraction quantity Lambda (lam)
+BETA1 = 1.0     # eta~^2 = sum_K (BETA1 h_K^2 ||g||_K^2 + eta_K^2)
+GAMMA1 = 1.0    # Lambda = ||grad_h(u - u_k)||^2 + GAMMA1 ||p - p_k||^2
+GAMMA2 = 1.0    #          + GAMMA2 eta~^2
 # relative rounding allowance of the estimator-reduction check
 REDUCTION_SLACK = 1e-9
 
@@ -107,9 +112,6 @@ class AdaptiveTrace:
 class LoopParams:
     theta: float = 0.3
     eps: float = 0.0
-    beta1: float = 1.0
-    gamma1: float = 1.0
-    gamma2: float = 1.0
     element_cap: int = 200_000
     max_iterations: int = 100
     check_reduction: bool = True
@@ -129,10 +131,6 @@ class LoopParams:
         _check_theta(self.theta)
         if not self.eps >= 0.0:
             raise ValueError(f"eps must be nonnegative, got {self.eps}")
-        for name in ("beta1", "gamma1", "gamma2"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be positive and finite, got "
-                                 f"{getattr(self, name)}")
         for name in ("element_cap", "max_iterations"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or value < 1:
@@ -140,7 +138,7 @@ class LoopParams:
                     f"{name} must be an integer >= 1, got {value!r}")
 
 
-def _solve_level(values: PointValues, beta1: float, it: int, gamma: float):
+def _solve_level(values: PointValues, it: int, gamma: float):
     """Solve the load of the record `values` on its mesh, check the solver
     invariants and estimate; returns the solution, the estimator and the
     level's record (nothing marked yet). The record's degree-4 part is
@@ -153,7 +151,8 @@ def _solve_level(values: PointValues, beta1: float, it: int, gamma: float):
     rec = IterationRecord(
         iteration=it, nelems=mesh.num_triangles,
         ndofs=num_velocity_dofs(mesh) + mesh.num_triangles,
-        eta2=report.total_eta_sq, eta_tilde2=modified_eta(report, beta1),
+        eta2=report.total_eta_sq,
+        eta_tilde2=float((BETA1 * report.vol_sq + report.eta_sq).sum()),
         osc2=report.total_osc_sq, vol2=report.total_vol_sq,
         nmarked=0, gamma=gamma, solver_iterations=sol.iterations,
         lu_fill=sol.lu_fill, solver_residual=sol.residual)
@@ -173,40 +172,36 @@ def anfem_loop(mesh0: Triangulation, load: LoadFunction,
     are evaluated."""
     p = params or LoopParams()
     trace = AdaptiveTrace()
-    mesh = mesh0
-    values = PointValues(mesh, load)
+    values = PointValues(mesh0, load)
     # previous solution and estimator, and the nesting of the current mesh
     # in the previous one
     prev: tuple[DiscreteSolution, EstimatorReport, NestingSets] | None = None
-    prev_lam = np.nan
-    gamma = 1.0
 
     for it in range(p.max_iterations):
-        sol, report, rec = _solve_level(values, p.beta1, it, gamma)
+        sol, report, rec = _solve_level(
+            values, it, 1.0 if prev is None else prev[2].gamma)
         if load.has_exact:
-            rec.lam = rec.err_u2 + p.gamma1 * rec.err_p2 \
-                + p.gamma2 * rec.eta_tilde2
-            if np.isfinite(prev_lam) and prev_lam > 0:
-                rec.alpha = rec.lam / prev_lam
-            prev_lam = rec.lam
+            rec.lam = rec.err_u2 + GAMMA1 * rec.err_p2 \
+                + GAMMA2 * rec.eta_tilde2
+            if trace.records and 0.0 < trace.records[-1].lam < np.inf:
+                rec.alpha = rec.lam / trace.records[-1].lam
 
         if prev is not None:
             _cross_level_monitors(prev, sol, rec)
         trace.records.append(rec)
         trace.final_solution = sol
 
-        eta = np.sqrt(report.total_eta_sq)
+        eta = np.sqrt(rec.eta2)
         trace.converged = bool(eta < p.eps or eta == 0.0)
         trace.truncated = (not trace.converged
-                           and mesh.num_triangles >= p.element_cap)
+                           and rec.nelems >= p.element_cap)
         if trace.converged or trace.truncated or it + 1 == p.max_iterations:
             break
 
         marked = dorfler_mark(report, p.theta)
         rec.nmarked = len(marked)
-        refined = bisect(mesh, marked)
-        ns = nesting_sets(mesh, refined)
-        gamma = ns.gamma
+        refined = bisect(sol.mesh, marked)
+        ns = nesting_sets(sol.mesh, refined)
         values = values.descend(refined)
 
         if p.check_reduction:
@@ -227,7 +222,6 @@ def anfem_loop(mesh0: Triangulation, load: LoadFunction,
                         f"{lhs:.16g} > {rhs:.16g}")
 
         prev = (sol, report, ns)
-        mesh = refined
 
     return trace
 
@@ -305,10 +299,9 @@ def uniform_trace(mesh0: Triangulation, load: LoadFunction,
             trace.records[-1].nmarked = mesh.num_triangles
             mesh = uniform_refine(mesh, 2)
             gamma = 2.0
-        # every element is split, so there is nothing to carry; beta1 is
-        # the loop's default
+        # every element is split, so there is nothing to carry
         trace.final_solution, _, rec = _solve_level(
-            PointValues(mesh, load), LoopParams.beta1, it, gamma)
+            PointValues(mesh, load), it, gamma)
         trace.records.append(rec)
     return trace
 

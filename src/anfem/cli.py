@@ -40,7 +40,6 @@ def build_parser():
     p_adapt = sub.add_parser("adapt", help="run the adaptive loop")
     p_adapt.add_argument("--theta", type=float, default=0.3)
     p_adapt.add_argument("--mu", type=float, default=1.0)
-    p_adapt.add_argument("--beta1", type=float, default=1.0)
     p_adapt.add_argument("--element-cap", type=int, default=200_000)
     p_adapt.add_argument("--out", default=".", help="output directory")
     p_adapt.add_argument("--domain", default="square",
@@ -48,8 +47,6 @@ def build_parser():
     p_adapt.add_argument("--mesh", default=None,
                          help="mesh file overriding --domain")
     p_adapt.add_argument("--eps", type=float, default=1e-3)
-    p_adapt.add_argument("--gamma1", type=float, default=1.0)
-    p_adapt.add_argument("--gamma2", type=float, default=1.0)
     p_adapt.add_argument(
         "--solution", default="smooth1",
         choices=["smooth1", "constant", "zero"],
@@ -70,7 +67,7 @@ def cmd_adapt(args, mesh0, load, params) -> int:
     trace = adaptive.anfem_loop(mesh0, load, params)
     trace.to_csv(os.path.join(args.out, "trace.csv"))
     final = trace.records[-1]
-    summary = {"schema": "anfem-summary-v3",
+    summary = {"schema": "anfem-summary-v4",
                "converged": trace.converged, "truncated": trace.truncated,
                "iterations": len(trace.records),
                "final_nelems": final.nelems, "final_ndofs": final.ndofs,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import Triangulation, build_initial
-from .transfer import _p1_gradients, p1_gradients
+from .transfer import p1_gradients
 
 
 @dataclass
@@ -80,7 +80,8 @@ def build_test_pair(fam: CrissCrossFamily) -> np.ndarray:
 
 
 def ac_segments(fam: CrissCrossFamily):
-    """Fine edges along AC with their left/right incident elements."""
+    """The fine edges along AC, bottom to top, their left and right
+    incident elements and the y of their midpoints: four arrays."""
     fine = fam.fine
     # the edges between consecutive AC vertices, by sorted key a * nv + b
     nv, col = fine.num_vertices, fam.ac_vertex_col
@@ -96,8 +97,7 @@ def ac_segments(fam: CrissCrossFamily):
     t0_left = fine.corners(t0).mean(axis=1)[:, 0] < 0
     left, right = np.where(t0_left, t0, t1), np.where(t0_left, t1, t0)
     ymid = 0.5 * fine.vertices[fine.edges[segs], 1].sum(axis=1)
-    order = np.argsort(ymid, kind="stable")
-    return list(zip(segs[order], left[order], right[order], ymid[order]))
+    return segs, left, right, ymid
 
 
 def boundary_sum(fam: CrissCrossFamily, nodal: np.ndarray) -> float:
@@ -107,8 +107,8 @@ def boundary_sum(fam: CrissCrossFamily, nodal: np.ndarray) -> float:
     linear, so per-segment exact integration is midpoint * length.  Only
     the 2N elements along AC are read.
     """
-    segs, left, right, ymid = map(np.array, zip(*ac_segments(fam)))
-    grads = _p1_gradients(nodal, fam.fine, np.concatenate([left, right]))
+    segs, left, right, ymid = ac_segments(fam)
+    grads = p1_gradients(nodal, fam.fine, np.concatenate([left, right]))
     n = len(segs)
     avg = 0.5 * (grads[:n, 0, 0] + grads[n:, 0, 0])
     # summed segment by segment, in order

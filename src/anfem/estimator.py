@@ -87,13 +87,6 @@ def estimate_frozen(sol_coarse: DiscreteSolution,
     return _report(sol_coarse.grads[ancestors], values)
 
 
-def modified_eta(report: EstimatorReport, beta1: float = 1.0) -> float:
-    """Squared modified estimator sum_K (beta1 h_K^2 ||g||^2 + eta_K^2)."""
-    if not 0.0 < beta1 < np.inf:
-        raise ValueError(f"beta1 must be positive and finite, got {beta1}")
-    return float((beta1 * report.vol_sq + report.eta_sq).sum())
-
-
 # ---------------------------------------------------------------------------
 # computable consistency error
 

@@ -39,10 +39,11 @@ from .mesh import Triangulation, kept_rows
 
 
 class _View:
-    """The field `name` of a joint pass, as a callable (x, y) -> values."""
+    """The field `name` of a joint pass built for viscosity `mu`, as a
+    callable (x, y) -> values."""
 
-    def __init__(self, joint: Callable, name: str):
-        self.joint, self.name = joint, name
+    def __init__(self, joint: Callable, name: str, mu: float):
+        self.joint, self.name, self.mu = joint, name, mu
 
     def __call__(self, x, y):
         return self.joint(x, y, (self.name,))[self.name]
@@ -61,6 +62,13 @@ class LoadFunction:
         if isinstance(self.mu, bool) or not 0.0 < self.mu < np.inf:
             raise ValueError(f"viscosity mu must be positive and finite, "
                              f"got {self.mu!r}")
+        # a view's fields are those of its own mu, which
+        # `dataclasses.replace(load, mu=...)` would leave behind
+        for name in _STREAM_ORDER:
+            f = getattr(self, name)
+            if isinstance(f, _View) and f.mu != self.mu:
+                raise ValueError(f"{name} is a field of viscosity {f.mu!r}, "
+                                 f"not of mu = {self.mu!r}")
 
     @property
     def has_exact(self) -> bool:
@@ -151,7 +159,8 @@ def _stream_fields(s, names) -> dict:
 
 def _from_joint(joint, mu) -> LoadFunction:
     """A LoadFunction of viscosity `mu` whose callables view `joint`."""
-    return LoadFunction(mu=mu, **{n: _View(joint, n) for n in _STREAM_ORDER})
+    return LoadFunction(mu=mu, **{n: _View(joint, n, mu)
+                                  for n in _STREAM_ORDER})
 
 
 def smooth1(mu: float = 1.0) -> LoadFunction:

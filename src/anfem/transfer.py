@@ -134,13 +134,9 @@ def p1_eval(nodal: np.ndarray, mesh: Triangulation, elems,
                                                         axis=0))
 
 
-def p1_gradients(nodal: np.ndarray, mesh: Triangulation) -> np.ndarray:
-    """(nt, 2, 2) gradients of a P1 nodal field."""
-    return _p1_gradients(nodal, mesh, slice(None))
-
-
-def _p1_gradients(nodal, mesh: Triangulation, elems) -> np.ndarray:
-    """`p1_gradients` on the elements `elems` only."""
+def p1_gradients(nodal: np.ndarray, mesh: Triangulation,
+                 elems=slice(None)) -> np.ndarray:
+    """(..., 2, 2) gradients of a P1 nodal field on the elements `elems`."""
     vals = nodal.reshape(-1, 2).take(mesh.triangles[elems], axis=0)
     return quad.combine3(vals.transpose(0, 2, 1),
                          mesh.bary_grads[elems][:, None])

@@ -9,9 +9,9 @@ from anfem import quadrature as quad
 from anfem.adaptive import (IterationRecord, LoopParams, MarkingError,
                             anfem_loop, dorfler_mark, rate_fit, uniform_trace)
 from anfem.domains import l_shape, unit_square
-from anfem.estimator import EstimatorReport
+from anfem.estimator import EstimatorReport, estimate
 from anfem.mesh import bisect
-from anfem.problems import PointValues, get_solution
+from anfem.problems import PointValues, get_solution, smooth1
 
 
 def fake_report(eta_sq):
@@ -66,15 +66,32 @@ def test_dorfler_minimality(eta_sq, theta):
         assert top[:k - 1].sum() < theta * total
 
 
-def test_contraction_params_validation():
-    for name in ("gamma1", "gamma2", "beta1"):
-        with pytest.raises(ValueError):
-            LoopParams(**{name: 0.0})
+def test_records_weigh_with_the_papers_constants(monkeypatch):
+    """eta~^2, Lambda and alpha of each step, bit for bit, with the paper's
+    weights at 1: eta~^2 = sum_K (h_K^2 ||g||_K^2 + eta_K^2),
+    Lambda = err_u2 + err_p2 + eta~^2 and alpha = Lambda / previous
+    Lambda."""
+    reports = []
+
+    def recorded(sol):
+        reports.append(estimate(sol))
+        return reports[-1]
+
+    monkeypatch.setattr(anfem.adaptive, "estimate", recorded)
+    trace = anfem_loop(unit_square(2), smooth1(2.0),
+                       LoopParams(theta=0.5, max_iterations=5))
+    recs = trace.records
+    assert len(reports) == len(recs) == 5
+    for rec, report in zip(recs, reports):
+        assert rec.eta_tilde2 == float((report.vol_sq + report.eta_sq).sum())
+        assert rec.lam == rec.err_u2 + rec.err_p2 + rec.eta_tilde2
+    assert np.isnan(recs[0].alpha)
+    for prev, rec in zip(recs, recs[1:]):
+        assert rec.alpha == rec.lam / prev.lam
 
 
 # one out-of-range value per LoopParams field that has a range
 BAD_LOOP_PARAMS = [("theta", 1.0), ("theta", float("nan")), ("eps", -1e-3),
-                   ("beta1", -1.0), ("gamma1", -1.0), ("gamma2", -1.0),
                    ("element_cap", 0), ("element_cap", 1.5),
                    ("max_iterations", 0), ("max_iterations", 2.5),
                    ("max_iterations", True), ("element_cap", True),

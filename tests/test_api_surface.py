@@ -40,7 +40,7 @@ DELETED = ("MarkingParams", "ContractionParams", "FineFunction", "patches",
            "coarse_jump_term", "cmd_verify", "EXIT_VERIFY_FAILED",
            "_suite_operators", "_suite_estimator", "_suite_qo",
            "_suite_counterexample", "estimator_from_grads",
-           "refinement_ratio", "values_at")
+           "refinement_ratio", "values_at", "modified_eta")
 # (class, attribute) pairs deleted from the public classes
 DELETED_MEMBERS = (("counterexample.CrissCrossFamily", "coarse"),
                    ("mesh.Triangulation", "min_angle"),
@@ -63,7 +63,10 @@ DELETED_MEMBERS = (("counterexample.CrissCrossFamily", "coarse"),
                    ("problems.LoadFunction", "stress"),
                    ("adaptive.LoopParams", "mu"),
                    ("spaces.SaddleSystem", "mu"),
-                   ("spaces.DiscreteSolution", "mu"))
+                   ("spaces.DiscreteSolution", "mu"),
+                   ("adaptive.LoopParams", "beta1"),
+                   ("adaptive.LoopParams", "gamma1"),
+                   ("adaptive.LoopParams", "gamma2"))
 # the constructors of a load: the only public callables or dataclasses that
 # take or hold a viscosity `mu`, as the load is its one owner
 LOAD_CONSTRUCTORS = {"LoadFunction", "smooth1", "lshape_singular",

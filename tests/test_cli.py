@@ -1,12 +1,15 @@
+import argparse
 import json
 import os
+import re
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from anfem.adaptive import LoopParams
-from anfem.cli import EXIT_OK, EXIT_TRUNCATED, EXIT_USAGE, main
+from anfem.cli import EXIT_OK, EXIT_TRUNCATED, EXIT_USAGE, build_parser, main
 
 
 def test_counterexample_csv_schema_and_determinism(tmp_path):
@@ -49,7 +52,6 @@ def test_adapt_bad_theta_exits_2(tmp_path):
 # one out-of-range value per loop flag; LoopParams rejects each before a solve
 @pytest.mark.parametrize("flag,value", [
     ("--theta", "0"), ("--eps", "-1"), ("--mu", "0"), ("--mu", "inf"),
-    ("--beta1", "-1"), ("--gamma1", "-1"), ("--gamma2", "-1"),
     ("--element-cap", "0"), ("--max-iterations", "0")])
 def test_adapt_bad_loop_flag_exits_2(tmp_path, flag, value):
     with pytest.raises(SystemExit) as exc:
@@ -64,6 +66,19 @@ def test_subcommand_rejects_flags_it_does_not_read(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(tmp_path)])
     assert exc.value.code == EXIT_USAGE
+
+
+def test_readme_lists_the_adapt_flags():
+    """The README's `adapt` bullet names exactly the flags of the `adapt`
+    subparser."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    bullet = re.search(r"^- `adapt`:(.*?)^- `counterexample`:", readme,
+                       re.S | re.M).group(1)
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {s for a in sub.choices["adapt"]._actions
+             for s in a.option_strings} - {"-h", "--help"}
+    assert set(re.findall(r"--[a-z][a-z-]*", bullet)) == flags
 
 
 def test_adapt_bad_mesh_file_exits_2(tmp_path, capsys):
@@ -106,7 +121,7 @@ def test_adapt_small_run(tmp_path):
     assert lines[0] == "anfem-trace-v4"
     assert lines[1].split(",")[:3] == ["iteration", "nelems", "ndofs"]
     summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["schema"] == "anfem-summary-v3"
+    assert summary["schema"] == "anfem-summary-v4"
     assert summary["mu"] == 2.0
     assert summary["iterations"] == 5
     assert summary["final_eta"] > 0

@@ -37,7 +37,7 @@ def test_even_or_invalid_n_rejected(n):
 
 def test_ac_segment_count():
     fam = build_family(7)
-    assert len(ac_segments(fam)) == 7
+    assert len(ac_segments(fam)[0]) == 7
 
 
 def test_coarse_jump_term_value():
@@ -74,7 +74,7 @@ def test_ac_segments_match_all_edge_scan(n):
     """The same segments, left/right elements and ymid, in the same order,
     bit for bit."""
     fam = build_family(n)
-    got = [tuple(map(float, s)) for s in ac_segments(fam)]
+    got = [tuple(map(float, s)) for s in zip(*ac_segments(fam))]
     assert len(got) == n
     assert got == [tuple(map(float, s)) for s in ac_segments_by_scan(fam)]
 

@@ -5,7 +5,7 @@ import pytest
 
 from anfem.domains import l_shape, unit_square
 from anfem.estimator import (consistency_error, estimate, estimate_frozen,
-                             modified_eta, tangential_jumps)
+                             tangential_jumps)
 from anfem.mesh import bisect, uniform_refine
 from anfem.problems import PointValues, constant_load, get_solution
 from anfem.spaces import (assemble_saddle, cr_gradients, pressure_error_sq,
@@ -108,17 +108,6 @@ def test_volume_terms_evaluate_load_once(smooth):
 def test_oscillation_zero_for_constant_load():
     load = constant_load(3.0, -1.0)
     assert estimate(solve(l_shape(), load)).total_osc_sq < 1e-13
-
-
-def test_modified_eta(smooth_solution):
-    report = estimate(smooth_solution)
-    assert np.isclose(modified_eta(report),
-                      report.total_vol_sq + report.total_eta_sq)
-    assert np.isclose(modified_eta(report, 2.0),
-                      2.0 * report.total_vol_sq + report.total_eta_sq)
-    for beta1 in (0.0, -1.0, np.nan, np.inf):
-        with pytest.raises(ValueError):
-            modified_eta(report, beta1)
 
 
 def test_frozen_estimator_identity(smooth_solution):

@@ -214,6 +214,15 @@ def test_replaced_load_keeps_its_viscosity():
     assert dataclasses.replace(load, g=constant_load().g).mu == 2.5
 
 
+@pytest.mark.parametrize("make,mu", [(smooth1, 2.0), (lshape_singular, 3.0)])
+def test_load_rejects_a_viscosity_its_fields_were_not_built_for(make, mu):
+    """A replaced `mu` would leave g and p those of the old viscosity, so
+    the load raises; built for `mu`, the same load is accepted."""
+    with pytest.raises(ValueError, match="viscosity"):
+        dataclasses.replace(make(1.0), mu=mu)
+    assert dataclasses.replace(make(mu), mu=mu).mu == mu
+
+
 @pytest.mark.parametrize("mu", [0.5, 1.0, 3.0])
 def test_smooth1_matches_oracle(mu):
     rng = np.random.default_rng(3)
