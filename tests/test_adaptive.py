@@ -66,6 +66,16 @@ def test_dorfler_minimality(eta_sq, theta):
         assert top[:k - 1].sum() < theta * total
 
 
+def test_contraction_params_validation():
+    """The contraction weights are the paper's fixed, positive and finite
+    constants; a loop cannot be given others."""
+    for name in ("BETA1", "GAMMA1", "GAMMA2"):
+        assert getattr(anfem.adaptive, name) == 1.0
+    for name in ("gamma1", "gamma2", "beta1"):
+        with pytest.raises(TypeError, match=name):
+            LoopParams(**{name: 0.0})
+
+
 def test_records_weigh_with_the_papers_constants(monkeypatch):
     """eta~^2, Lambda and alpha of each step, bit for bit, with the paper's
     weights at 1: eta~^2 = sum_K (h_K^2 ||g||_K^2 + eta_K^2),

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from anfem.adaptive import LoopParams, anfem_loop
 from anfem.domains import l_shape, unit_square
 from anfem.estimator import (consistency_error, estimate, estimate_frozen,
                              tangential_jumps)
@@ -108,6 +109,19 @@ def test_volume_terms_evaluate_load_once(smooth):
 def test_oscillation_zero_for_constant_load():
     load = constant_load(3.0, -1.0)
     assert estimate(solve(l_shape(), load)).total_osc_sq < 1e-13
+
+
+def test_modified_eta(smooth_solution, smooth):
+    """The loop records the modified estimator
+    eta~^2 = sum_K (h_K^2 ||g||_K^2 + eta_K^2) of its level's solution."""
+    report = estimate(smooth_solution)
+    trace = anfem_loop(smooth_solution.mesh, smooth,
+                       LoopParams(max_iterations=1))
+    (rec,) = trace.records
+    assert rec.eta2 == report.total_eta_sq
+    assert np.isclose(rec.eta_tilde2,
+                      report.total_vol_sq + report.total_eta_sq)
+    assert rec.eta_tilde2 > rec.eta2 > 0.0
 
 
 def test_frozen_estimator_identity(smooth_solution):
