@@ -58,7 +58,8 @@ def build_parser():
     p_ce = sub.add_parser("counterexample",
                           help="criss-cross scaling study")
     p_ce.add_argument("--n", type=int, nargs="+", default=[5, 11, 21, 41],
-                      help="odd grid parameters (need at least 4)")
+                      help="odd grid parameters (at least four distinct "
+                           "odd N ≥ 3)")
     p_ce.add_argument("--out", default=".")
     return ap
 

@@ -5,7 +5,8 @@ into an N x N grid of sub-diamonds; each sub-diamond is split by its vertical
 diagonal, giving 2 N^2 triangles.  A coarse jump [u] = y across the vertical
 diagonal AC paired with an alternating-sign conforming hat combination
 produces a boundary pairing that defeats any gamma-independent bound for the
-naive prolongation.
+naive prolongation.  Both factors of the pairing live next to AC, so the
+family holds only the band of 6N - 6 triangles there and costs O(N).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .transfer import p1_gradients
 @dataclass
 class CrissCrossFamily:
     n: int                      # odd
-    fine: Triangulation         # 2 N^2 triangles
+    fine: Triangulation         # band along AC: 6N - 6 triangles (2, N = 1)
     sign_nodes: np.ndarray      # fine vertex ids of Z_i, i = -k..k (in order)
     ac_vertex_col: np.ndarray   # fine vertex ids on segment AC, bottom to top
 
@@ -31,34 +32,41 @@ def build_family(n: int) -> CrissCrossFamily:
         raise ValueError(
             f"family parameter must be an odd integer >= 1, got {n}")
     k = (n - 1) // 2
-    # lattice in rotated coordinates u = x + y, v = y - x, both in [-1, 1]
-    # vertex (i, j) at u = -1 + 2i/n, v = -1 + 2j/n has id ids[i, j]
-    i, j = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
-    u = -1.0 + 2.0 * i.ravel() / n
-    v = -1.0 + 2.0 * j.ravel() / n
-    verts = np.stack([(u - v) / 2.0, (u + v) / 2.0], axis=1)
-    ids = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)
-    p00, p10 = ids[:-1, :-1].ravel(), ids[1:, :-1].ravel()
-    p01, p11 = ids[:-1, 1:].ravel(), ids[1:, 1:].ravel()
+    # the band of cells (i, j), 0 <= i - j <= 2, in full-mesh order i*n + j:
+    # AC (i = j) and the star of every sign node (k + 1 + m, k + m)
+    i = np.repeat(np.arange(n), 3)
+    j = i - np.tile([2, 1, 0], n)
+    i, j = i[j >= 0], j[j >= 0]
+    # lattice in rotated coordinates u = x + y, v = y - x, both in [-1, 1]:
+    # vertex (a, b) at u = -1 + 2a/n, v = -1 + 2b/n has full-mesh id
+    # a * (n + 1) + b; the band numbers its vertices in that order
+    p00, p10 = i * (n + 1) + j, (i + 1) * (n + 1) + j
+    p01, p11 = p00 + 1, p10 + 1
     # vertical diagonal p00 - p11 (equal x, differing y)
-    tris = np.stack([p00, p10, p11, p00, p11, p01], axis=1).reshape(-1, 3)
-    fine = build_initial(verts, tris)
+    full = np.stack([p00, p10, p11, p00, p11, p01], axis=1).reshape(-1, 3)
+    ids, tris = np.unique(full, return_inverse=True)
+    a, b = np.divmod(ids, n + 1)
+    u = -1.0 + 2.0 * a / n
+    v = -1.0 + 2.0 * b / n
+    verts = np.stack([(u - v) / 2.0, (u + v) / 2.0], axis=1)
+    fine = build_initial(verts, tris.reshape(-1, 3))
 
-    i = np.arange(-k, k + 1)
-    sign_nodes = ids[k + 1 + i, k + i]
-    ac_col = np.diagonal(ids).copy()
-    # reindex through build_initial: vertices are passed through unchanged
-    fam = CrissCrossFamily(n=n, fine=fine, sign_nodes=sign_nodes,
-                           ac_vertex_col=ac_col)
+    m = np.arange(-k, k + 1)
+    fam = CrissCrossFamily(
+        n=n, fine=fine,
+        sign_nodes=np.searchsorted(ids, (k + 1 + m) * (n + 1) + k + m),
+        ac_vertex_col=np.searchsorted(ids, np.arange(n + 1) * (n + 2)))
     _validate(fam)
     return fam
 
 
 def _validate(fam: CrissCrossFamily):
     n = fam.n
-    if fam.fine.num_triangles != 2 * n * n:
-        raise RuntimeError(f"criss-cross mesh has {fam.fine.num_triangles} "
-                           f"elements, not {2 * n * n}")
+    want = 2 * max(3 * n - 3, 1)
+    if fam.fine.num_triangles != want:
+        raise RuntimeError(f"criss-cross band has {fam.fine.num_triangles} "
+                           f"elements, not {want}")
+    ac_segments(fam)    # N segments on AC, each between two band elements
     zx = fam.fine.vertices[fam.sign_nodes]
     k = (n - 1) // 2
     expected = np.stack([np.full(n, 1.0 / n),
@@ -116,6 +124,7 @@ def boundary_sum(fam: CrissCrossFamily, nodal: np.ndarray) -> float:
 
 
 def grad_norm_sq(fam: CrissCrossFamily, nodal: np.ndarray) -> float:
+    """||grad v||^2, summed over the band in full-mesh element order."""
     g = p1_gradients(nodal, fam.fine)
     return float((fam.fine.area * np.einsum("tij,tij->t", g, g)).sum())
 

@@ -8,13 +8,18 @@ orientation, `bisect`'s child emission and the topology fill. For the CR/P0
 system: assembly through a per-element dof map masked on boundary edges,
 the solve with a Lagrange multiplier row for the zero-mean pressure, and
 the edge-midpoint values of a continuous P1 field as CR coefficients. For
-the manufactured solutions: their symbolic derivation with sympy, evaluated
-with mpmath at 40 digits.
+the sqrt(N) counterexample: the whole criss-cross diamond, of which
+`build_family` builds only the band along AC. For the manufactured
+solutions: their symbolic derivation with sympy, evaluated with mpmath at 40
+digits.
 """
 
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
+
+from anfem.counterexample import CrissCrossFamily
+from anfem.mesh import build_initial
 
 # local edge i is opposite local vertex i
 LOCAL_EDGES = ((1, 2), (2, 0), (0, 1))
@@ -180,6 +185,27 @@ def reference_orientation(vertices, triangles):
         best = min(range(3), key=lambda i: (-round(lengths[i], 14), t[i]))
         tris[k] = np.roll(t, -((best + 1) % 3))
     return tris
+
+
+def full_criss_cross(n):
+    """The criss-cross family on the whole diamond: 2 N^2 triangles in cell
+    order i * n + j, with the sign nodes and AC column of `build_family`."""
+    k = (n - 1) // 2
+    # lattice in rotated coordinates u = x + y, v = y - x, both in [-1, 1]
+    # vertex (i, j) at u = -1 + 2i/n, v = -1 + 2j/n has id ids[i, j]
+    i, j = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
+    u = -1.0 + 2.0 * i.ravel() / n
+    v = -1.0 + 2.0 * j.ravel() / n
+    verts = np.stack([(u - v) / 2.0, (u + v) / 2.0], axis=1)
+    ids = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)
+    p00, p10 = ids[:-1, :-1].ravel(), ids[1:, :-1].ravel()
+    p01, p11 = ids[:-1, 1:].ravel(), ids[1:, 1:].ravel()
+    # vertical diagonal p00 - p11 (equal x, differing y)
+    tris = np.stack([p00, p10, p11, p00, p11, p01], axis=1).reshape(-1, 3)
+    i = np.arange(-k, k + 1)
+    return CrissCrossFamily(n=n, fine=build_initial(verts, tris),
+                            sign_nodes=ids[k + 1 + i, k + i],
+                            ac_vertex_col=np.diagonal(ids).copy())
 
 
 def reference_assembly(mesh, load):

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from anfem.counterexample import (boundary_sum, build_family, build_test_pair,
                                   ac_segments, closed_form, COARSE_JUMP_TERM,
                                   grad_norm_sq, scaling_study)
+from oracles import full_criss_cross
 
 
 @pytest.mark.parametrize("n", [5, 11, 21])
@@ -35,6 +38,27 @@ def test_even_or_invalid_n_rejected(n):
         build_family(n)
 
 
+def pairing(fam):
+    """(boundary_sum, grad_norm_sq, C) of the family's test pair."""
+    nodal = build_test_pair(fam)
+    bs, gsq = boundary_sum(fam, nodal), grad_norm_sq(fam, nodal)
+    with np.errstate(invalid="ignore"):     # C = 0/0 at N = 1
+        return bs, gsq, bs / (np.sqrt(COARSE_JUMP_TERM) * np.sqrt(gsq))
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 11, 21, 41, 81])
+def test_band_pairing_equals_full_mesh(n):
+    """The band along AC holds the whole diamond's elements of the cells
+    0 <= i - j <= 2, in the same order and bit for bit, and gives the same
+    pairing bit for bit."""
+    fam, full = build_family(n), full_criss_cross(n)
+    i, j = np.divmod(np.arange(n * n), n)
+    cells = np.flatnonzero((i - j >= 0) & (i - j <= 2))
+    band = np.stack([2 * cells, 2 * cells + 1], axis=1).ravel()
+    assert np.array_equal(fam.fine.corners(), full.fine.corners(band))
+    assert list(map(repr, pairing(fam))) == list(map(repr, pairing(full)))
+
+
 def test_ac_segment_count():
     fam = build_family(7)
     assert len(ac_segments(fam)[0]) == 7
@@ -55,6 +79,27 @@ def test_scaling_exponent_near_half():
     assert 0.4 <= out["exponent"] <= 0.6
     for row in out["rows"]:
         assert abs(row["boundary_sum"] - row["closed_form"]) < 1e-10
+
+
+def test_scaling_exponent_settles_at_large_n():
+    """Fitted where the pairing has settled, the exponent is 0.4960."""
+    out = scaling_study([81, 161, 321, 641, 1281])
+    assert 0.49 <= out["exponent"] <= 0.51
+    for row in out["rows"]:
+        assert abs(row["boundary_sum"] - row["closed_form"]) < 1e-10
+
+
+def test_scaling_study_memory_is_linear_in_n():
+    """Up to N = 2561 the study allocates at its peak a quarter of the 105 MB
+    one float per element of the whole diamond would take (measured
+    13.1 MB)."""
+    tracemalloc.start()
+    try:
+        scaling_study([321, 641, 1281, 2561])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 105e6 / 4
 
 
 def ac_segments_by_scan(fam):

@@ -15,9 +15,9 @@ from anfem.domains import diamond, l_shape, unit_square
 from anfem.mesh import (MeshError, Triangulation, ancestor_map, bisect,
                         build_initial, descent_maps, kept_rows, nesting_sets,
                         uniform_refine)
-from oracles import (brute_topology, geometric_edge_map, located_ancestors,
-                     reference_bisect, reference_orientation,
-                     reference_topology)
+from oracles import (brute_topology, full_criss_cross, geometric_edge_map,
+                     located_ancestors, reference_bisect,
+                     reference_orientation, reference_topology)
 
 DOMAINS = {"square": lambda: unit_square(1), "lshape": l_shape,
            "diamond": diamond}
@@ -98,11 +98,11 @@ def test_topology_matches_brute_force(data):
     """`edges` (lexicographic), `tri_edges`, `edge_tris` (ascending ids, -1
     padded) and `boundary_edge` equal a dict over sorted vertex pairs, on
     random bisections of l_shape() and unit_square(2) and on criss-cross
-    meshes of small odd N."""
+    meshes of small odd N, whole and as the band along AC."""
     kind = data.draw(st.sampled_from(["lshape", "square", "criss-cross"]))
     if kind == "criss-cross":
-        meshes = [build_family(data.draw(st.sampled_from([1, 3, 5, 7, 9]),
-                                         label="N")).fine]
+        n = data.draw(st.sampled_from([1, 3, 5, 7, 9]), label="N")
+        meshes = [full_criss_cross(n).fine, build_family(n).fine]
     else:
         meshes = [l_shape() if kind == "lshape" else unit_square(2)]
         for _ in range(data.draw(st.integers(1, 4), label="rounds")):
@@ -241,7 +241,7 @@ def test_build_initial_orientation_criss_cross():
     mesh, and the loop version agrees."""
     rng = np.random.default_rng(3)
     for n in (1, 5, 21):
-        fine = build_family(n).fine
+        fine = full_criss_cross(n).fine
         shuffled = np.array([np.roll(t, rng.integers(3))[::rng.choice([-1, 1])]
                              for t in fine.triangles])
         expect = reference_orientation(fine.vertices, shuffled)
