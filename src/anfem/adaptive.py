@@ -15,7 +15,7 @@ from . import quadrature as quad
 from .estimator import EstimatorReport, estimate, estimate_frozen
 from .mesh import (NestingSets, Triangulation, bisect, nesting_sets,
                    uniform_refine)
-from .problems import LoadFunction, PointValues
+from .problems import LoadFunction, PointValues, check_no_slip
 from .spaces import (DiscreteSolution, assemble_saddle, galerkin_residual,
                      num_velocity_dofs, pressure_error_sq, solve_saddle,
                      velocity_error_sq)
@@ -30,13 +30,9 @@ GAMMA2 = 1.0    #          + GAMMA2 eta~^2
 REDUCTION_SLACK = 1e-9
 
 
-class MarkingError(ValueError):
-    pass
-
-
 def _check_theta(theta: float) -> None:
     if not 0.0 < theta < 1.0:
-        raise MarkingError(f"theta must be in (0, 1), got {theta}")
+        raise ValueError(f"theta must be in (0, 1), got {theta}")
 
 
 def dorfler_mark(report: EstimatorReport, theta: float) -> np.ndarray:
@@ -170,6 +166,7 @@ def anfem_loop(mesh0: Triangulation, load: LoadFunction,
     Each mesh has one `PointValues` record of the load, descended from the
     previous mesh's record: only the elements and edges `bisect` created
     are evaluated."""
+    check_no_slip(mesh0, load)
     p = params or LoopParams()
     trace = AdaptiveTrace()
     values = PointValues(mesh0, load)
@@ -291,6 +288,7 @@ def uniform_trace(mesh0: Triangulation, load: LoadFunction,
     checks."""
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
+    check_no_slip(mesh0, load)
     trace = AdaptiveTrace(converged=True)
     mesh = mesh0
     gamma = 1.0               # no previous mesh, as in anfem_loop

@@ -22,7 +22,7 @@ import scipy
 from . import adaptive, counterexample
 from .domains import get_domain
 from .mesh import MeshError, read_mesh
-from .problems import get_solution
+from .problems import check_no_slip, get_solution
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -120,17 +120,18 @@ def main(argv=None) -> int:
                  for f in fields(adaptive.LoopParams)
                  if hasattr(args, f.name)}
         try:
-            params = adaptive.LoopParams(**given)
-            load = get_solution(args.solution, args.mu)
-        except ValueError as exc:
-            ap.error(str(exc))
-        try:
             mesh0 = (read_mesh(args.mesh) if args.mesh
                      else get_domain(args.domain))
             if not len(mesh0.interior_edges):
                 raise MeshError("no interior edge, so no velocity unknown")
         except (MeshError, OSError) as exc:
             ap.error(f"--mesh: {exc}")
+        try:
+            params = adaptive.LoopParams(**given)
+            load = get_solution(args.solution, args.mu)
+            check_no_slip(mesh0, load)
+        except ValueError as exc:
+            ap.error(str(exc))
     # made before the run, so that a path that cannot be a directory is a
     # usage error and not a traceback after the work is done
     try:

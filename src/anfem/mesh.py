@@ -207,27 +207,16 @@ def bisect(tri: Triangulation, marked) -> Triangulation:
     if len(marked) and (marked[0] < 0 or marked[-1] >= tri.num_triangles):
         raise MeshError("marked set contains invalid element ids")
     nt = tri.num_triangles
-    if len(marked) == 0:
-        return Triangulation(
-            tri.vertices.copy(), tri.triangles.copy(),
-            lineage=((tri.token, np.arange(nt), np.arange(tri.num_edges)),)
-            + tri.lineage)
-
     te = tri.tri_edges
     refine_edge = np.zeros(tri.num_edges, dtype=bool)
     refine_edge[te[marked, 2]] = True
     # completion: any triangle with a marked edge must have its refinement
-    # edge marked too; iterate to a fixpoint
-    cap = 10 * nt + 10
-    for _ in range(cap):
-        tri_touched = refine_edge[te].any(axis=1)
-        need = te[tri_touched, 2]
-        before = refine_edge.sum()
-        refine_edge[need] = True
-        if refine_edge.sum() == before:
+    # edge marked too; each pass marks at least one more edge or stops
+    while True:
+        need = te[refine_edge[te].any(axis=1), 2]
+        if refine_edge[need].all():
             break
-    else:  # pragma: no cover - NVB completion always terminates
-        raise MeshError("refinement-edge completion did not terminate")
+        refine_edge[need] = True
 
     # new vertices at midpoints of refined edges
     new_vid = np.full(tri.num_edges, -1, dtype=np.int64)

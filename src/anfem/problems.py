@@ -11,10 +11,11 @@ product of 1-D polynomials. `lshape_singular` is the curl of the stream
 function S = B(x, y) * Phi with the smooth cut-off B and the pure corner
 flow Phi = r^(1+a) psi(theta); S's partial derivatives come from the
 Leibniz rule on the Taylor jets of B and Phi (`_jet_mul`), and those of Phi
-from its complex (Goursat) form Phi = Re(A z^(1+a) + E z zbar^a), each of
-whose derivatives is two powers of zbar with constant coefficients
-(`_corner`). sympy is not
-used: the tests compare both solutions with their symbolic derivation.
+and its pressure p_std from its complex (Goursat) form Phi = Re(A z^(1+a) +
+E z zbar^a), each of whose derivatives is two powers of zbar with constant
+coefficients (`_corner`). sympy is not used: the tests compare both
+solutions with their symbolic derivation. `check_no_slip` refuses a mesh on
+whose boundary an exact velocity is not zero: it solves another domain.
 
 Each manufactured solution is one joint pass, (x, y, names) -> {name:
 values}, that shares the points, the jets and the corner powers between
@@ -239,38 +240,33 @@ def _falling(s: float, n: int) -> float:
     return prod((s - k for k in range(n)), start=1.0)
 
 
-def _corner(x, y, r, t, names) -> dict:
-    """Jet coefficients (i, j) of Phi and "p" (p_std) at the points."""
+def _corner(x, y, r, t, keys) -> tuple:
+    """The jet coefficients `keys` (i, j) of Phi, and p_std, at the points."""
     a = LSHAPE_ALPHA
     cw = np.cos(a * 1.5 * np.pi)
     conj_big_a = -1.0 + 1j * cw / (1 + a)
     big_e = 1.0 + 1j * cw / (1 - a)
     z = x + 1j * y
     zbar = np.conj(z)
-    # zbar^(1+a-m) on the branch theta in [0, 2 pi), up to the m the names
-    # need: m = 1 is zbar^a, the others multiply or divide it by zbar. At
-    # the corner zbar = 0 and r is clamped; dividing by 1 there keeps every
-    # field finite.
+    # zbar^(1+a-m) on the branch theta in [0, 2 pi), up to the m the keys
+    # and p_std need: m = 1 is zbar^a, the others multiply or divide it by
+    # zbar. At the corner zbar = 0 and r is clamped; dividing by 1 there
+    # keeps every field finite.
     powers = {1: r ** a * np.exp(-1j * a * t)}
-    if any(name != "p" for name in names):
+    if keys:
         powers[0] = zbar * powers[1]
-    top = max(2 if name == "p" else sum(name) + 1 for name in names)
     divisor = np.where(zbar == 0, 1.0, zbar)
-    for m in range(2, top + 1):
+    for m in range(2, max([2] + [i + j + 1 for i, j in keys]) + 1):
         powers[m] = powers[m - 1] / divisor
-    out = {}
-    for name in names:
-        if name == "p":
-            out[name] = (-4j * big_e * a * powers[2]).real
-            continue
-        i, j = name
+    jet = {}
+    for i, j in keys:
         n = i + j
         scale = (-1j) ** j / (factorial(i) * factorial(j))
         c1 = scale * (conj_big_a * _falling(1 + a, n)
                       + (i - j) * big_e * _falling(a, n - 1))
         c2 = scale * big_e * _falling(a, n)
-        out[name] = (c1 * powers[n] + c2 * (z * powers[n + 1])).real
-    return out
+        jet[i, j] = (c1 * powers[n] + c2 * (z * powers[n + 1])).real
+    return jet, (-4j * big_e * a * powers[2]).real
 
 
 def _lshape_points(x, y):
@@ -313,9 +309,7 @@ def lshape_singular(mu: float = 1.0) -> LoadFunction:
         order = max(_STREAM_ORDER[name] for name in names)
         b = _bubble_jet(x, y, order)
         keys = _jet_keys(min(order, 2)) if order else []
-        with_p = "g" in names or "pressure" in names
-        phi = _corner(x, y, r, t, keys + ["p"] if with_p else keys)
-        pstd = phi.pop("p", None)
+        phi, pstd = _corner(x, y, r, t, keys)
         out = _stream_fields(_jet_mul(
             b, phi, (_JET1 if "velocity" in names else [])
             + (_JET2 if "grad_velocity" in names else [])), names)
@@ -373,11 +367,10 @@ class PointValues:
 
     def _evaluate(self, part, points, count, names) -> dict:
         """The fields `names` at `points(rows)` for each of the `count`
-        rows, the carried rows copied and the others evaluated
-        `EVAL_BLOCK` rows at a time."""
-        carried, source = self._carry.pop(part, (None, None))
-        new = np.arange(count) if source is None else np.flatnonzero(
-            source < 0)
+        rows, the carried rows copied (a new record carries none) and the
+        others evaluated `EVAL_BLOCK` rows at a time."""
+        carried, source = self._carry.pop(part, ({}, np.full(count, -1)))
+        new = np.flatnonzero(source < 0)
         out = {}
         # at least one pass, so that the fields' shapes are known
         for start in range(0, max(len(new), 1), EVAL_BLOCK):
@@ -387,10 +380,9 @@ class PointValues:
                 if name not in out:
                     out[name] = np.empty((count,) + fresh[name].shape[1:])
                 out[name][rows] = fresh[name]
-        if source is not None:
-            kept = source >= 0
-            for name in names:
-                out[name][kept] = carried[name][source[kept]]
+        kept = source >= 0
+        for name, values in carried.items():
+            out[name][kept] = values[source[kept]]
         return out
 
     @cached_property
@@ -419,6 +411,20 @@ class PointValues:
         g_mean = quad.integrate_values(mesh, g) / mesh.area[:, None]
         osc_sq = g_l2sq - mesh.area * np.einsum("tc,tc->t", g_mean, g_mean)
         return g_l2sq, np.maximum(osc_sq, 0.0)
+
+
+def check_no_slip(mesh: Triangulation, load: LoadFunction) -> None:
+    """Raise ValueError unless the exact velocity of `load`, if any, is zero
+    on the boundary of `mesh`, as the discrete one is: max |u_i| at 4 Gauss
+    points per boundary edge <= 1e-10 max(1, max |u_i| at the centroids)."""
+    if not load.has_exact:
+        return
+    pts = quad.edge_points(mesh, quad.gauss_edge(4)[0], mesh.boundary_edge)
+    edge = np.abs(load.velocity(pts[..., 0], pts[..., 1])).max()
+    bound = 1e-10 * max(1.0, np.abs(load.velocity(*mesh.centroids().T)).max())
+    if not edge <= bound:
+        raise ValueError(f"the exact velocity is not zero on the boundary of "
+                         f"this mesh ({edge:.3g} > {bound:.3g})")
 
 
 def get_solution(name: str, mu: float = 1.0) -> LoadFunction:

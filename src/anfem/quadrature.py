@@ -26,6 +26,12 @@ def tri_points(mesh, bary, elements=slice(None)):
     return combine3(bary, mesh.corners(elements)[:, None])
 
 
+def edge_points(mesh, s, edges):
+    """Points (ns, ne, 2) at the fractions s along `edges`, low to high id."""
+    p0, p1 = mesh.vertices.take(mesh.edges[edges].T, axis=0)
+    return p0 * (1.0 - s)[:, None, None] + p1 * s[:, None, None]
+
+
 def integrate(mesh, f, bary=DEG4_BARY, weights=DEG4_WEIGHTS):
     """Elementwise integrals of f(x, y); returns (nt, ...) array."""
     pts = tri_points(mesh, bary)
@@ -41,7 +47,7 @@ def integrate_values(mesh, vals, weights=DEG4_WEIGHTS):
 
 
 @cache
-def gauss_edge(npts: int = 4):
+def gauss_edge(npts: int):
     """Nodes in [0, 1] and weights summing to 1 (cached, read-only)."""
     x, w = np.polynomial.legendre.leggauss(npts)
     s, w = 0.5 * (x + 1.0), 0.5 * w

@@ -10,7 +10,7 @@ import numpy as np
 from . import quadrature as quad
 from .estimator import _element_jump_sq
 from .mesh import (MeshError, NestingSets, Triangulation, barycentric,
-                   descent_maps, nesting_sets)
+                   descent_maps)
 from .spaces import (cr_element_coeffs, cr_gradients, cr_vertex_values,
                      edge_values)
 
@@ -20,17 +20,11 @@ from .spaces import (cr_element_coeffs, cr_gradients, cr_vertex_values,
 
 
 def conservative_interpolation(field, mesh: Triangulation) -> np.ndarray:
-    """CR coefficients with the edge means of `field` (10-point Gauss)."""
-    return edge_means_of_field(field, mesh, 10)[mesh.interior_edges].ravel()
-
-
-def edge_means_of_field(field, mesh: Triangulation, npts: int = 16):
-    """(ne, 2) edge means of a field, by npts-point Gauss rules."""
-    s, w = quad.gauss_edge(npts)
-    p0, p1 = mesh.vertices.take(mesh.edges.T, axis=0)
-    # point-major (npts, ne, 2): the sum adds point by point, in order
-    pts = p0 * (1.0 - s)[:, None, None] + p1 * s[:, None, None]
-    return (w[:, None, None] * field(pts[..., 0], pts[..., 1])).sum(axis=0)
+    """CR coefficients: the interior edge means of `field`, 10-point Gauss."""
+    s, w = quad.gauss_edge(10)
+    # point-major (10, n_interior, 2): the sum adds point by point, in order
+    pts = quad.edge_points(mesh, s, mesh.interior_edges)
+    return (w[:, None, None] * field(pts[..., 0], pts[..., 1])).sum(0).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +142,7 @@ def p1_gradients(nodal: np.ndarray, mesh: Triangulation,
 
 def mixed_prolongation(v_coarse: np.ndarray, coarse: Triangulation,
                        fine: Triangulation,
-                       nesting: NestingSets | None = None) -> np.ndarray:
+                       nesting: NestingSets) -> np.ndarray:
     """Averaged values on the refined region, identity on the common region.
 
     Per fine interior edge: if any incident fine element descends from a
@@ -156,8 +150,6 @@ def mixed_prolongation(v_coarse: np.ndarray, coarse: Triangulation,
     boundary of the common region), take the edge mean of the averaged
     conforming field; otherwise keep the coarse edge mean.
     """
-    if nesting is None:
-        nesting = nesting_sets(coarse, fine)
     anc, coarse_edge = _descent(coarse, fine, nesting.ancestors)
     refined_mask = np.zeros(coarse.num_triangles, dtype=bool)
     refined_mask[nesting.refined] = True
@@ -180,15 +172,13 @@ def mixed_prolongation(v_coarse: np.ndarray, coarse: Triangulation,
 
 def prolongation_defect_constant(coarse: Triangulation, fine: Triangulation,
                                  v_coarse: np.ndarray,
-                                 nesting: NestingSets | None = None,
+                                 nesting: NestingSets,
                                  operator: str = "mixed") -> float:
     """||grad(P v - v)||^2 over the jump estimator on the refined neighborhood.
 
     P is the mixed prolongation for operator="mixed", the naive one for
     operator="naive".
     """
-    if nesting is None:
-        nesting = nesting_sets(coarse, fine)
     if operator == "mixed":
         pv = mixed_prolongation(v_coarse, coarse, fine, nesting)
     elif operator == "naive":

@@ -8,10 +8,11 @@ orientation, `bisect`'s child emission and the topology fill. For the CR/P0
 system: assembly through a per-element dof map masked on boundary edges,
 the solve with a Lagrange multiplier row for the zero-mean pressure, and
 the edge-midpoint values of a continuous P1 field as CR coefficients. For
-the sqrt(N) counterexample: the whole criss-cross diamond, of which
-`build_family` builds only the band along AC. For the manufactured
-solutions: their symbolic derivation with sympy, evaluated with mpmath at 40
-digits.
+conservative interpolation: the edge means of a field by a 16-point Gauss
+rule, edge by edge. For the sqrt(N) counterexample: the whole criss-cross
+diamond, of which `build_family` builds only the band along AC. For the
+manufactured solutions: their symbolic derivation with sympy, evaluated
+with mpmath at 40 digits.
 """
 
 import numpy as np
@@ -206,6 +207,17 @@ def full_criss_cross(n):
     return CrissCrossFamily(n=n, fine=build_initial(verts, tris),
                             sign_nodes=ids[k + 1 + i, k + i],
                             ac_vertex_col=np.diagonal(ids).copy())
+
+
+def edge_means_of_field(field, mesh):
+    """(ne, 2) means of `field` over every edge, edge by edge with the
+    16-point Gauss-Legendre rule."""
+    x, w = np.polynomial.legendre.leggauss(16)
+    out = np.empty((mesh.num_edges, 2))
+    for e, (a, b) in enumerate(mesh.vertices[mesh.edges]):
+        pts = a + 0.5 * (x + 1.0)[:, None] * (b - a)
+        out[e] = 0.5 * w @ field(pts[:, 0], pts[:, 1])
+    return out
 
 
 def reference_assembly(mesh, load):

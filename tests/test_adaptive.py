@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 import anfem.adaptive
 from anfem import quadrature as quad
-from anfem.adaptive import (IterationRecord, LoopParams, MarkingError,
+from anfem.adaptive import (AdaptiveTrace, IterationRecord, LoopParams,
                             anfem_loop, dorfler_mark, rate_fit, uniform_trace)
-from anfem.domains import l_shape, unit_square
+from anfem.domains import diamond, l_shape, unit_square
 from anfem.estimator import EstimatorReport, estimate
 from anfem.mesh import bisect
 from anfem.problems import PointValues, get_solution, smooth1
@@ -40,9 +40,9 @@ def test_dorfler_zero():
 
 
 def test_dorfler_bad_theta():
-    with pytest.raises(MarkingError):
+    with pytest.raises(ValueError, match="theta"):
         dorfler_mark(fake_report([1.0]), 1.5)
-    with pytest.raises(MarkingError):
+    with pytest.raises(ValueError, match="theta"):
         LoopParams(theta=0.0)
 
 
@@ -193,6 +193,12 @@ def test_rate_fit_requires_points():
                        LoopParams(theta=0.5, max_iterations=2))
     with pytest.raises(ValueError):
         rate_fit(trace)
+    rec = trace.records[0]
+    grown = dataclasses.replace(rec, nelems=rec.nelems + 1)
+    # five points, of which none or one has more elements than the first
+    for records in ([rec] * 5, [rec] * 5 + [grown]):
+        with pytest.raises(ValueError, match="growing"):
+            rate_fit(AdaptiveTrace(records=records))
 
 
 def test_uniform_rate_smooth():
@@ -287,15 +293,62 @@ def test_uniform_trace_checks_solver_invariants(monkeypatch):
     assert trace.column("gamma").tolist() == [1.0, 2.0, 2.0]
     assert trace.final_solution.mesh.num_triangles == 64
     solve_saddle = anfem.adaptive.solve_saddle
+    # a perturbed u breaks div u = 0; a perturbed p keeps it but breaks
+    # A u + B^T p = F
+    for name, check in (("u", "divergence"), ("p", "Galerkin identity")):
+        def perturbed(system):
+            sol = solve_saddle(system)
+            x = getattr(sol, name)
+            setattr(sol, name, x + np.random.default_rng(0).normal(
+                size=x.shape))
+            return sol
 
-    def perturbed(system):
-        sol = solve_saddle(system)
-        sol.u = sol.u + np.random.default_rng(0).normal(size=sol.u.shape)
-        return sol
+        monkeypatch.setattr(anfem.adaptive, "solve_saddle", perturbed)
+        with pytest.raises(AssertionError, match=check):
+            uniform_trace(unit_square(1), load, levels=3)
 
-    monkeypatch.setattr(anfem.adaptive, "solve_saddle", perturbed)
-    with pytest.raises(AssertionError, match="divergence"):
-        uniform_trace(unit_square(1), load, levels=3)
+
+# eta_K scaled by 2 and h_K^2 ||g||_K^2 by 4: each term of the sum by 4
+@pytest.mark.parametrize("name,field,factor", [("estimator", "eta", 2.0),
+                                               ("volume-term", "vol_sq", 4.0)])
+def test_loop_raises_when_reduction_fails(monkeypatch, name, field, factor):
+    """The frozen estimator (or its volume term) made four times larger on
+    the refined mesh than bisection leaves it fails the reduction check at
+    the first refinement."""
+    frozen = anfem.adaptive.estimate_frozen
+
+    def inflated(sol, values):
+        report = frozen(sol, values)
+        return dataclasses.replace(
+            report, **{field: factor * getattr(report, field)})
+
+    monkeypatch.setattr(anfem.adaptive, "estimate_frozen", inflated)
+    with pytest.raises(AssertionError,
+                       match=f"^{name} reduction violated at step 0"):
+        anfem_loop(unit_square(2), get_solution("smooth1"),
+                   LoopParams(max_iterations=3))
+
+
+# (domain, solution) pairs whose exact velocity is not zero on the boundary
+WRONG_DOMAIN = [(l_shape, "smooth1"), (diamond, "smooth1"),
+                (unit_square, "lshape_singular")]
+
+
+@pytest.mark.parametrize("domain,solution", WRONG_DOMAIN)
+def test_exact_solution_must_vanish_on_the_boundary(monkeypatch, domain,
+                                                    solution):
+    """The discrete velocity is zero on the boundary, so an exact solution
+    that is not cannot be converged to: both loops refuse it before any
+    solve."""
+    def no_solve(*args):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(anfem.adaptive, "_solve_level", no_solve)
+    load = get_solution(solution)
+    with pytest.raises(ValueError, match="not zero on the boundary"):
+        anfem_loop(domain(), load)
+    with pytest.raises(ValueError, match="not zero on the boundary"):
+        uniform_trace(domain(), load, levels=1)
 
 
 @pytest.mark.parametrize("levels", [0, -3])

@@ -40,7 +40,8 @@ DELETED = ("MarkingParams", "ContractionParams", "FineFunction", "patches",
            "coarse_jump_term", "cmd_verify", "EXIT_VERIFY_FAILED",
            "_suite_operators", "_suite_estimator", "_suite_qo",
            "_suite_counterexample", "estimator_from_grads",
-           "refinement_ratio", "values_at", "modified_eta")
+           "refinement_ratio", "values_at", "modified_eta",
+           "edge_means_of_field", "MarkingError")
 # (class, attribute) pairs deleted from the public classes
 DELETED_MEMBERS = (("counterexample.CrissCrossFamily", "coarse"),
                    ("mesh.Triangulation", "min_angle"),

@@ -112,6 +112,28 @@ def test_adapt_one_triangle_mesh_exits_2_before_the_run(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--domain", "lshape", "--solution", "smooth1"],
+    ["--domain", "diamond"]], ids=["lshape", "diamond"])
+def test_adapt_exact_solution_of_another_domain_exits_2(tmp_path, capsys,
+                                                        argv):
+    # smooth1's velocity is zero on the unit square's boundary only
+    with pytest.raises(SystemExit) as exc:
+        main(["adapt", "--max-iterations", "2", "--out",
+              str(tmp_path / "out")] + argv)
+    assert exc.value.code == EXIT_USAGE
+    assert "not zero on the boundary" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_adapt_records_no_rate_for_a_short_run(tmp_path):
+    # two steps are too few for rate_fit: the rate is null, the run a success
+    rc = main(["adapt", "--max-iterations", "2", "--out", str(tmp_path)])
+    assert rc == EXIT_OK
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["iterations"] == 2 and summary["rate"] is None
+
+
 def test_adapt_small_run(tmp_path):
     rc = main(["adapt", "--solution", "smooth1", "--theta", "0.5",
                "--max-iterations", "5", "--eps", "0", "--mu", "2",

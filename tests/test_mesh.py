@@ -103,6 +103,58 @@ def test_bisect_fuzz_conformity_and_similarity(data):
     assert max(len(s) for s in classes.values()) <= 4
 
 
+def test_bisect_without_marks_keeps_the_mesh():
+    tri = l_shape(1)
+    same = bisect(tri, [])
+    assert np.array_equal(same.vertices, tri.vertices)
+    assert np.array_equal(same.triangles, tri.triangles)
+    token, parent, edge_parent = same.lineage[0]
+    assert token == tri.token and same.lineage[1:] == tri.lineage
+    assert np.array_equal(parent, np.arange(tri.num_triangles))
+    assert np.array_equal(edge_parent, np.arange(tri.num_edges))
+
+
+# (vertices, triangles, expected problem) of a Triangulation that is refused
+BAD_TRIANGULATIONS = {
+    "non_finite": ([(0, 0), (1, 0), (0, np.nan)], [(0, 1, 2)], "non-finite"),
+    "misoriented": ([(0, 0), (1, 0), (0, 1)], [(0, 2, 1)], "misoriented"),
+    "three_on_an_edge": ([(0, 0), (1, 0), (0.5, 1), (0.5, -1), (0.5, 2)],
+                         [(0, 1, 2), (1, 0, 3), (0, 1, 4)],
+                         "more than two triangles"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TRIANGULATIONS))
+def test_triangulation_rejects_bad_input(case):
+    vertices, triangles, problem = BAD_TRIANGULATIONS[case]
+    with pytest.raises(MeshError, match=problem):
+        Triangulation(vertices, triangles)
+
+
+def _claimed_child(coarse, vertices, triangles, parent):
+    """A mesh whose genealogy claims one bisection from `coarse`, with the
+    element map `parent` and every edge inside a coarse element."""
+    fine = Triangulation(vertices, triangles)
+    fine.lineage = ((coarse.token, np.asarray(parent),
+                     np.full(fine.num_edges, -1)),)
+    return fine
+
+
+def test_nesting_rejects_a_fine_mesh_that_misses_area():
+    coarse = unit_square()
+    # coarse element 0 alone: element 1 has no descendant
+    only = _claimed_child(coarse, coarse.vertices, coarse.triangles[:1], [0])
+    with pytest.raises(MeshError, match="does not cover"):
+        nesting_sets(coarse, only)
+    # element 0, and a triangle inside element 1 but smaller than it
+    inner = coarse.corners(1).mean(axis=0) + 0.1 * (
+        coarse.corners(1) - coarse.corners(1).mean(axis=0))
+    part = _claimed_child(coarse, np.vstack([coarse.vertices, inner]),
+                          [coarse.triangles[0], (4, 5, 6)], [0, 1])
+    with pytest.raises(MeshError, match="areas do not match"):
+        nesting_sets(coarse, part)
+
+
 def test_bisect_bad_marked():
     tri = unit_square(0)
     with pytest.raises(MeshError):
@@ -169,6 +221,8 @@ BAD_MESH_FILES = {
     "vertex_id": ("0 1 2 2", "0 1 3 2", "vertex id"),
     "ref_edge": ("0 1 2 2", "0 1 2 9", "refinement-edge"),
     "non_numeric": ("1 0\n", "1 x\n", "'x'"),
+    "empty": (VALID_MESH, "", "missing the 'nv nt' header"),
+    "negative_header": ("3 1\n", "-3 1\n", "negative count"),
 }
 
 

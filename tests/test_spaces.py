@@ -263,6 +263,22 @@ def test_solver_determinism(smooth):
     assert np.array_equal(a.p, b.p)
 
 
+def test_factorization_failure_raises_solver_error(monkeypatch, smooth):
+    def failing(matrix):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(spaces, "spd_factor", failing)
+    with pytest.raises(SolverError, match="factorization failed"):
+        solve(unit_square(2), smooth)
+
+
+def test_uzawa_step_cap_raises_solver_error(monkeypatch, smooth):
+    # one step cannot show that the divergence stopped halving
+    monkeypatch.setattr(spaces, "MAX_UZAWA_STEPS", 1)
+    with pytest.raises(SolverError, match="still converging after 1 steps"):
+        solve(unit_square(2), smooth)
+
+
 def test_singular_system_rejected():
     # a single triangle has no interior edges
     from anfem.mesh import build_initial

@@ -6,11 +6,10 @@ from anfem.domains import l_shape, unit_square
 from anfem.mesh import MeshError, bisect, descent_maps, nesting_sets
 from anfem.problems import get_solution
 from anfem.spaces import cr_gradients, num_velocity_dofs, solve
-from anfem.transfer import (conservative_interpolation, edge_means_of_field,
-                            mixed_prolongation, naive_prolongation,
-                            nodal_averaging, p1_gradients,
+from anfem.transfer import (conservative_interpolation, mixed_prolongation,
+                            naive_prolongation, nodal_averaging, p1_gradients,
                             prolongation_defect_constant, restriction)
-from oracles import p1_to_cr
+from oracles import edge_means_of_field, p1_to_cr
 
 
 def random_smooth_field(rng):
@@ -155,6 +154,28 @@ def test_transfer_operators_reject_stale_genealogy():
                                 coarse, stale.ancestors)):
         with pytest.raises(MeshError, match="genealogy"):
             call()
+
+
+def test_restriction_rejects_fine_edges_that_do_not_tile():
+    """A genealogy that puts every fine edge inside a coarse element leaves
+    the coarse edges uncovered."""
+    coarse = unit_square(1)
+    fine = bisect(coarse, [0])
+    token, parent, edge_parent = fine.lineage[0]
+    fine.lineage = ((token, parent, np.full_like(edge_parent, -1)),)
+    with pytest.raises(MeshError, match="do not tile"):
+        restriction(np.zeros(num_velocity_dofs(fine)), fine, coarse)
+
+
+def test_defect_constant_of_zero_is_zero():
+    # v = 0 has no jumps, so the quotient is 0 / 0, read as 0
+    coarse = unit_square(2)
+    fine = bisect(coarse, np.array([0, 1]))
+    ns = nesting_sets(coarse, fine)
+    v = np.zeros(num_velocity_dofs(coarse))
+    for op in ("mixed", "naive"):
+        assert prolongation_defect_constant(coarse, fine, v, ns,
+                                            operator=op) == 0.0
 
 
 def test_defect_constant_nonnegative_finite():
