@@ -30,7 +30,7 @@ def main():
         report = estimate(sol)
         err_u = np.sqrt(velocity_error_sq(sol))
         err_p = np.sqrt(pressure_error_sq(sol))
-        eta = np.sqrt(report.total_eta_sq)
+        eta = np.sqrt(report.eta_sq.sum())
         consis = consistency_error(sol)
         h = mesh.h.max()
         row = (err_u, err_p, eta, consis)

@@ -147,9 +147,9 @@ def _solve_level(values: PointValues, it: int, gamma: float):
     rec = IterationRecord(
         iteration=it, nelems=mesh.num_triangles,
         ndofs=num_velocity_dofs(mesh) + mesh.num_triangles,
-        eta2=report.total_eta_sq,
+        eta2=float(report.eta_sq.sum()),
         eta_tilde2=float((BETA1 * report.vol_sq + report.eta_sq).sum()),
-        osc2=report.total_osc_sq, vol2=report.total_vol_sq,
+        osc2=float(report.osc_sq.sum()), vol2=float(report.vol_sq.sum()),
         nmarked=0, gamma=gamma, solver_iterations=sol.iterations,
         lu_fill=sol.lu_fill, solver_residual=sol.residual)
     if values.load.has_exact:

@@ -18,8 +18,7 @@ import numpy as np
 from . import quadrature as quad
 from .mesh import Triangulation, descent_maps
 from .problems import PointValues
-from .spaces import (DiscreteSolution, assemble_saddle, edge_values,
-                     interior_dofs, spd_factor)
+from .spaces import DiscreteSolution, assemble_saddle, scatter, spd_factor
 
 
 @dataclass
@@ -31,18 +30,6 @@ class EstimatorReport:
     @property
     def eta_sq(self) -> np.ndarray:
         return self.eta ** 2
-
-    @property
-    def total_eta_sq(self) -> float:
-        return float(self.eta_sq.sum())
-
-    @property
-    def total_osc_sq(self) -> float:
-        return float(self.osc_sq.sum())
-
-    @property
-    def total_vol_sq(self) -> float:
-        return float(self.vol_sq.sum())
 
 
 def tangential_jumps(mesh: Triangulation, grads: np.ndarray) -> np.ndarray:
@@ -109,14 +96,9 @@ def consistency_error(sol: DiscreteSolution) -> float:
     sigma[..., 0, 0] += exact["pressure"]
     sigma[..., 1, 1] += exact["pressure"]
     sigma_int = quad.integrate_values(mesh, sigma)      # (nt, 2, 2)
-    # rhs: (g, psi_i e_c) - (sigma, grad(psi_i e_c)), local edge by local edge
-    sl = np.einsum("tcd,tid->itc", sigma_int, -2.0 * mesh.bary_grads)
-    # summed onto F's per-edge dofs 2 * edge + c, local edge by local edge
-    edge = np.concatenate([np.arange(mesh.num_edges),
-                           mesh.tri_edges.T.ravel()])
-    rhs = np.bincount((2 * edge[:, None] + np.arange(2)).ravel(),
-                      np.concatenate([edge_values(mesh, system.F),
-                                      -sl.reshape(-1, 2)]).ravel())
-    rhs = rhs[interior_dofs(mesh)]
+    # rhs: (g, psi_i e_c) - (sigma, grad(psi_i e_c)) = F - the sigma term
+    # summed onto the dofs like F
+    rhs = system.F - scatter(mesh, np.einsum(
+        "tcd,tid->tic", sigma_int, -2.0 * mesh.bary_grads))
     w = spd_factor(system.A).solve(rhs)
     return float(np.sqrt(mu * max(w @ (system.A @ w), 0.0)))

@@ -15,7 +15,8 @@ and its pressure p_std from its complex (Goursat) form Phi = Re(A z^(1+a) +
 E z zbar^a), each of whose derivatives is two powers of zbar with constant
 coefficients (`_corner`). sympy is not used: the tests compare both
 solutions with their symbolic derivation. `check_no_slip` refuses a mesh on
-whose boundary an exact velocity is not zero: it solves another domain.
+whose boundary an exact velocity is not zero (it solves another domain);
+`spaces.solve`, both loops and `anfem adapt` call it.
 
 Each manufactured solution is one joint pass, (x, y, names) -> {name:
 values}, that shares the points, the jets and the corner powers between
@@ -415,11 +416,11 @@ class PointValues:
 
 def check_no_slip(mesh: Triangulation, load: LoadFunction) -> None:
     """Raise ValueError unless the exact velocity of `load`, if any, is zero
-    on the boundary of `mesh`, as the discrete one is: max |u_i| at 4 Gauss
+    on the boundary of `mesh`, as the discrete one is: max |u_i| at 10 Gauss
     points per boundary edge <= 1e-10 max(1, max |u_i| at the centroids)."""
     if not load.has_exact:
         return
-    pts = quad.edge_points(mesh, quad.gauss_edge(4)[0], mesh.boundary_edge)
+    pts = quad.edge_points(mesh, quad.EDGE_NODES, mesh.boundary_edge)
     edge = np.abs(load.velocity(pts[..., 0], pts[..., 1])).max()
     bound = 1e-10 * max(1.0, np.abs(load.velocity(*mesh.centroids().T)).max())
     if not edge <= bound:

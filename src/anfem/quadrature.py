@@ -1,8 +1,6 @@
-"""Quadrature rules on triangles (barycentric) and edges (Gauss-Legendre)."""
+"""Fixed quadrature rules: degree 4 on triangles, 10-point Gauss on edges."""
 
 from __future__ import annotations
-
-from functools import cache
 
 import numpy as np
 
@@ -13,6 +11,15 @@ DEG4_BARY = np.array([
     [_a1, _b1, _b1], [_b1, _a1, _b1], [_b1, _b1, _a1],
     [_a2, _b2, _b2], [_b2, _a2, _b2], [_b2, _b2, _a2]])
 DEG4_WEIGHTS = np.array([0.109951743655322] * 3 + [0.223381589678011] * 3)
+
+# 10-point Gauss-Legendre rule on [0, 1], exact for degree 19, weights
+# summing to 1: the lower five nodes and their weights, mirrored about 1/2
+_s = np.array([0.013046735741414128, 0.06746831665550773,
+               0.16029521585048778, 0.2833023029353764, 0.4255628305091844])
+_w = np.array([0.03333567215434407, 0.0747256745752902, 0.109543181257991,
+               0.13463335965499826, 0.1477621123573764])
+EDGE_NODES = np.concatenate([_s, 1.0 - _s[::-1]])
+EDGE_WEIGHTS = np.concatenate([_w, _w[::-1]])
 
 
 def combine3(w, x):
@@ -44,12 +51,3 @@ def integrate_values(mesh, vals, weights=DEG4_WEIGHTS):
     w = weights.reshape((1, -1) + (1,) * len(extra))
     sums = (vals * w).sum(axis=1)
     return sums * mesh.area.reshape((-1,) + (1,) * len(extra))
-
-
-@cache
-def gauss_edge(npts: int):
-    """Nodes in [0, 1] and weights summing to 1 (cached, read-only)."""
-    x, w = np.polynomial.legendre.leggauss(npts)
-    s, w = 0.5 * (x + 1.0), 0.5 * w
-    s.flags.writeable = w.flags.writeable = False
-    return s, w

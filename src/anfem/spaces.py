@@ -1,11 +1,12 @@
 """Crouzeix-Raviart / P0 spaces, saddle-point assembly and solve.
 
 Velocity dofs: two components per interior edge (edge-mean values); boundary
-edge means are zero and carry no dof.  `interior_dofs` and `edge_values` are
+edge means are zero and carry no dof.  `element_dofs` and `edge_values` are
 the only code that knows this layout.  Pressure: one value per element.
-Assembly scatters each element's entries straight onto the interior dofs,
-dropping those of boundary edges, and takes g at the edge midpoints from
-the mesh's `PointValues` record (built here when the caller passes none).
+Assembly scatters each element's entries onto the interior dofs, dropping
+those of boundary edges, and takes g at the edge midpoints from the mesh's
+`PointValues` record (built here when the caller passes none); `solve` first
+checks that an exact velocity is zero on the boundary (`check_no_slip`).
 The system and its solution carry that record, so the error norms, the
 estimator and the consistency error take the exact grad u and p and g at
 the degree-4 points from the record the solve used, and the viscosity mu
@@ -34,17 +35,28 @@ import scipy.sparse.linalg as spla
 
 from . import quadrature as quad
 from .mesh import Triangulation
-from .problems import LoadFunction, PointValues
+from .problems import LoadFunction, PointValues, check_no_slip
 
 
 class SolverError(RuntimeError):
     pass
 
 
-def interior_dofs(mesh: Triangulation) -> np.ndarray:
-    """Velocity dofs among the 2 * ne per-edge dofs 2 * edge + c: both
-    components of each interior edge, in edge order."""
-    return (2 * mesh.interior_edges[:, None] + np.arange(2)).ravel()
+def element_dofs(mesh: Triangulation) -> np.ndarray:
+    """(nt, 3, 2) velocity dof of component c on each element's local edge,
+    -1 on boundary edges: the k-th interior edge carries 2k and 2k + 1."""
+    dofs = np.full((mesh.num_edges, 2), -1, dtype=np.int32)
+    dofs[mesh.interior_edges] = np.arange(
+        num_velocity_dofs(mesh)).reshape(-1, 2)
+    return dofs.take(mesh.tri_edges, axis=0)
+
+
+def scatter(mesh: Triangulation, local: np.ndarray) -> np.ndarray:
+    """Sum per-element values `local`, (nt, 3, 2) like `element_dofs`, onto
+    the velocity dofs; those of boundary edges are dropped."""
+    edof = element_dofs(mesh)
+    on = edof >= 0
+    return np.bincount(edof[on], local[on], num_velocity_dofs(mesh))
 
 
 def edge_values(mesh: Triangulation, u: np.ndarray) -> np.ndarray:
@@ -109,10 +121,7 @@ def assemble_saddle(mesh: Triangulation, load: LoadFunction, *,
     if values.mesh is not mesh or values.load is not load:
         raise ValueError("values is the record of another mesh or load")
     nt, nu = mesh.num_triangles, num_velocity_dofs(mesh)
-    # interior index of each per-edge dof 2 * edge + c, -1 on the boundary
-    inner = np.full(2 * mesh.num_edges, -1, dtype=np.int32)
-    inner[interior_dofs(mesh)] = np.arange(nu)
-    edof = inner[2 * mesh.tri_edges[..., None] + np.arange(2)]   # (nt, 3, 2)
+    edof = element_dofs(mesh)
     on = edof >= 0
     gpsi = -2.0 * mesh.bary_grads               # (nt, 3, 2) grad of CR basis
 
@@ -138,8 +147,7 @@ def assemble_saddle(mesh: Triangulation, load: LoadFunction, *,
     # load vector by the edge-midpoint rule, psi_i(m_j) = delta_ij, with g
     # evaluated once per edge
     gvals = values.at_midpoints["g"].take(mesh.tri_edges, axis=0)  # (nt,3,2)
-    F = np.bincount(edof[on], minlength=nu, weights=(
-        (mesh.area / 3.0)[:, None, None] * gvals)[on])
+    F = scatter(mesh, (mesh.area / 3.0)[:, None, None] * gvals)
 
     return SaddleSystem(values=values, A=A, B=B, F=F)
 
@@ -210,6 +218,7 @@ def solve_saddle(system: SaddleSystem) -> DiscreteSolution:
 
 
 def solve(mesh: Triangulation, load: LoadFunction) -> DiscreteSolution:
+    check_no_slip(mesh, load)
     return solve_saddle(assemble_saddle(mesh, load))
 
 

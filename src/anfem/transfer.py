@@ -21,10 +21,10 @@ from .spaces import (cr_element_coeffs, cr_gradients, cr_vertex_values,
 
 def conservative_interpolation(field, mesh: Triangulation) -> np.ndarray:
     """CR coefficients: the interior edge means of `field`, 10-point Gauss."""
-    s, w = quad.gauss_edge(10)
     # point-major (10, n_interior, 2): the sum adds point by point, in order
-    pts = quad.edge_points(mesh, s, mesh.interior_edges)
-    return (w[:, None, None] * field(pts[..., 0], pts[..., 1])).sum(0).ravel()
+    pts = quad.edge_points(mesh, quad.EDGE_NODES, mesh.interior_edges)
+    return (quad.EDGE_WEIGHTS[:, None, None]
+            * field(pts[..., 0], pts[..., 1])).sum(0).ravel()
 
 
 # ---------------------------------------------------------------------------

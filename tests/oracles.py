@@ -6,8 +6,9 @@ genealogy: geometric point location for ancestor maps, midpoint-on-edge
 classification for edge maps, and loop versions of `build_initial`'s
 orientation, `bisect`'s child emission and the topology fill. For the CR/P0
 system: assembly through a per-element dof map masked on boundary edges,
-the solve with a Lagrange multiplier row for the zero-mean pressure, and
-the edge-midpoint values of a continuous P1 field as CR coefficients. For
+the consistency error's right-hand side through the same map, the solve
+with a Lagrange multiplier row for the zero-mean pressure, and the
+edge-midpoint values of a continuous P1 field as CR coefficients. For
 conservative interpolation: the edge means of a field by a 16-point Gauss
 rule, edge by edge. For the sqrt(N) counterexample: the whole criss-cross
 diamond, of which `build_family` builds only the band along AC. For the
@@ -220,14 +221,20 @@ def edge_means_of_field(field, mesh):
     return out
 
 
+def reference_dofs(mesh):
+    """(nt, 3) interior-edge index of each element's local edges, -1 on
+    boundary edges; component c of interior edge k is dof 2 * k + c."""
+    dof = np.full(mesh.num_edges, -1, dtype=np.int64)
+    dof[mesh.interior_edges] = np.arange(len(mesh.interior_edges))
+    return dof[mesh.tri_edges]
+
+
 def reference_assembly(mesh, load):
     """(A, B, F) over the interior-edge dofs, scattered element by element
     with boundary edges masked out of a per-element dof map; the load is
     evaluated at each element's three edge midpoints."""
     from anfem.quadrature import tri_points
-    dof = np.full(mesh.num_edges, -1, dtype=np.int64)
-    dof[mesh.interior_edges] = np.arange(len(mesh.interior_edges))
-    ldof = dof[mesh.tri_edges]
+    ldof = reference_dofs(mesh)
     nt, nu = mesh.num_triangles, 2 * len(mesh.interior_edges)
     gpsi = -2.0 * mesh.bary_grads
     S = load.mu * mesh.area[:, None, None] * np.einsum("tid,tjd->tij",
@@ -262,6 +269,27 @@ def reference_assembly(mesh, load):
         np.add.at(F, 2 * ldof[mask, i], contrib[:, 0])
         np.add.at(F, 2 * ldof[mask, i] + 1, contrib[:, 1])
     return A, B, F
+
+
+def reference_consistency_rhs(mesh, load):
+    """(g, psi_i e_c) - (sigma, grad(psi_i e_c)) over the interior-edge
+    dofs, element by element: the load vector of `reference_assembly` minus
+    the degree-4 integral of the exact stress sigma = mu grad u + p I
+    against each basis gradient, with the load evaluated here."""
+    from anfem.quadrature import DEG4_BARY, DEG4_WEIGHTS, tri_points
+    ldof = reference_dofs(mesh)
+    rhs = reference_assembly(mesh, load)[2]
+    pts = tri_points(mesh, DEG4_BARY)
+    grad_u = load.grad_velocity(pts[..., 0], pts[..., 1])
+    p = load.pressure(pts[..., 0], pts[..., 1])
+    for t in range(mesh.num_triangles):
+        sigma = load.mu * grad_u[t] + p[t, :, None, None] * np.eye(2)
+        sigma_int = mesh.area[t] * np.tensordot(DEG4_WEIGHTS, sigma, 1)
+        for i in range(3):
+            if ldof[t, i] >= 0:
+                k = 2 * ldof[t, i]
+                rhs[k:k + 2] -= sigma_int @ (-2.0 * mesh.bary_grads[t, i])
+    return rhs
 
 
 def multiplier_solve(A, B, F, area):

@@ -123,8 +123,9 @@ def test_acceptance_05_reliability_efficiency(capsys, smooth):
         sol = solve(mesh, smooth)
         rep = estimate(sol)
         err2 = velocity_error_sq(sol) + pressure_error_sq(sol)
-        rel.append(err2 / rep.total_eta_sq)
-        eff.append(rep.total_eta_sq / (err2 + rep.total_osc_sq))
+        eta2 = float(rep.eta_sq.sum())
+        rel.append(err2 / eta2)
+        eff.append(eta2 / (err2 + float(rep.osc_sq.sum())))
     rel_spread = max(rel) / min(rel)
     eff_spread = max(eff) / min(eff)
     elapsed = time.perf_counter() - t0

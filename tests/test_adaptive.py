@@ -10,8 +10,9 @@ from anfem.adaptive import (AdaptiveTrace, IterationRecord, LoopParams,
                             anfem_loop, dorfler_mark, rate_fit, uniform_trace)
 from anfem.domains import diamond, l_shape, unit_square
 from anfem.estimator import EstimatorReport, estimate
-from anfem.mesh import bisect
+from anfem.mesh import bisect, uniform_refine
 from anfem.problems import PointValues, get_solution, smooth1
+from anfem.spaces import solve
 
 
 def fake_report(eta_sq):
@@ -338,17 +339,21 @@ WRONG_DOMAIN = [(l_shape, "smooth1"), (diamond, "smooth1"),
 def test_exact_solution_must_vanish_on_the_boundary(monkeypatch, domain,
                                                     solution):
     """The discrete velocity is zero on the boundary, so an exact solution
-    that is not cannot be converged to: both loops refuse it before any
-    solve."""
+    that is not cannot be converged to: both loops and `solve` refuse it
+    before any solve."""
     def no_solve(*args):
         raise AssertionError("the run started")
 
     monkeypatch.setattr(anfem.adaptive, "_solve_level", no_solve)
+    monkeypatch.setattr(anfem.spaces, "solve_saddle", no_solve)
     load = get_solution(solution)
     with pytest.raises(ValueError, match="not zero on the boundary"):
         anfem_loop(domain(), load)
     with pytest.raises(ValueError, match="not zero on the boundary"):
         uniform_trace(domain(), load, levels=1)
+    for mesh in (domain(), uniform_refine(domain(), 2)):
+        with pytest.raises(ValueError, match="not zero on the boundary"):
+            solve(mesh, load)
 
 
 @pytest.mark.parametrize("levels", [0, -3])

@@ -41,7 +41,8 @@ DELETED = ("MarkingParams", "ContractionParams", "FineFunction", "patches",
            "_suite_operators", "_suite_estimator", "_suite_qo",
            "_suite_counterexample", "estimator_from_grads",
            "refinement_ratio", "values_at", "modified_eta",
-           "edge_means_of_field", "MarkingError")
+           "edge_means_of_field", "MarkingError", "interior_dofs",
+           "gauss_edge")
 # (class, attribute) pairs deleted from the public classes
 DELETED_MEMBERS = (("counterexample.CrissCrossFamily", "coarse"),
                    ("mesh.Triangulation", "min_angle"),
@@ -67,7 +68,10 @@ DELETED_MEMBERS = (("counterexample.CrissCrossFamily", "coarse"),
                    ("spaces.DiscreteSolution", "mu"),
                    ("adaptive.LoopParams", "beta1"),
                    ("adaptive.LoopParams", "gamma1"),
-                   ("adaptive.LoopParams", "gamma2"))
+                   ("adaptive.LoopParams", "gamma2"),
+                   ("estimator.EstimatorReport", "total_eta_sq"),
+                   ("estimator.EstimatorReport", "total_osc_sq"),
+                   ("estimator.EstimatorReport", "total_vol_sq"))
 # the constructors of a load: the only public callables or dataclasses that
 # take or hold a viscosity `mu`, as the load is its one owner
 LOAD_CONSTRUCTORS = {"LoadFunction", "smooth1", "lshape_singular",

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from anfem.mesh import (MeshError, Triangulation, ancestor_map, barycentric,
                         bisect, build_initial, descent_maps, nesting_sets,
                         read_mesh, uniform_refine)
-from anfem.domains import diamond, l_shape, unit_square
+from anfem.domains import diamond, get_domain, l_shape, unit_square
 
 
 def assert_conforming(tri: Triangulation):
@@ -43,12 +43,18 @@ def test_domains_areas():
     assert abs(unit_square(2).area.sum() - 1.0) < 1e-12
     assert abs(l_shape().area.sum() - 3.0) < 1e-12
     assert abs(diamond().area.sum() - 2.0) < 1e-12
+    with pytest.raises(ValueError, match="unknown domain 'x'"):
+        get_domain("x")
 
 
 def test_collinear_rejected():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(MeshError):
         build_initial(verts, np.array([[0, 1, 2]]))
+    # connectivity that is not one row of three vertex ids per triangle
+    for tris in ([0, 1, 2], [[0, 1, 2, 0]], [[0, 1]]):
+        with pytest.raises(MeshError, match=r"connectivity must be \(nt, 3\)"):
+            build_initial(verts, tris)
 
 
 def test_bisect_single_element():
