@@ -8,8 +8,7 @@ from .adaptive import (AdaptiveTrace, LoopParams, anfem_loop, dorfler_mark,
 from .counterexample import (CrissCrossFamily, boundary_sum, build_family,
                              build_test_pair, closed_form, scaling_study)
 from .domains import diamond, get_domain, l_shape, unit_square
-from .estimator import (EstimatorReport, consistency_error, estimate,
-                        estimate_frozen)
+from .estimator import EstimatorReport, estimate, estimate_frozen
 from .mesh import (MeshError, NestingSets, Triangulation, ancestor_map,
                    bisect, build_initial, nesting_sets, read_mesh,
                    uniform_refine)
@@ -27,7 +26,7 @@ __all__ = [
     "LoadFunction", "LoopParams", "MeshError", "NestingSets", "SaddleSystem",
     "SolverError", "Triangulation", "ancestor_map", "anfem_loop",
     "assemble_saddle", "bisect", "boundary_sum", "build_family",
-    "build_initial", "build_test_pair", "closed_form", "consistency_error",
+    "build_initial", "build_test_pair", "closed_form",
     "conservative_interpolation", "constant_load", "diamond", "dorfler_mark",
     "estimate", "estimate_frozen", "get_domain", "get_solution", "l_shape",
     "mixed_prolongation", "naive_prolongation", "nesting_sets",

@@ -1,12 +1,11 @@
-"""Residual-based a posteriori estimator, oscillation and consistency error.
+"""Residual-based a posteriori estimator and oscillation.
 
 Per element: eta_K = h_K ||g||_K + (sum_{E in dK} h_K ||[grad u tau_E]||_E^2)^{1/2}.
 Boundary edges contribute the full tangential trace (jump against zero).
 Each is a function of one discrete solution: the volume terms ||g||_K and
-the oscillation, and the exact stress of the consistency error, come from
-the `PointValues` record the solution carries (g, grad u and p at the
-degree-4 points). The frozen estimator takes the refined mesh's record,
-which the next step's estimator on that mesh shares.
+the oscillation come from the `PointValues` record the solution carries
+(g at the degree-4 points). The frozen estimator takes the refined mesh's
+record, which the next step's estimator on that mesh shares.
 """
 
 from __future__ import annotations
@@ -15,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quadrature as quad
 from .mesh import Triangulation, descent_maps
 from .problems import PointValues
-from .spaces import DiscreteSolution, assemble_saddle, scatter, spd_factor
+from .spaces import DiscreteSolution
 
 
 @dataclass
@@ -73,32 +71,3 @@ def estimate_frozen(sol_coarse: DiscreteSolution,
     ancestors = descent_maps(sol_coarse.mesh, values.mesh)[0]
     return _report(sol_coarse.grads[ancestors], values)
 
-
-# ---------------------------------------------------------------------------
-# computable consistency error
-
-
-def consistency_error(sol: DiscreteSolution) -> float:
-    """Dual norm sup_v [(g,v) - (sigma, grad v)] / ||grad v|| over the CR space
-    of the exact stress sigma = mu grad u + p I.
-
-    Computed by solving mu (grad w, grad v) = (g, v) - (sigma, grad v) with
-    the system's A and returning mu ||grad w|| = sqrt(mu w.Aw), with mu, g,
-    grad u and p from the solution's record.
-    """
-    values, mesh = sol.values, sol.mesh
-    if not values.load.has_exact:
-        raise ValueError("no exact solution available")
-    mu = values.load.mu
-    system = assemble_saddle(mesh, values.load, values=values)
-    exact = values.at_points
-    sigma = mu * exact["grad_velocity"]                 # (nt, nq, 2, 2)
-    sigma[..., 0, 0] += exact["pressure"]
-    sigma[..., 1, 1] += exact["pressure"]
-    sigma_int = quad.integrate_values(mesh, sigma)      # (nt, 2, 2)
-    # rhs: (g, psi_i e_c) - (sigma, grad(psi_i e_c)) = F - the sigma term
-    # summed onto the dofs like F
-    rhs = system.F - scatter(mesh, np.einsum(
-        "tcd,tid->tic", sigma_int, -2.0 * mesh.bary_grads))
-    w = spd_factor(system.A).solve(rhs)
-    return float(np.sqrt(mu * max(w @ (system.A @ w), 0.0)))

@@ -45,6 +45,7 @@ class Triangulation:
     tri_edges: np.ndarray = field(init=False)    # (nt, 3) edge id of local edge i
     edge_tris: np.ndarray = field(init=False)    # (ne, 2) incident elements, -1 pad
     boundary_edge: np.ndarray = field(init=False)  # (ne,) bool
+    interior_edges: np.ndarray = field(init=False)  # (ni,) ids, not boundary
     edge_length: np.ndarray = field(init=False)
     edge_tangent: np.ndarray = field(init=False)  # (ne, 2) unit, low -> high id
     area: np.ndarray = field(init=False)         # (nt,)
@@ -76,10 +77,6 @@ class Triangulation:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-    @property
-    def interior_edges(self) -> np.ndarray:
-        return np.flatnonzero(~self.boundary_edge)
 
     @property
     def boundary_vertices(self) -> np.ndarray:
@@ -120,6 +117,7 @@ class Triangulation:
         self.edge_tris = np.stack([row // 3, np.where(
             counts == 2, np.append(order, 0)[first + 1] // 3, -1)], axis=1)
         self.boundary_edge = counts == 1
+        self.interior_edges = np.flatnonzero(~self.boundary_edge)
 
         # the row's edge vector, from the low to the high vertex id
         vec = e.take(row, axis=0)

@@ -7,10 +7,10 @@ Assembly scatters each element's entries onto the interior dofs, dropping
 those of boundary edges, and takes g at the edge midpoints from the mesh's
 `PointValues` record (built here when the caller passes none); `solve` first
 checks that an exact velocity is zero on the boundary (`check_no_slip`).
-The system and its solution carry that record, so the error norms, the
-estimator and the consistency error take the exact grad u and p and g at
-the degree-4 points from the record the solve used, and the viscosity mu
-from its load (`LoadFunction.mu`).
+The system and its solution carry that record, so the error norms and the
+estimator take the exact grad u and p and g at the degree-4 points from the
+record the solve used, and the viscosity mu from its load
+(`LoadFunction.mu`).
 
 The solve is augmented-Lagrangian Uzawa iteration (Fortin & Glowinski 1983):
 with the diagonal P0 mass matrix M_p and r = 1e6 * mu it factors the SPD

@@ -6,7 +6,7 @@ genealogy: geometric point location for ancestor maps, midpoint-on-edge
 classification for edge maps, and loop versions of `build_initial`'s
 orientation, `bisect`'s child emission and the topology fill. For the CR/P0
 system: assembly through a per-element dof map masked on boundary edges,
-the consistency error's right-hand side through the same map, the solve
+the consistency error through the same map and assembly, the solve
 with a Lagrange multiplier row for the zero-mean pressure, and the
 edge-midpoint values of a continuous P1 field as CR coefficients. For
 conservative interpolation: the edge means of a field by a 16-point Gauss
@@ -271,14 +271,16 @@ def reference_assembly(mesh, load):
     return A, B, F
 
 
-def reference_consistency_rhs(mesh, load):
-    """(g, psi_i e_c) - (sigma, grad(psi_i e_c)) over the interior-edge
-    dofs, element by element: the load vector of `reference_assembly` minus
-    the degree-4 integral of the exact stress sigma = mu grad u + p I
-    against each basis gradient, with the load evaluated here."""
+def consistency_error(mesh, load):
+    """Dual norm sup_v [(g, v) - (sigma, grad v)] / ||grad v|| over the CR
+    space of the exact stress sigma = mu grad u + p I, element by element.
+    The right-hand side of mu (grad w, grad v) = (g, v) - (sigma, grad v) is
+    the load vector of `reference_assembly` minus the degree-4 integral of
+    sigma against each basis gradient, with the load evaluated here; the
+    norm is mu ||grad w|| = sqrt(mu w.Aw) with A of `reference_assembly`."""
     from anfem.quadrature import DEG4_BARY, DEG4_WEIGHTS, tri_points
     ldof = reference_dofs(mesh)
-    rhs = reference_assembly(mesh, load)[2]
+    A, _, rhs = reference_assembly(mesh, load)
     pts = tri_points(mesh, DEG4_BARY)
     grad_u = load.grad_velocity(pts[..., 0], pts[..., 1])
     p = load.pressure(pts[..., 0], pts[..., 1])
@@ -289,7 +291,8 @@ def reference_consistency_rhs(mesh, load):
             if ldof[t, i] >= 0:
                 k = 2 * ldof[t, i]
                 rhs[k:k + 2] -= sigma_int @ (-2.0 * mesh.bary_grads[t, i])
-    return rhs
+    w = spla.spsolve(A.tocsc(), rhs)
+    return float(np.sqrt(load.mu * (w @ (A @ w))))
 
 
 def multiplier_solve(A, B, F, area):

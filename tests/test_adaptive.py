@@ -10,7 +10,7 @@ from anfem.adaptive import (AdaptiveTrace, IterationRecord, LoopParams,
                             anfem_loop, dorfler_mark, rate_fit, uniform_trace)
 from anfem.domains import diamond, l_shape, unit_square
 from anfem.estimator import EstimatorReport, estimate
-from anfem.mesh import bisect, uniform_refine
+from anfem.mesh import bisect, build_initial, uniform_refine
 from anfem.problems import PointValues, get_solution, smooth1
 from anfem.spaces import solve
 
@@ -371,6 +371,39 @@ def test_loop_records_discrete_reliability(solution):
     drel = trace.column("drel")
     assert np.isnan(drel[0])
     assert np.all((drel[1:] > 0) & (drel[1:] < 1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_loop_gates_hold_on_perturbed_meshes(data):
+    """On unit_square(k) or l_shape(k), k = 1 or 2, with each interior
+    vertex moved by up to 0.3 times the shortest edge and the refinement
+    edges chosen anew by build_initial, the loop runs all its steps with
+    the reduction check on: the divergence, Galerkin, estimator-reduction
+    and volume-term gates hold at every step. The cross-level constants
+    are finite from step 1 on: drel always, alpha and the quasi-orthogonality
+    constants with the exact solution."""
+    domain = data.draw(st.sampled_from([unit_square, l_shape]), label="domain")
+    base = domain(data.draw(st.integers(1, 2), label="k"))
+    interior = np.setdiff1d(np.arange(base.num_vertices),
+                            base.boundary_vertices)
+    radius, angle = np.array(data.draw(st.lists(
+        st.tuples(st.floats(0.0, 0.3), st.floats(0.0, 2 * np.pi)),
+        min_size=len(interior), max_size=len(interior)), label="moves")).T
+    vertices = base.vertices.copy()
+    vertices[interior] += (base.edge_length.min() * radius[:, None]
+                           * np.stack([np.cos(angle), np.sin(angle)], axis=1))
+    names = ["smooth1", "constant"] if domain is unit_square else ["constant"]
+    load = get_solution(data.draw(st.sampled_from(names), label="load"))
+    theta = data.draw(st.floats(0.2, 0.8), label="theta")
+    trace = anfem_loop(build_initial(vertices, base.triangles), load,
+                       LoopParams(theta=theta, max_iterations=6))
+    assert len(trace.records) == 6 and not trace.truncated
+    later = trace.records[1:]
+    assert np.isfinite([r.drel for r in later]).all()
+    if load.has_exact:
+        assert np.isfinite([(r.alpha, r.qo_velocity, r.qo_pressure)
+                            for r in later]).all()
 
 
 def test_marking_threshold_table():

@@ -42,7 +42,7 @@ DELETED = ("MarkingParams", "ContractionParams", "FineFunction", "patches",
            "_suite_counterexample", "estimator_from_grads",
            "refinement_ratio", "values_at", "modified_eta",
            "edge_means_of_field", "MarkingError", "interior_dofs",
-           "gauss_edge")
+           "gauss_edge", "consistency_error")
 # (class, attribute) pairs deleted from the public classes
 DELETED_MEMBERS = (("counterexample.CrissCrossFamily", "coarse"),
                    ("mesh.Triangulation", "min_angle"),

@@ -10,6 +10,7 @@ import pytest
 
 from anfem.adaptive import LoopParams
 from anfem.cli import EXIT_OK, EXIT_TRUNCATED, EXIT_USAGE, build_parser, main
+from anfem.counterexample import scaling_study
 
 
 def test_counterexample_csv_schema_and_determinism(tmp_path):
@@ -27,6 +28,18 @@ def test_counterexample_csv_schema_and_determinism(tmp_path):
     assert lines[1] == "N,boundary_sum,grad_norm_sq,C,closed_form"
     assert len(lines) == 2 + 4
     assert lines[2].startswith("5,")
+
+
+def test_counterexample_default_is_the_settled_range(tmp_path, capsys):
+    """Without --n the study runs N = 81 ... 1281, where the exponent has
+    settled near 1/2, and prints the exponent `scaling_study` fits there."""
+    rc = main(["counterexample", "--out", str(tmp_path)])
+    assert rc == EXIT_OK
+    lines = (tmp_path / "counterexample.csv").read_text().splitlines()
+    assert [int(line.split(",")[0]) for line in lines[2:]] == [
+        81, 161, 321, 641, 1281]
+    study = scaling_study([81, 161, 321, 641, 1281])
+    assert f"exponent={study['exponent']:.6g} " in capsys.readouterr().out
 
 
 def test_counterexample_even_n_usage_error(tmp_path, capsys):

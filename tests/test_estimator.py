@@ -1,21 +1,17 @@
 import dataclasses
-import types
 
 import numpy as np
 import pytest
 
-import anfem.estimator
 from anfem.adaptive import LoopParams, anfem_loop
 from anfem.domains import l_shape, unit_square
-from anfem.estimator import (consistency_error, estimate, estimate_frozen,
-                             tangential_jumps)
+from anfem.estimator import estimate, estimate_frozen, tangential_jumps
 from anfem.mesh import bisect, uniform_refine
-from anfem.problems import (PointValues, constant_load, get_solution,
-                            lshape_singular)
+from anfem.problems import PointValues, constant_load, get_solution
 from anfem.spaces import (assemble_saddle, cr_gradients, pressure_error_sq,
-                          solve, spd_factor, velocity_error_sq)
+                          solve, velocity_error_sq)
 from anfem import quadrature as quad
-from oracles import reference_consistency_rhs
+from oracles import consistency_error
 
 
 @pytest.fixture(scope="module")
@@ -147,42 +143,15 @@ def test_frozen_estimator_reduction(smooth_solution, smooth):
 
 
 def test_consistency_error_decay(smooth):
-    vals = []
-    for rounds in (4, 6):
-        vals.append(consistency_error(solve(unit_square(rounds), smooth)))
+    vals = [consistency_error(unit_square(rounds), smooth)
+            for rounds in (4, 6)]
     assert 1.6 < vals[0] / vals[1] < 2.4
 
 
-@pytest.mark.parametrize("mesh,load", [
-    (bisect(unit_square(2), [0, 3, 5]), get_solution("smooth1", 2.0)),
-    (l_shape(2), lshape_singular())], ids=["square_mu2", "l_shape"])
-def test_consistency_rhs_matches_element_oracle(monkeypatch, mesh, load):
-    """The right-hand side the consistency error solves with equals the
-    element-by-element oracle on the reference dof map."""
-    seen = []
-
-    def factor(M):
-        lu = spd_factor(M)
-        return types.SimpleNamespace(
-            solve=lambda b: seen.append(b.copy()) or lu.solve(b))
-
-    monkeypatch.setattr(anfem.estimator, "spd_factor", factor)
-    consistency_error(solve(mesh, load))
-    ref = reference_consistency_rhs(mesh, load)
-    (rhs,) = seen
-    assert rhs.shape == ref.shape
-    assert np.abs(rhs - ref).max() <= 1e-14 * np.abs(ref).max()
-
-
-def test_consistency_error_needs_exact_solution():
-    with pytest.raises(ValueError, match="no exact solution"):
-        consistency_error(solve(unit_square(2), constant_load()))
-
-
 def test_solution_functionals_share_one_evaluation(smooth):
-    """After one solve, the estimator, both error norms and the consistency
-    error evaluate g once at the edge midpoints (the solve's) and g, grad u
-    and p once at the degree-4 points: all from the solution's record."""
+    """After one solve, the estimator and both error norms evaluate g once
+    at the edge midpoints (the solve's) and g, grad u and p once at the
+    degree-4 points: all from the solution's record."""
     calls = []
     mesh = unit_square(3)
     sol = solve(mesh, _counted(smooth, ("g", "grad_velocity", "pressure"),
@@ -190,7 +159,6 @@ def test_solution_functionals_share_one_evaluation(smooth):
     estimate(sol)
     velocity_error_sq(sol)
     pressure_error_sq(sol)
-    consistency_error(sol)
     points = (mesh.num_triangles, len(quad.DEG4_WEIGHTS))
     assert calls == [("g", (mesh.num_edges,)), ("g", points),
                      ("grad_velocity", points), ("pressure", points)]
