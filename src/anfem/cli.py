@@ -46,7 +46,7 @@ def build_parser():
                          choices=["square", "lshape", "diamond"])
     p_adapt.add_argument("--mesh", default=None,
                          help="mesh file overriding --domain")
-    p_adapt.add_argument("--eps", type=float, default=1e-3)
+    p_adapt.add_argument("--eps", type=float, default=1e-2)
     p_adapt.add_argument(
         "--solution", default="smooth1",
         choices=["smooth1", "constant", "zero"],

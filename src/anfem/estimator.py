@@ -3,9 +3,10 @@
 Per element: eta_K = h_K ||g||_K + (sum_{E in dK} h_K ||[grad u tau_E]||_E^2)^{1/2}.
 Boundary edges contribute the full tangential trace (jump against zero).
 Each is a function of one discrete solution: the volume terms ||g||_K and
-the oscillation come from the `PointValues` record the solution carries
-(g at the degree-4 points). The frozen estimator takes the refined mesh's
-record, which the next step's estimator on that mesh shares.
+the oscillation come from the per-element integrals of g and |g|^2 in the
+`PointValues` record the solution carries (`moments`). The frozen estimator
+takes the refined mesh's record, which the next step's estimator on that
+mesh shares.
 """
 
 from __future__ import annotations
@@ -49,10 +50,11 @@ def _element_jump_sq(mesh: Triangulation, grads: np.ndarray) -> np.ndarray:
 def _report(grads: np.ndarray, values: PointValues) -> EstimatorReport:
     """The estimator of element-wise gradients `grads` on the mesh of the
     record `values`."""
-    mesh = values.mesh
-    g_l2sq, osc_raw = values.volume_terms
-    volume = mesh.h * np.sqrt(np.maximum(g_l2sq, 0.0))
-    eta = volume + np.sqrt(_element_jump_sq(mesh, grads))
+    mesh, g_l2sq = values.mesh, values.moments["g2"]    # ||g||^2_K
+    g_mean = values.moments["g"] / mesh.area[:, None]
+    osc_raw = np.maximum(    # ||g - g_K||^2_K
+        g_l2sq - mesh.area * np.einsum("tc,tc->t", g_mean, g_mean), 0.0)
+    eta = mesh.h * np.sqrt(g_l2sq) + np.sqrt(_element_jump_sq(mesh, grads))
     return EstimatorReport(eta=eta, osc_sq=mesh.h ** 2 * osc_raw,
                            vol_sq=mesh.h ** 2 * g_l2sq)
 

@@ -23,8 +23,8 @@ values}, that shares the points, the jets and the corner powers between
 the fields it is asked for; its callables `g`, `velocity`,
 `grad_velocity` and `pressure` are views of that pass (`_View`), one field
 each. `PointValues` is a mesh's one record of a load's values at the edge
-midpoints and at the degree-4 points; `PointValues.descend` derives the
-record of a refined mesh from it.
+midpoints and of its per-element degree-4 integrals; `PointValues.descend`
+derives the record of a refined mesh from it.
 """
 
 from __future__ import annotations
@@ -337,12 +337,11 @@ EVAL_BLOCK = 2048
 
 
 class PointValues:
-    """A load's values on one mesh, each part evaluated on first use:
-    `at_midpoints`, g at the edge midpoints (the load vector), and
-    `at_points`, g and, with an exact solution, grad u and p at the
-    degree-4 points (`quad.DEG4_BARY`), as {field name: array}.
-    `volume_terms` are the per-element integrals the estimator takes from
-    g. `descend` gives the record of the same load on a refined mesh.
+    """A load's values on one mesh, each part built on first use as {field
+    name: array}: `at_midpoints`, g at the edge midpoints (the load
+    vector), and `moments`, the per-element degree-4 integrals every
+    functional takes. `descend` gives the record of the same load on a
+    refined mesh.
     """
 
     def __init__(self, mesh: Triangulation, load: LoadFunction):
@@ -356,31 +355,29 @@ class PointValues:
         record's mesh by `bisect` (else `MeshError`). Each part copies from
         this record's (if that one is built) the rows of the elements and
         edges whose corner coordinates `bisect` kept (`kept_rows`) and
-        evaluates only the others, so the values equal a full evaluation
+        computes only the others, so the values equal a full evaluation
         bit for bit."""
         out = PointValues(fine, self.load)
         elements, edges = kept_rows(self.mesh, fine)
         for part, source in (("at_midpoints", edges),
-                             ("at_points", elements)):
+                             ("moments", elements)):
             if part in vars(self):
                 out._carry[part] = (vars(self)[part], source)
         return out
 
-    def _evaluate(self, part, points, count, names) -> dict:
-        """The fields `names` at `points(rows)` for each of the `count`
-        rows, the carried rows copied (a new record carries none) and the
-        others evaluated `EVAL_BLOCK` rows at a time."""
+    def _rows(self, part, count, block) -> dict:
+        """The `count` rows of `part`: the carried rows copied, the others
+        from `block(rows)`, `EVAL_BLOCK` rows at a time."""
         carried, source = self._carry.pop(part, ({}, np.full(count, -1)))
         new = np.flatnonzero(source < 0)
         out = {}
         # at least one pass, so that the fields' shapes are known
         for start in range(0, max(len(new), 1), EVAL_BLOCK):
             rows = new[start:start + EVAL_BLOCK]
-            fresh = self.load.evaluate(*points(rows), names)
-            for name in names:
+            for name, values in block(rows).items():
                 if name not in out:
-                    out[name] = np.empty((count,) + fresh[name].shape[1:])
-                out[name][rows] = fresh[name]
+                    out[name] = np.empty((count,) + values.shape[1:])
+                out[name][rows] = values
         kept = source >= 0
         for name, values in carried.items():
             out[name][kept] = values[source[kept]]
@@ -389,29 +386,31 @@ class PointValues:
     @cached_property
     def at_midpoints(self) -> dict:
         mids = self.mesh.edge_midpoints()
-        return self._evaluate(
-            "at_midpoints", lambda rows: (mids[rows, 0], mids[rows, 1]),
-            self.mesh.num_edges, ("g",))
+        return self._rows(
+            "at_midpoints", self.mesh.num_edges,
+            lambda rows: self.load.evaluate(mids[rows, 0], mids[rows, 1],
+                                            ("g",)))
 
     @cached_property
-    def at_points(self) -> dict:
-        def points(rows):
-            pts = quad.tri_points(self.mesh, quad.DEG4_BARY, rows)
-            return pts[..., 0], pts[..., 1]
+    def moments(self) -> dict:
+        """Per element K, the degree-4 integrals over K of g (`g`) and |g|^2
+        (`g2`) and, with an exact solution, of grad u, |grad u|^2, p and p^2
+        (`grad_velocity`, `grad_velocity2`, `pressure`, `pressure2`)."""
         names = ("g", "grad_velocity", "pressure") if self.load.has_exact \
             else ("g",)
-        return self._evaluate("at_points", points, self.mesh.num_triangles,
-                              names)
 
-    @cached_property
-    def volume_terms(self):
-        """(||g||^2_K, ||g - g_K||^2_K) per element, both from the one
-        evaluation of g in `at_points`."""
-        mesh, g = self.mesh, self.at_points["g"]          # (nt, nq, 2)
-        g_l2sq = quad.integrate_values(mesh, np.einsum("...c,...c->...", g, g))
-        g_mean = quad.integrate_values(mesh, g) / mesh.area[:, None]
-        osc_sq = g_l2sq - mesh.area * np.einsum("tc,tc->t", g_mean, g_mean)
-        return g_l2sq, np.maximum(osc_sq, 0.0)
+        def block(rows):
+            pts = quad.tri_points(self.mesh, quad.DEG4_BARY, rows)
+            area = self.mesh.area[rows]
+            out = {}
+            for name, v in self.load.evaluate(pts[..., 0], pts[..., 1],
+                                              names).items():
+                flat = v.reshape(v.shape[:2] + (-1,))   # (n, nq, components)
+                out[name] = quad.integrate_values(area, v)
+                out[name + "2"] = quad.integrate_values(
+                    area, np.einsum("...c,...c->...", flat, flat))
+            return out
+        return self._rows("moments", self.mesh.num_triangles, block)
 
 
 def check_no_slip(mesh: Triangulation, load: LoadFunction) -> None:

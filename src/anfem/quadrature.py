@@ -42,12 +42,12 @@ def edge_points(mesh, s, edges):
 def integrate(mesh, f, bary=DEG4_BARY, weights=DEG4_WEIGHTS):
     """Elementwise integrals of f(x, y); returns (nt, ...) array."""
     pts = tri_points(mesh, bary)
-    return integrate_values(mesh, f(pts[..., 0], pts[..., 1]), weights)
+    return integrate_values(mesh.area, f(pts[..., 0], pts[..., 1]), weights)
 
 
-def integrate_values(mesh, vals, weights=DEG4_WEIGHTS):
-    """Elementwise integrals from values (nt, nq, ...) at the rule's points."""
+def integrate_values(area, vals, weights=DEG4_WEIGHTS):
+    """Integrals over n elements of areas `area` from values (n, nq, ...)."""
     extra = vals.shape[2:]
     w = weights.reshape((1, -1) + (1,) * len(extra))
     sums = (vals * w).sum(axis=1)
-    return sums * mesh.area.reshape((-1,) + (1,) * len(extra))
+    return sums * area.reshape((-1,) + (1,) * len(extra))

@@ -8,9 +8,9 @@ those of boundary edges, and takes g at the edge midpoints from the mesh's
 `PointValues` record (built here when the caller passes none); `solve` first
 checks that an exact velocity is zero on the boundary (`check_no_slip`).
 The system and its solution carry that record, so the error norms and the
-estimator take the exact grad u and p and g at the degree-4 points from the
-record the solve used, and the viscosity mu from its load
-(`LoadFunction.mu`).
+estimator take the per-element integrals of the exact grad u and p and of g
+from the record the solve used (`moments`), and the viscosity mu from its
+load (`LoadFunction.mu`).
 
 The solve is augmented-Lagrangian Uzawa iteration (Fortin & Glowinski 1983):
 with the diagonal P0 mass matrix M_p and r = 1e6 * mu it factors the SPD
@@ -258,16 +258,18 @@ def broken_grad_norm_sq(mesh: Triangulation, u: np.ndarray) -> float:
 
 
 def velocity_error_sq(sol: DiscreteSolution) -> float:
-    """Broken H1 seminorm error squared, degree-4 quadrature."""
-    diff = sol.values.at_points["grad_velocity"] - sol.grads[:, None, :, :]
-    per_pt = np.einsum("tqij,tqij->tq", diff, diff)
-    return float((sol.mesh.area * (per_pt @ quad.DEG4_WEIGHTS)).sum())
+    """sum_K ||grad u - G_K||^2_K, from the record's integrals."""
+    m, G = sol.values.moments, sol.grads
+    return float((m["grad_velocity2"]
+                  - 2.0 * np.einsum("tij,tij->t", G, m["grad_velocity"])
+                  + sol.mesh.area * np.einsum("tij,tij->t", G, G)).sum())
 
 
 def pressure_error_sq(sol: DiscreteSolution) -> float:
-    """L2 pressure error squared, degree-4 quadrature."""
-    diff = (sol.values.at_points["pressure"] - sol.p[:, None]) ** 2
-    return float((sol.mesh.area * (diff @ quad.DEG4_WEIGHTS)).sum())
+    """sum_K ||p - p_K||^2_K, from the record's integrals."""
+    m, p = sol.values.moments, sol.p
+    return float((m["pressure2"] - 2.0 * p * m["pressure"]
+                  + sol.mesh.area * p * p).sum())
 
 
 def max_element_divergence(sol: DiscreteSolution) -> float:

@@ -295,6 +295,28 @@ def consistency_error(mesh, load):
     return float(np.sqrt(load.mu * (w @ (A @ w))))
 
 
+def pointwise_exact_terms(sol):
+    """(||grad_h(u - u_h)||^2, ||p - p_h||^2, int_K grad u, int_K p) of a
+    discrete solution of a load with an exact solution, the degree-4 rule
+    applied to the values at its points: the errors to the squared
+    differences, so that nothing cancels between the integrals of |grad u|^2,
+    grad u and |grad u_h|^2 that `spaces.velocity_error_sq` sums."""
+    from anfem.quadrature import DEG4_BARY, DEG4_WEIGHTS, tri_points
+    mesh, load = sol.mesh, sol.values.load
+    pts = tri_points(mesh, DEG4_BARY)
+    grad_u = load.grad_velocity(pts[..., 0], pts[..., 1])
+    p = load.pressure(pts[..., 0], pts[..., 1])
+    diff = grad_u - sol.grads[:, None, :, :]
+    per_pt = np.einsum("tqij,tqij->tq", diff, diff)
+    err_u2 = float((mesh.area * (per_pt @ DEG4_WEIGHTS)).sum())
+    err_p2 = float((mesh.area * ((p - sol.p[:, None]) ** 2
+                                 @ DEG4_WEIGHTS)).sum())
+    return (err_u2, err_p2,
+            mesh.area[:, None, None] * np.tensordot(DEG4_WEIGHTS, grad_u,
+                                                    (0, 1)),
+            mesh.area * (p @ DEG4_WEIGHTS))
+
+
 def multiplier_solve(A, B, F, area):
     """(u, p) of the saddle system with the zero-mean pressure imposed by one
     Lagrange multiplier row and column coupling every pressure."""

@@ -263,7 +263,7 @@ def test_loop_evaluates_exact_solution_once_per_mesh():
 def test_carried_record_equals_full_evaluation(monkeypatch):
     """On every refined mesh of an L-shape loop, the record the loop
     descends from the previous mesh's record equals a fresh evaluation of
-    every point bit for bit."""
+    every midpoint and every element's integrals bit for bit."""
     records = []
     descend = PointValues.descend
 
@@ -278,7 +278,7 @@ def test_carried_record_equals_full_evaluation(monkeypatch):
     assert len(records) == 11
     for values in records:
         fresh = PointValues(values.mesh, load)
-        for part in ("at_midpoints", "at_points"):
+        for part in ("at_midpoints", "moments"):
             assert part in vars(values)       # built by the loop
             got, ref = getattr(values, part), getattr(fresh, part)
             assert sorted(got) == sorted(ref)

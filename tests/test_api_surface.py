@@ -71,7 +71,9 @@ DELETED_MEMBERS = (("counterexample.CrissCrossFamily", "coarse"),
                    ("adaptive.LoopParams", "gamma2"),
                    ("estimator.EstimatorReport", "total_eta_sq"),
                    ("estimator.EstimatorReport", "total_osc_sq"),
-                   ("estimator.EstimatorReport", "total_vol_sq"))
+                   ("estimator.EstimatorReport", "total_vol_sq"),
+                   ("problems.PointValues", "at_points"),
+                   ("problems.PointValues", "volume_terms"))
 # the constructors of a load: the only public callables or dataclasses that
 # take or hold a viscosity `mu`, as the load is its one owner
 LOAD_CONSTRUCTORS = {"LoadFunction", "smooth1", "lshape_singular",
@@ -110,7 +112,9 @@ def test_all_resolves_without_deleted_names():
         module, cls = owner.split(".")
         cls = getattr(importlib.import_module(f"anfem.{module}"), cls)
         assert not hasattr(cls, name), f"{owner}.{name}"
-        assert name not in {f.name for f in dataclasses.fields(cls)}, name
+        # a dataclass field without a default is no class attribute
+        if dataclasses.is_dataclass(cls):
+            assert name not in {f.name for f in dataclasses.fields(cls)}, name
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,6 @@ from anfem.problems import PointValues, constant_load, get_solution
 from anfem.spaces import (assemble_saddle, cr_gradients, pressure_error_sq,
                           solve, velocity_error_sq)
 from anfem import quadrature as quad
-from oracles import consistency_error
 
 
 @pytest.fixture(scope="module")
@@ -140,12 +139,6 @@ def test_frozen_estimator_reduction(smooth_solution, smooth):
     rho = 1.0 - 2.0 ** -0.5
     coarse_sq = coarse.eta_sq.sum()
     assert frozen.eta_sq.sum() <= (coarse_sq - rho * coarse_sq) + 1e-9
-
-
-def test_consistency_error_decay(smooth):
-    vals = [consistency_error(unit_square(rounds), smooth)
-            for rounds in (4, 6)]
-    assert 1.6 < vals[0] / vals[1] < 2.4
 
 
 def test_solution_functionals_share_one_evaluation(smooth):

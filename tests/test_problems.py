@@ -176,7 +176,7 @@ def test_lshape_pressure_mean_zero():
     mesh = uniform_refine(l_shape(), 8)
     pts = quad.tri_points(mesh, quad.DEG4_BARY)
     vals = lshape_singular().pressure(pts[..., 0], pts[..., 1])
-    total = quad.integrate_values(mesh, vals).sum()
+    total = quad.integrate_values(mesh.area, vals).sum()
     assert abs(total) <= 1e-13 * mesh.area.sum() * np.abs(vals).max()
 
 
@@ -266,16 +266,19 @@ def test_replaced_callable_is_evaluated():
     ref = PointValues(mesh, load)
     doubled = dataclasses.replace(load, g=lambda x, y: 2.0 * load.g(x, y))
     values = PointValues(mesh, doubled)
-    assert np.array_equal(values.at_points["g"], 2.0 * ref.at_points["g"])
+    assert np.array_equal(values.moments["g"], 2.0 * ref.moments["g"])
+    assert np.array_equal(values.moments["g2"], 4.0 * ref.moments["g2"])
     assert np.array_equal(values.at_midpoints["g"],
                           2.0 * ref.at_midpoints["g"])
-    for field in ("grad_velocity", "pressure"):
-        assert np.array_equal(values.at_points[field], ref.at_points[field])
+    for field in ("grad_velocity", "grad_velocity2", "pressure",
+                  "pressure2"):
+        assert np.array_equal(values.moments[field], ref.moments[field])
     patched = lshape_singular()
     patched.pressure = lambda x, y: np.zeros(np.shape(x))
     values = PointValues(mesh, patched)
-    assert not values.at_points["pressure"].any()
-    assert np.array_equal(values.at_points["g"], ref.at_points["g"])
+    assert not values.moments["pressure"].any()
+    assert not values.moments["pressure2"].any()
+    assert np.array_equal(values.moments["g"], ref.moments["g"])
 
 
 def test_record_carries_only_unmoved_rows():
@@ -287,7 +290,7 @@ def test_record_carries_only_unmoved_rows():
     load = lshape_singular()
     coarse = l_shape(1)
     values = PointValues(coarse, load)
-    values.at_midpoints, values.at_points
+    values.at_midpoints, values.moments
     fine = bisect(coarse, [0, 5])
     new_moved = fine.vertices.copy()
     new_moved[coarse.num_vertices:] += [0.01, 0.013]
@@ -297,7 +300,7 @@ def test_record_carries_only_unmoved_rows():
                                fine.lineage)):
         carried, fresh = values.descend(mesh), PointValues(mesh, load)
         assert carried.load is load
-        for part in ("at_midpoints", "at_points"):
+        for part in ("at_midpoints", "moments"):
             for name, ref in getattr(fresh, part).items():
                 assert np.array_equal(getattr(carried, part)[name], ref)
     with pytest.raises(MeshError):
@@ -306,19 +309,29 @@ def test_record_carries_only_unmoved_rows():
 
 def test_point_values_evaluate_in_blocks():
     """Above `EVAL_BLOCK` rows a record calls the load block by block: each
-    part equals one pass over all its points bit for bit, and g is called
-    on at most `EVAL_BLOCK` edges at a time, each edge exactly once."""
+    part equals one pass over all its points bit for bit (the integrals of
+    each field and of its square by `quad.integrate`'s rule), and g is
+    called on at most `EVAL_BLOCK` edges at a time, each edge exactly
+    once."""
     mesh = uniform_refine(l_shape(), 10)
     assert mesh.num_triangles > EVAL_BLOCK
     load = lshape_singular()
     values = PointValues(mesh, load)
     mids = mesh.edge_midpoints()
+    ref = load.evaluate(mids[:, 0], mids[:, 1], ("g",))
+    assert np.array_equal(values.at_midpoints["g"], ref["g"])
     pts = quad.tri_points(mesh, quad.DEG4_BARY)
-    for part, points in (("at_midpoints", mids), ("at_points", pts)):
-        got = getattr(values, part)
-        ref = load.evaluate(points[..., 0], points[..., 1], tuple(got))
-        for name in ref:
-            assert np.array_equal(got[name], ref[name]), (part, name)
+    names = ("g", "grad_velocity", "pressure")
+    ref = load.evaluate(pts[..., 0], pts[..., 1], names)
+    assert sorted(values.moments) == sorted(
+        names + tuple(name + "2" for name in names))
+    for name in names:
+        flat = ref[name].reshape(ref[name].shape[:2] + (-1,))
+        squares = np.einsum("...c,...c->...", flat, flat)
+        assert np.array_equal(values.moments[name],
+                              quad.integrate_values(mesh.area, ref[name]))
+        assert np.array_equal(values.moments[name + "2"],
+                              quad.integrate_values(mesh.area, squares)), name
 
     calls = []
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from anfem.adaptive import _check_solve_invariants
+from anfem.adaptive import LoopParams, _check_solve_invariants, anfem_loop
 from anfem.domains import diamond, l_shape, unit_square
 from anfem.mesh import bisect, uniform_refine
 from anfem.problems import (LoadFunction, constant_load, get_solution,
@@ -15,7 +15,8 @@ from anfem.spaces import (SolverError, assemble_saddle, broken_grad_norm_sq,
                           num_velocity_dofs, pressure_error_sq, solve,
                           solve_saddle, velocity_error_sq)
 from anfem import quadrature as quad, spaces
-from oracles import multiplier_solve, reference_assembly
+from oracles import (multiplier_solve, pointwise_exact_terms,
+                     reference_assembly)
 
 
 @pytest.fixture(scope="module")
@@ -227,6 +228,28 @@ def test_pressure_convergence(smooth):
         sol = solve(unit_square(rounds), smooth)
         errs.append(np.sqrt(pressure_error_sq(sol)))
     assert errs[2] < errs[1] < errs[0]
+
+
+@pytest.mark.parametrize("case", ["smooth1", "lshape_singular"])
+def test_exact_functionals_match_pointwise_reference(case):
+    """The error norms and the integrals of grad u and p the
+    quasi-orthogonality monitors read, all from the record's per-element
+    integrals, equal the rule applied point by point to 1e-12 relative: on
+    a uniform mesh, and on the corner-graded mesh of 12 L-shape loop
+    steps."""
+    if case == "smooth1":
+        sol = solve(unit_square(3), smooth1())
+    else:
+        sol = anfem_loop(l_shape(), lshape_singular(), LoopParams(
+            theta=0.3, max_iterations=12,
+            check_reduction=False)).final_solution
+    err_u2, err_p2, grad_int, p_int = pointwise_exact_terms(sol)
+    moments = sol.values.moments
+    for got, ref in ((velocity_error_sq(sol), err_u2),
+                     (pressure_error_sq(sol), err_p2),
+                     (moments["grad_velocity"], grad_int),
+                     (moments["pressure"], p_int)):
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_edge_rule_is_ten_point_gauss_legendre():
