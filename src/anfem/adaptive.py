@@ -86,8 +86,7 @@ class IterationRecord:
 @dataclass
 class AdaptiveTrace:
     records: list[IterationRecord] = field(default_factory=list)
-    truncated: bool = False
-    converged: bool = False
+    converged: bool = False   # the outcome: eta < eps, or eta = 0, at the end
     final_solution: DiscreteSolution | None = None
 
     def column(self, name: str) -> np.ndarray:
@@ -189,9 +188,8 @@ def anfem_loop(mesh0: Triangulation, load: LoadFunction,
 
         eta = np.sqrt(rec.eta2)
         trace.converged = bool(eta < p.eps or eta == 0.0)
-        trace.truncated = (not trace.converged
-                           and rec.nelems >= p.element_cap)
-        if trace.converged or trace.truncated or it + 1 == p.max_iterations:
+        if (trace.converged or rec.nelems >= p.element_cap
+                or it + 1 == p.max_iterations):
             break
 
         marked = dorfler_mark(report, p.theta)
@@ -282,11 +280,11 @@ def uniform_trace(mesh0: Triangulation, load: LoadFunction,
                   levels: int) -> AdaptiveTrace:
     """Solve on `levels` meshes, each two uniform bisection rounds (four
     times the elements) finer than the one before, with the adaptive loop's
-    checks."""
+    checks. No tolerance, so the trace is never `converged`."""
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
     check_no_slip(mesh0, load)
-    trace = AdaptiveTrace(converged=True)
+    trace = AdaptiveTrace()
     mesh = mesh0
     gamma = 1.0               # no previous mesh, as in anfem_loop
     for it in range(levels):

@@ -3,8 +3,8 @@ loop, and `counterexample`, the criss-cross scaling study.  Both are
 deterministic.  The paper's properties are checked by the acceptance suite,
 `tests/test_acceptance.py`.
 
-Exit codes: 0 success/convergence, 2 usage error, 3 adaptive run truncated
-at the element cap.
+Exit codes: 0 success (for `adapt`, the run reached --eps), 2 usage error,
+3 the adaptive run stopped at --element-cap or --max-iterations first.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .problems import check_no_slip, get_solution
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_TRUNCATED = 3
+EXIT_NOT_CONVERGED = 3
 # thread-pool sizes of the BLAS/OpenMP libraries, recorded in summary.json
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -69,8 +69,7 @@ def cmd_adapt(args, mesh0, load, params) -> int:
     trace = adaptive.anfem_loop(mesh0, load, params)
     trace.to_csv(os.path.join(args.out, "trace.csv"))
     final = trace.records[-1]
-    summary = {"schema": "anfem-summary-v4",
-               "converged": trace.converged, "truncated": trace.truncated,
+    summary = {"schema": "anfem-summary-v5", "converged": trace.converged,
                "iterations": len(trace.records),
                "final_nelems": final.nelems, "final_ndofs": final.ndofs,
                "final_eta": float(np.sqrt(final.eta2)),
@@ -90,7 +89,7 @@ def cmd_adapt(args, mesh0, load, params) -> int:
     print(f"iterations={summary['iterations']} "
           f"nelems={final.nelems} eta={summary['final_eta']:.6g} "
           f"rate={summary['rate']}")
-    return EXIT_TRUNCATED if trace.truncated else EXIT_OK
+    return EXIT_OK if trace.converged else EXIT_NOT_CONVERGED
 
 
 def cmd_counterexample(args) -> int:

@@ -83,6 +83,8 @@ class Triangulation:
         return np.unique(self.edges[self.boundary_edge])
 
     def _build_topology(self):
+        if not len(self.triangles):
+            raise MeshError("mesh has no triangles")
         if not np.all(np.isfinite(self.vertices)):
             raise MeshError("non-finite vertex coordinates")
         tris, v = self.triangles, self.vertices

@@ -64,6 +64,11 @@ class LoadFunction:
         if isinstance(self.mu, bool) or not 0.0 < self.mu < np.inf:
             raise ValueError(f"viscosity mu must be positive and finite, "
                              f"got {self.mu!r}")
+        kinds = {f if f is None else callable(f)
+                 for f in (self.velocity, self.grad_velocity, self.pressure)}
+        if not callable(self.g) or kinds not in ({None}, {True}):
+            raise ValueError("a load needs a callable g, and callable "
+                             "velocity, grad_velocity and pressure or none")
         # a view's fields are those of its own mu, which
         # `dataclasses.replace(load, mu=...)` would leave behind
         for name in _STREAM_ORDER:

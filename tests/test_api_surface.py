@@ -42,7 +42,7 @@ DELETED = ("MarkingParams", "ContractionParams", "FineFunction", "patches",
            "_suite_counterexample", "estimator_from_grads",
            "refinement_ratio", "values_at", "modified_eta",
            "edge_means_of_field", "MarkingError", "interior_dofs",
-           "gauss_edge", "consistency_error")
+           "gauss_edge", "consistency_error", "EXIT_TRUNCATED")
 # (class, attribute) pairs deleted from the public classes
 DELETED_MEMBERS = (("counterexample.CrissCrossFamily", "coarse"),
                    ("mesh.Triangulation", "min_angle"),
@@ -73,7 +73,8 @@ DELETED_MEMBERS = (("counterexample.CrissCrossFamily", "coarse"),
                    ("estimator.EstimatorReport", "total_osc_sq"),
                    ("estimator.EstimatorReport", "total_vol_sq"),
                    ("problems.PointValues", "at_points"),
-                   ("problems.PointValues", "volume_terms"))
+                   ("problems.PointValues", "volume_terms"),
+                   ("adaptive.AdaptiveTrace", "truncated"))
 # the constructors of a load: the only public callables or dataclasses that
 # take or hold a viscosity `mu`, as the load is its one owner
 LOAD_CONSTRUCTORS = {"LoadFunction", "smooth1", "lshape_singular",

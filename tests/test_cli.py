@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from anfem.adaptive import LoopParams
-from anfem.cli import EXIT_OK, EXIT_TRUNCATED, EXIT_USAGE, build_parser, main
+from anfem.cli import (EXIT_NOT_CONVERGED, EXIT_OK, EXIT_USAGE, build_parser,
+                       main)
 from anfem.counterexample import scaling_study
 
 
@@ -140,9 +141,10 @@ def test_adapt_exact_solution_of_another_domain_exits_2(tmp_path, capsys,
 
 
 def test_adapt_records_no_rate_for_a_short_run(tmp_path):
-    # two steps are too few for rate_fit: the rate is null, the run a success
+    # two steps are too few for rate_fit, so the rate is null, and too few
+    # to reach the default --eps
     rc = main(["adapt", "--max-iterations", "2", "--out", str(tmp_path)])
-    assert rc == EXIT_OK
+    assert rc == EXIT_NOT_CONVERGED
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["iterations"] == 2 and summary["rate"] is None
 
@@ -151,16 +153,17 @@ def test_adapt_small_run(tmp_path):
     rc = main(["adapt", "--solution", "smooth1", "--theta", "0.5",
                "--max-iterations", "5", "--eps", "0", "--mu", "2",
                "--out", str(tmp_path)])
-    assert rc == EXIT_OK
+    assert rc == EXIT_NOT_CONVERGED         # no run reaches eps = 0
     lines = (tmp_path / "trace.csv").read_text().splitlines()
     assert lines[0] == "anfem-trace-v4"
     assert lines[1].split(",")[:3] == ["iteration", "nelems", "ndofs"]
     summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["schema"] == "anfem-summary-v4"
+    assert summary["schema"] == "anfem-summary-v5"
+    assert "truncated" not in summary
     assert summary["mu"] == 2.0
     assert summary["iterations"] == 5
     assert summary["final_eta"] > 0
-    assert not summary["truncated"]
+    assert not summary["converged"]
     assert summary["params"] == asdict(
         LoopParams(theta=0.5, eps=0.0, max_iterations=5))
     assert set(summary["versions"]) == {"python", "numpy", "scipy"}
@@ -173,11 +176,26 @@ def test_adapt_small_run(tmp_path):
 
 
 def test_adapt_truncation_exit_code(tmp_path):
+    # stopped at the element cap short of --eps: not converged, exit 3
     rc = main(["adapt", "--solution", "smooth1", "--theta", "0.5",
                "--element-cap", "20", "--eps", "0", "--out", str(tmp_path)])
-    assert rc == EXIT_TRUNCATED
+    assert rc == EXIT_NOT_CONVERGED
     summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["truncated"]
+    assert not summary["converged"] and summary["final_nelems"] >= 20
+
+
+# the exit code is the run's one outcome: 0 only when it reached --eps, 3
+# when it stopped at --max-iterations (or the element cap) first
+@pytest.mark.parametrize("flags,code", [
+    (["--max-iterations", "3"], EXIT_NOT_CONVERGED),
+    (["--theta", "0.5", "--eps", "0.3"], EXIT_OK)],
+    ids=["max-iterations", "eps"])
+def test_adapt_exit_code_is_the_outcome(tmp_path, flags, code):
+    rc = main(["adapt", *flags, "--out", str(tmp_path)])
+    assert rc == code
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["converged"] == (code == EXIT_OK) == (
+        summary["final_eta"] < summary["params"]["eps"])
 
 
 # a file where the output directory should be, or below it: exit 2 before the

@@ -244,6 +244,19 @@ def test_read_mesh_rejects_malformed_file(tmp_path, case):
     assert str(path) in str(exc.value)
 
 
+def test_mesh_without_triangles_raises_mesh_error(tmp_path):
+    """An empty connectivity is a MeshError from every way a mesh is built,
+    not numpy's error from a reduction over zero elements."""
+    v, none = np.eye(3)[:, :2], np.empty((0, 3), dtype=np.int64)
+    for build in (Triangulation, build_initial):
+        with pytest.raises(MeshError, match="no triangles"):
+            build(v, none)
+    path = tmp_path / "mesh.txt"
+    path.write_text("3 0\n0 0\n1 0\n0 1\n")
+    with pytest.raises(MeshError, match="no triangles"):
+        read_mesh(path)
+
+
 # the unit square with a hanging node at its centre: vertex 4 splits edge
 # (1, 3) of triangle (0, 1, 3) into edges of (1, 2, 4) and (2, 3, 4)
 HANGING_NODE_MESH = ("5 3\n0 0\n1 0\n1 1\n0 1\n0.5 0.5\n"

@@ -208,6 +208,22 @@ def test_load_rejects_bad_viscosity(make, mu):
         LOAD_CONSTRUCTORS[make](mu)
 
 
+def test_load_rejects_missing_or_partial_fields():
+    """g is required, and the exact u, grad u and p come all three or not
+    at all: caught when the load is built, not at its first evaluation."""
+    s = smooth1()
+    exact = dict(velocity=s.velocity, grad_velocity=s.grad_velocity,
+                 pressure=s.pressure)
+    for kwargs in (dict(g=None), dict(g=None, **exact),
+                   dict(g=s.g, velocity=s.velocity),
+                   dict(g=s.g, velocity=s.velocity, pressure=s.pressure),
+                   dict(g=s.g, **exact | {"pressure": 1.0})):
+        with pytest.raises(ValueError, match="callable g"):
+            LoadFunction(**kwargs)
+    assert LoadFunction(g=s.g, **exact).has_exact
+    assert not LoadFunction(g=s.g).has_exact
+
+
 def test_replaced_load_keeps_its_viscosity():
     load = smooth1(2.5)
     assert load.mu == 2.5 and get_solution("constant", 2.5).mu == 2.5
