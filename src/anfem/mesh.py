@@ -54,8 +54,8 @@ class Triangulation:
     # barycentric coordinate functions
 
     def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=float)
-        self.triangles = np.asarray(self.triangles, dtype=np.int64)
+        self.vertices, self.triangles = _mesh_arrays(self.vertices,
+                                                     self.triangles)
         self.token = next(_TOKENS)
         self._build_topology()
 
@@ -83,10 +83,6 @@ class Triangulation:
         return np.unique(self.edges[self.boundary_edge])
 
     def _build_topology(self):
-        if not len(self.triangles):
-            raise MeshError("mesh has no triangles")
-        if not np.all(np.isfinite(self.vertices)):
-            raise MeshError("non-finite vertex coordinates")
         tris, v = self.triangles, self.vertices
         # row 3t + i: local edge i of triangle t, from vertex a to b
         a, b = tris[:, _EDGE_FROM].ravel(), tris[:, _EDGE_TO].ravel()
@@ -116,17 +112,21 @@ class Triangulation:
         counts = np.diff(first, append=len(order))
         if counts.max() > 2:
             raise MeshError("edge shared by more than two triangles")
+        # positively oriented neighbours run along their edge in opposite
+        # directions; duplicated or folded triangles run the same way
+        second, fwd = np.append(order, 0)[first + 1], a < b
+        if np.any((counts == 2) & (fwd[row] == fwd[second])):
+            raise MeshError("duplicated or folded triangles: both triangles "
+                            "of an edge run along it the same way")
         self.edge_tris = np.stack([row // 3, np.where(
-            counts == 2, np.append(order, 0)[first + 1] // 3, -1)], axis=1)
+            counts == 2, second // 3, -1)], axis=1)
         self.boundary_edge = counts == 1
         self.interior_edges = np.flatnonzero(~self.boundary_edge)
 
         # the row's edge vector, from the low to the high vertex id
         vec = e.take(row, axis=0)
-        vec *= np.where(a[row] < b[row], 1.0, -1.0)[:, None]
+        vec *= np.where(fwd[row], 1.0, -1.0)[:, None]
         self.edge_length = np.sqrt(vec[:, 0] ** 2 + vec[:, 1] ** 2)
-        if np.any(self.edge_length <= 0):
-            raise MeshError("zero-length edge")
         self.edge_tangent = vec / self.edge_length[:, None]
 
         # grad lambda_i is the inward normal of local edge i over 2|K|
@@ -151,6 +151,21 @@ class Triangulation:
         return self.corners().mean(axis=1)
 
 
+def _mesh_arrays(vertices, triangles):
+    """Finite float vertices and an (nt >= 1, 3) int64 connectivity of
+    vertex ids in [0, nv), or MeshError: the one check of both."""
+    v, tris = np.asarray(vertices, dtype=float), np.asarray(triangles)
+    if tris.ndim != 2 or tris.shape[1] != 3:
+        raise MeshError("connectivity must be (nt, 3)")
+    if not len(tris):
+        raise MeshError("mesh has no triangles")
+    if tris.dtype.kind not in "iu" or tris.min() < 0 or tris.max() >= len(v):
+        raise MeshError(f"vertex ids must be integers in [0, {len(v)})")
+    if not np.all(np.isfinite(v)):
+        raise MeshError("non-finite vertex coordinates")
+    return v, tris.astype(np.int64, copy=False)
+
+
 def barycentric(mesh: Triangulation, elems, points) -> np.ndarray:
     """Barycentric coordinates (..., 3) of points[i] in element elems[i],
     by Cramer's rule: the 2 x 2 system's determinant is 2|K| > 0."""
@@ -170,19 +185,12 @@ def build_initial(vertices, triangle_connectivity) -> Triangulation:
     by the smallest opposite-vertex id.  Triangles given with negative area
     are reordered.
     """
-    v = np.asarray(vertices, dtype=float)
-    tris = np.asarray(triangle_connectivity, dtype=np.int64)
-    if tris.ndim != 2 or tris.shape[1] != 3:
-        raise MeshError("connectivity must be (nt, 3)")
-    repeated = ((tris[:, 0] == tris[:, 1]) | (tris[:, 1] == tris[:, 2])
-                | (tris[:, 2] == tris[:, 0]))
+    v, tris = _mesh_arrays(vertices, triangle_connectivity)
     e = v.take(tris[:, _EDGE_TO], 0) - v.take(tris[:, _EDGE_FROM], 0)
     area = 0.5 * (e[:, 1, 0] * e[:, 2, 1] - e[:, 2, 0] * e[:, 1, 1])
-    bad = np.flatnonzero(repeated | (area == 0))
+    bad = np.flatnonzero(area == 0)
     if bad.size:
-        k = bad[0]
-        raise MeshError(f"degenerate triangle {k}: " + (
-            "repeated vertex" if repeated[k] else "zero area"))
+        raise MeshError(f"degenerate triangle {bad[0]}: zero area")
     # the refinement edge is the longest, rounded to 14 digits; a tie goes
     # to the smallest opposite vertex id, whose corner c becomes v2 and is
     # followed by c + 1, c + 2 (c + 2, c + 1 for a negative area) as v0, v1
@@ -405,8 +413,6 @@ def read_mesh(path) -> Triangulation:
         verts = np.array(tokens[2:2 + 2 * nv], dtype=float).reshape(nv, 2)
         cells = np.array(tokens[2 + 2 * nv:], dtype=np.int64).reshape(nt, 4)
         ids, ref = cells[:, :3], cells[:, 3]
-        if ids.size and (ids.min() < 0 or ids.max() >= nv):
-            raise MeshError(f"vertex id outside [0, {nv})")
         if np.any((ref < 0) | (ref > 2)):
             raise MeshError("refinement-edge index must be 0, 1 or 2")
         # rotate each triangle so that its refinement edge is (v0, v1)

@@ -20,8 +20,10 @@ It stops when the maximum element divergence no longer halves (about 4
 steps) or raises `SolverError` after 60 steps; one closing refinement step
 on the saddle residual follows, so a solve costs iterations + 1 triangular
 solves.  It then shifts p to zero mean (the constants are ker B^T, CR/P0
-being inf-sup stable) and gates the full saddle residual at 1e-10 relative
-to max(||F||, 1).
+being inf-sup stable) and runs three gates that every solve passes or
+raises `SolverError`: the Galerkin identity max |F - A u - B^T p| <= 1e-10
+max(1, max |F|), |div u_K| <= 1e-10 (1 + max_ij |d_j u_i|_K) on each
+element K, and the full saddle residual at 1e-10 relative to max(||F||, 1).
 """
 
 from __future__ import annotations
@@ -170,7 +172,7 @@ MAX_UZAWA_STEPS = 60
 
 def solve_saddle(system: SaddleSystem) -> DiscreteSolution:
     """(u, p) with A u + B^T p = F, B u = 0 and zero-mean p, by the
-    augmented-Lagrangian Uzawa iteration of the module docstring."""
+    augmented-Lagrangian Uzawa iteration and gates of the module docstring."""
     mesh = system.mesh
     A, B, F = system.A, system.B, system.F
     if A.shape[0] == 0:
@@ -208,13 +210,26 @@ def solve_saddle(system: SaddleSystem) -> DiscreteSolution:
     u = u + du
     p = p + rdiv @ du
     p = p - (mesh.area @ p) / mesh.area.sum()   # exact zero mean
-    resid = np.hypot(np.linalg.norm(F - A @ u - BT @ p),
-                     np.linalg.norm(B @ u))
+    r = F - A @ u - BT @ p
+    resid = np.hypot(np.linalg.norm(r), np.linalg.norm(B @ u))
     resid /= max(np.linalg.norm(F), 1.0)
-    if not np.isfinite(resid) or resid > 1e-10:
+    sol = DiscreteSolution(values=system.values, u=u, p=p, iterations=steps,
+                           lu_fill=lu.nnz, residual=resid)
+    # "not <=" fails a NaN; a CR divergence's round-off scales with the
+    # element's own gradient (dof differences over h_K), not the global norm
+    gal = float(np.abs(r).max())
+    if not gal <= 1e-10 * max(1.0, float(np.abs(F).max())):
+        raise SolverError(f"Galerkin identity violated: {gal:.3e}")
+    G = sol.grads
+    div = np.abs(G[:, 0, 0] + G[:, 1, 1])
+    bound = 1e-10 * (1.0 + np.abs(G).max(axis=(1, 2)))
+    if not np.all(div <= bound):
+        k = int(np.argmax(div / bound))
+        raise SolverError(f"discrete divergence too large: {div[k]:.3e} "
+                          f"> {bound[k]:.3e} on element {k}")
+    if not resid <= 1e-10:
         raise SolverError(f"linear solve residual too large: {resid:.3e}")
-    return DiscreteSolution(values=system.values, u=u, p=p, iterations=steps,
-                            lu_fill=lu.nnz, residual=resid)
+    return sol
 
 
 def solve(mesh: Triangulation, load: LoadFunction) -> DiscreteSolution:

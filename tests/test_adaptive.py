@@ -1,18 +1,19 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import anfem.adaptive
-from anfem import quadrature as quad
+from anfem import quadrature as quad, spaces
 from anfem.adaptive import (AdaptiveTrace, IterationRecord, LoopParams,
                             anfem_loop, dorfler_mark, rate_fit, uniform_trace)
 from anfem.domains import diamond, l_shape, unit_square
 from anfem.estimator import EstimatorReport, estimate
 from anfem.mesh import bisect, build_initial, uniform_refine
 from anfem.problems import PointValues, get_solution, smooth1
-from anfem.spaces import solve
+from anfem.spaces import SolverError, solve
 
 
 def fake_report(eta_sq):
@@ -296,20 +297,31 @@ def test_uniform_trace_checks_solver_invariants(monkeypatch):
     # no previous mesh on the first level, as in anfem_loop
     assert trace.column("gamma").tolist() == [1.0, 2.0, 2.0]
     assert trace.final_solution.mesh.num_triangles == 64
-    solve_saddle = anfem.adaptive.solve_saddle
-    # a perturbed u breaks div u = 0; a perturbed p keeps it but breaks
-    # A u + B^T p = F
-    for name, check in (("u", "divergence"), ("p", "Galerkin identity")):
-        def perturbed(system):
-            sol = solve_saddle(system)
-            x = getattr(sol, name)
-            setattr(sol, name, x + np.random.default_rng(0).normal(
-                size=x.shape))
-            return sol
+    # each gate failed inside solve_saddle, so every path that solves
+    # raises it: a factor whose solves are 1e-4 too large leaves
+    # A u + B^T p = F broken after the closing step (the Galerkin gate runs
+    # first), and gradients shifted by 1e-6 I give every element a
+    # divergence of 2e-6
+    factor, grads = spaces.spd_factor, spaces.cr_gradients
 
-        monkeypatch.setattr(anfem.adaptive, "solve_saddle", perturbed)
-        with pytest.raises(AssertionError, match=check):
-            uniform_trace(unit_square(1), load, levels=3)
+    def scaled(matrix):
+        lu = factor(matrix)
+        return SimpleNamespace(nnz=lu.nnz,
+                               solve=lambda b: (1.0 + 1e-4) * lu.solve(b))
+
+    runs = (lambda: uniform_trace(unit_square(1), load, levels=3),
+            lambda: anfem_loop(unit_square(1), load,
+                               LoopParams(max_iterations=3)),
+            lambda: solve(unit_square(1), load))
+    for name, patch, check in (
+            ("spd_factor", scaled, "Galerkin identity violated"),
+            ("cr_gradients", lambda mesh, u: grads(mesh, u) + 1e-6 * np.eye(2),
+             "discrete divergence too large")):
+        with monkeypatch.context() as m:
+            m.setattr(spaces, name, patch)
+            for run in runs:
+                with pytest.raises(SolverError, match=check):
+                    run()
 
 
 # eta_K scaled by 2 and h_K^2 ||g||_K^2 by 4: each term of the sum by 4

@@ -42,7 +42,8 @@ DELETED = ("MarkingParams", "ContractionParams", "FineFunction", "patches",
            "_suite_counterexample", "estimator_from_grads",
            "refinement_ratio", "values_at", "modified_eta",
            "edge_means_of_field", "MarkingError", "interior_dofs",
-           "gauss_edge", "consistency_error", "EXIT_TRUNCATED")
+           "gauss_edge", "consistency_error", "EXIT_TRUNCATED",
+           "_check_solve_invariants")
 # (class, attribute) pairs deleted from the public classes
 DELETED_MEMBERS = (("counterexample.CrissCrossFamily", "coarse"),
                    ("mesh.Triangulation", "min_angle"),

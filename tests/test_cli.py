@@ -115,6 +115,19 @@ def test_adapt_non_conforming_mesh_exits_2(tmp_path, capsys):
     assert "hanging.txt" in capsys.readouterr().err
 
 
+def test_adapt_duplicated_cell_exits_2_before_the_run(tmp_path, capsys):
+    # one triangle given twice has no boundary edge; without an exact
+    # solution no boundary check runs, so it reached a singular solve
+    bad = tmp_path / "twice.txt"
+    bad.write_text("3 2\n0 0\n1 0\n0 1\n0 1 2 2\n0 1 2 2\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["adapt", "--mesh", str(bad), "--solution", "constant",
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == EXIT_USAGE
+    assert "duplicated or folded" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_adapt_one_triangle_mesh_exits_2_before_the_run(tmp_path, capsys):
     # valid, but every edge is on the boundary: no velocity unknown to solve
     one = tmp_path / "one.txt"

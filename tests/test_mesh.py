@@ -127,14 +127,33 @@ BAD_TRIANGULATIONS = {
     "three_on_an_edge": ([(0, 0), (1, 0), (0.5, 1), (0.5, -1), (0.5, 2)],
                          [(0, 1, 2), (1, 0, 3), (0, 1, 4)],
                          "more than two triangles"),
+    # every edge shared by two triangles, so no boundary at all
+    "duplicated": ([(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 1, 2), (0, 1, 2)],
+                   "duplicated or folded"),
+    # the triangle and a fan over it: area 1.0 on a domain of area 0.5
+    "folded": ([(0, 0), (1, 0), (0, 1), (0.25, 0.25)],
+               [(0, 1, 2), (0, 1, 3), (1, 2, 3), (2, 0, 3)],
+               "duplicated or folded"),
+    # connectivity: one check for Triangulation and build_initial alike
+    "float_id": ([(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 2, 3.9)],
+                 "integers in"),
+    "id_out_of_range": ([(0, 0), (1, 0), (0, 1)], [(0, 1, 3)],
+                        r"integers in \[0, 3\)"),
+    "negative_id": ([(0, 0), (1, 0), (0, 1)], [(0, 1, -1)], "integers in"),
+    "four_columns": ([(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 1, 2, 3)],
+                     r"connectivity must be \(nt, 3\)"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_TRIANGULATIONS))
 def test_triangulation_rejects_bad_input(case):
     vertices, triangles, problem = BAD_TRIANGULATIONS[case]
-    with pytest.raises(MeshError, match=problem):
-        Triangulation(vertices, triangles)
+    # build_initial orients its triangles itself
+    builds = (Triangulation,) if case == "misoriented" else (
+        Triangulation, build_initial)
+    for build in builds:
+        with pytest.raises(MeshError, match=problem):
+            build(vertices, triangles)
 
 
 def _claimed_child(coarse, vertices, triangles, parent):

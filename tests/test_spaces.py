@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from anfem.adaptive import LoopParams, _check_solve_invariants, anfem_loop
+from anfem.adaptive import LoopParams, anfem_loop
 from anfem.domains import diamond, l_shape, unit_square
 from anfem.mesh import bisect, uniform_refine
 from anfem.problems import (LoadFunction, constant_load, get_solution,
@@ -96,12 +96,12 @@ def corner_graded_l_shape(rounds=20, refine_rounds=0):
 
 @pytest.mark.parametrize("mu", [1e-3, 1.0, 1e3])
 def test_solve_on_corner_graded_mesh(mu):
-    """Both solver gates hold and the solution matches the multiplier solve
-    relative to its max-norm, across six decades of viscosity."""
+    """The solver's gates hold (`solve_saddle` raises otherwise) and the
+    solution matches the multiplier solve relative to its max-norm, across
+    six decades of viscosity."""
     mesh = corner_graded_l_shape()
     system = assemble_saddle(mesh, lshape_singular(mu))
     sol = solve_saddle(system)
-    _check_solve_invariants(system, sol)
     assert 1 <= sol.iterations <= 5
     assert sol.residual <= 1e-10 and sol.lu_fill >= system.A.nnz
     u, p = multiplier_solve(system.A, system.B, system.F, mesh.area)
@@ -127,7 +127,6 @@ def test_divergence_gate_scales_with_each_element():
     ratio = np.abs(G[:, 0, 0] + G[:, 1, 1]) / (1.0 + np.abs(G).max(
         axis=(1, 2)))
     assert ratio.max() < 1e-13
-    _check_solve_invariants(system, sol)
 
 
 @pytest.mark.parametrize(
@@ -297,6 +296,19 @@ def test_factorization_failure_raises_solver_error(monkeypatch, smooth):
     monkeypatch.setattr(spaces, "spd_factor", failing)
     with pytest.raises(SolverError, match="factorization failed"):
         solve(unit_square(2), smooth)
+
+
+def test_solve_gates_the_divergence(monkeypatch, smooth):
+    """`solve` and a direct `solve_saddle` call run the divergence gate:
+    gradients shifted by 1e-6 I give every element a divergence of 2e-6."""
+    grads = spaces.cr_gradients
+    monkeypatch.setattr(spaces, "cr_gradients",
+                        lambda mesh, u: grads(mesh, u) + 1e-6 * np.eye(2))
+    mesh = unit_square(2)
+    for run in (lambda: solve(mesh, smooth),
+                lambda: solve_saddle(assemble_saddle(mesh, smooth))):
+        with pytest.raises(SolverError, match="discrete divergence too large"):
+            run()
 
 
 def test_uzawa_step_cap_raises_solver_error(monkeypatch, smooth):
