@@ -6,14 +6,13 @@ reliability and empirical convergence rates.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
 from .estimator import EstimatorReport, estimate, estimate_frozen
-from .mesh import (NestingSets, Triangulation, bisect, nesting_sets,
-                   uniform_refine)
+from .mesh import (NestingSets, Triangulation, bisect, check_count,
+                   nesting_sets, uniform_refine)
 from .problems import LoadFunction, PointValues, check_no_slip
 from .spaces import (DiscreteSolution, assemble_saddle, num_velocity_dofs,
                      pressure_error_sq, solve_saddle, velocity_error_sq)
@@ -124,11 +123,8 @@ class LoopParams:
         _check_theta(self.theta)
         if not self.eps >= 0.0:
             raise ValueError(f"eps must be nonnegative, got {self.eps}")
-        for name in ("element_cap", "max_iterations"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(
-                    f"{name} must be an integer >= 1, got {value!r}")
+        check_count("element_cap", self.element_cap, 1)
+        check_count("max_iterations", self.max_iterations, 1)
 
 
 def _solve_level(values: PointValues, it: int, gamma: float):
@@ -260,8 +256,7 @@ def uniform_trace(mesh0: Triangulation, load: LoadFunction,
     """Solve on `levels` meshes, each two uniform bisection rounds (four
     times the elements) finer than the one before, by the loop's per-level
     step. No tolerance, so the trace is never `converged`."""
-    if levels < 1:
-        raise ValueError(f"levels must be >= 1, got {levels}")
+    check_count("levels", levels, 1)
     check_no_slip(mesh0, load)
     trace = AdaptiveTrace()
     mesh = mesh0

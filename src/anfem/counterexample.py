@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Triangulation, build_initial
+from .mesh import Triangulation, build_initial, check_count
 from .transfer import p1_gradients
 
 
@@ -24,13 +24,12 @@ class CrissCrossFamily:
     n: int                      # odd
     fine: Triangulation         # band along AC: 6N - 6 triangles (2, N = 1)
     sign_nodes: np.ndarray      # fine vertex ids of Z_i, i = -k..k (in order)
-    ac_vertex_col: np.ndarray   # fine vertex ids on segment AC, bottom to top
+    ac_cells: np.ndarray        # band cells (i, i) along AC, bottom to top
 
 
 def build_family(n: int) -> CrissCrossFamily:
-    if n < 1 or n % 2 == 0:
-        raise ValueError(
-            f"family parameter must be an odd integer >= 1, got {n}")
+    if check_count("n", n, 1) % 2 == 0:
+        raise ValueError(f"n must be an odd integer >= 1, got {n!r}")
     k = (n - 1) // 2
     # the band of cells (i, j), 0 <= i - j <= 2, in full-mesh order i*n + j:
     # AC (i = j) and the star of every sign node (k + 1 + m, k + m)
@@ -55,19 +54,24 @@ def build_family(n: int) -> CrissCrossFamily:
     fam = CrissCrossFamily(
         n=n, fine=fine,
         sign_nodes=np.searchsorted(ids, (k + 1 + m) * (n + 1) + k + m),
-        ac_vertex_col=np.searchsorted(ids, np.arange(n + 1) * (n + 2)))
+        # cell (i, i) closes row i of the band
+        ac_cells=np.maximum(3 * np.arange(n) - 1, 0))
     _validate(fam)
     return fam
 
 
 def _validate(fam: CrissCrossFamily):
-    n = fam.n
+    n, fine, right = fam.n, fam.fine, 2 * fam.ac_cells
     want = 2 * max(3 * n - 3, 1)
-    if fam.fine.num_triangles != want:
-        raise RuntimeError(f"criss-cross band has {fam.fine.num_triangles} "
+    if fine.num_triangles != want:
+        raise RuntimeError(f"criss-cross band has {fine.num_triangles} "
                            f"elements, not {want}")
-    ac_segments(fam)    # N segments on AC, each between two band elements
-    zx = fam.fine.vertices[fam.sign_nodes]
+    # N cells, each with both elements on the sides of one edge on x = 0
+    segs = fine.tri_edges[right, 2]
+    if (len(segs) != n or np.any(fine.tri_edges[right + 1, 2] != segs)
+            or np.any(fine.vertices[fine.edges[segs], 0] != 0.0)):
+        raise RuntimeError("ac_cells is not the strip of cells along AC")
+    zx = fine.vertices[fam.sign_nodes]
     k = (n - 1) // 2
     expected = np.stack([np.full(n, 1.0 / n),
                          2.0 * np.arange(-k, k + 1) / n], axis=1)
@@ -89,23 +93,13 @@ def build_test_pair(fam: CrissCrossFamily) -> np.ndarray:
 
 def ac_segments(fam: CrissCrossFamily):
     """The fine edges along AC, bottom to top, their left and right
-    incident elements and the y of their midpoints: four arrays."""
-    fine = fam.fine
-    # the edges between consecutive AC vertices, by sorted key a * nv + b
-    nv, col = fine.num_vertices, fam.ac_vertex_col
-    keys = fine.edges[:, 0] * nv + fine.edges[:, 1]
-    want = np.minimum(col[:-1], col[1:]) * nv + np.maximum(col[:-1], col[1:])
-    at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-    segs = at[keys[at] == want]
-    if len(segs) != fam.n:
-        raise RuntimeError(f"{len(segs)} fine edges on AC, not {fam.n}")
-    t0, t1 = fine.edge_tris[segs].T
-    if np.any(t1 < 0):
-        raise RuntimeError("AC segment on the boundary")
-    t0_left = fine.corners(t0).mean(axis=1)[:, 0] < 0
-    left, right = np.where(t0_left, t0, t1), np.where(t0_left, t1, t0)
+    incident elements and the y of their midpoints: four arrays.  Cell c
+    holds element 2c right of AC and 2c + 1 left of it, and AC's segment
+    is the refinement edge (local edge 2) of both."""
+    fine, right = fam.fine, 2 * fam.ac_cells
+    segs = fine.tri_edges[right, 2]
     ymid = 0.5 * fine.vertices[fine.edges[segs], 1].sum(axis=1)
-    return segs, left, right, ymid
+    return segs, right + 1, right, ymid
 
 
 def boundary_sum(fam: CrissCrossFamily, nodal: np.ndarray) -> float:
@@ -142,9 +136,8 @@ COARSE_JUMP_TERM = (2.0 / 3.0) / 2.0
 def scaling_study(n_values) -> dict:
     """Fit the growth exponent against N of the pairing constant
     C = boundary_sum / (COARSE_JUMP_TERM^(1/2) ||grad v||)."""
-    n_values = sorted(int(n) for n in n_values)
-    if len(set(n_values)) < 4 or n_values[0] < 3 or any(
-            n % 2 == 0 for n in n_values):
+    n_values = sorted(check_count("N", n, 3) for n in n_values)
+    if len(set(n_values)) < 4 or any(n % 2 == 0 for n in n_values):
         raise ValueError(f"need at least 4 distinct odd N >= 3, got "
                          f"{n_values}")
     rows = []

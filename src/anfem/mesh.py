@@ -16,6 +16,7 @@ compose these maps; `build_initial` and `read_mesh` start a new genealogy.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,16 @@ import numpy as np
 
 class MeshError(ValueError):
     pass
+
+
+def check_count(name: str, value, low: int) -> int:
+    """`value` as an int if it is an integer >= `low`, else ValueError
+    naming `name`: the one check of every count parameter.  A bool is
+    refused, though it passes as the integer 0 or 1."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 # local edge i is opposite local vertex i, from vertex i + 1 to i + 2
@@ -152,9 +163,11 @@ class Triangulation:
 
 
 def _mesh_arrays(vertices, triangles):
-    """Finite float vertices and an (nt >= 1, 3) int64 connectivity of
-    vertex ids in [0, nv), or MeshError: the one check of both."""
+    """(nv, 2) finite float vertices and an (nt >= 1, 3) int64 connectivity
+    of vertex ids in [0, nv), or MeshError: the one check of both."""
     v, tris = np.asarray(vertices, dtype=float), np.asarray(triangles)
+    if v.ndim != 2 or v.shape[1] != 2:
+        raise MeshError("vertices must be (nv, 2)")
     if tris.ndim != 2 or tris.shape[1] != 3:
         raise MeshError("connectivity must be (nt, 3)")
     if not len(tris):
@@ -285,7 +298,7 @@ def _edge_parents(coarse: Triangulation, fine: Triangulation, ref_ids):
 
 
 def uniform_refine(tri: Triangulation, rounds: int = 1) -> Triangulation:
-    for _ in range(rounds):
+    for _ in range(check_count("rounds", rounds, 0)):
         tri = bisect(tri, np.arange(tri.num_triangles))
     return tri
 

@@ -53,14 +53,6 @@ def element_dofs(mesh: Triangulation) -> np.ndarray:
     return dofs.take(mesh.tri_edges, axis=0)
 
 
-def scatter(mesh: Triangulation, local: np.ndarray) -> np.ndarray:
-    """Sum per-element values `local`, (nt, 3, 2) like `element_dofs`, onto
-    the velocity dofs; those of boundary edges are dropped."""
-    edof = element_dofs(mesh)
-    on = edof >= 0
-    return np.bincount(edof[on], local[on], num_velocity_dofs(mesh))
-
-
 def edge_values(mesh: Triangulation, u: np.ndarray) -> np.ndarray:
     """(ne, 2) edge means of the CR function u, zero on boundary edges."""
     vals = np.zeros((mesh.num_edges, 2))
@@ -149,7 +141,8 @@ def assemble_saddle(mesh: Triangulation, load: LoadFunction, *,
     # load vector by the edge-midpoint rule, psi_i(m_j) = delta_ij, with g
     # evaluated once per edge
     gvals = values.at_midpoints["g"].take(mesh.tri_edges, axis=0)  # (nt,3,2)
-    F = scatter(mesh, (mesh.area / 3.0)[:, None, None] * gvals)
+    F = np.bincount(edof[on], ((mesh.area / 3.0)[:, None, None] * gvals)[on],
+                    nu)
 
     return SaddleSystem(values=values, A=A, B=B, F=F)
 

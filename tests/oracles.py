@@ -191,7 +191,8 @@ def reference_orientation(vertices, triangles):
 
 def full_criss_cross(n):
     """The criss-cross family on the whole diamond: 2 N^2 triangles in cell
-    order i * n + j, with the sign nodes and AC column of `build_family`."""
+    order i * n + j, with the sign nodes of `build_family` and its own strip
+    of cells (i, i) along AC."""
     k = (n - 1) // 2
     # lattice in rotated coordinates u = x + y, v = y - x, both in [-1, 1]
     # vertex (i, j) at u = -1 + 2i/n, v = -1 + 2j/n has id ids[i, j]
@@ -207,7 +208,7 @@ def full_criss_cross(n):
     i = np.arange(-k, k + 1)
     return CrissCrossFamily(n=n, fine=build_initial(verts, tris),
                             sign_nodes=ids[k + 1 + i, k + i],
-                            ac_vertex_col=np.diagonal(ids).copy())
+                            ac_cells=np.arange(n) * (n + 1))
 
 
 def edge_means_of_field(field, mesh):

@@ -371,9 +371,10 @@ def test_exact_solution_must_vanish_on_the_boundary(monkeypatch, domain,
             solve(mesh, load)
 
 
-@pytest.mark.parametrize("levels", [0, -3])
+@pytest.mark.parametrize("levels", [0, -3, True, 2.0])
 def test_uniform_trace_rejects_no_levels(levels):
-    with pytest.raises(ValueError, match="levels"):
+    """No level, or a count that is not an integer (a bool is no count)."""
+    with pytest.raises(ValueError, match="levels must be an integer >= 1"):
         uniform_trace(unit_square(1), get_solution("smooth1"), levels)
 
 

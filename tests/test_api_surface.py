@@ -43,9 +43,10 @@ DELETED = ("MarkingParams", "ContractionParams", "FineFunction", "patches",
            "refinement_ratio", "values_at", "modified_eta",
            "edge_means_of_field", "MarkingError", "interior_dofs",
            "gauss_edge", "consistency_error", "EXIT_TRUNCATED",
-           "_check_solve_invariants")
+           "_check_solve_invariants", "scatter")
 # (class, attribute) pairs deleted from the public classes
 DELETED_MEMBERS = (("counterexample.CrissCrossFamily", "coarse"),
+                   ("counterexample.CrissCrossFamily", "ac_vertex_col"),
                    ("mesh.Triangulation", "min_angle"),
                    ("mesh.Triangulation", "level"),
                    ("mesh.Triangulation", "root"),

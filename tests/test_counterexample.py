@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from anfem.counterexample import (boundary_sum, build_family, build_test_pair,
                                   ac_segments, closed_form, COARSE_JUMP_TERM,
-                                  grad_norm_sq, scaling_study)
+                                  grad_norm_sq, scaling_study, _validate)
 from oracles import full_criss_cross
 
 
@@ -32,9 +33,9 @@ def test_trivial_family_is_zero():
     assert closed_form(1) == 0.0
 
 
-@pytest.mark.parametrize("n", [0, 2, 4, -3])
+@pytest.mark.parametrize("n", [0, 2, 4, -3, 5.0, True, np.float64(3.0)])
 def test_even_or_invalid_n_rejected(n):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n must be an"):
         build_family(n)
 
 
@@ -72,6 +73,10 @@ def test_scaling_study_needs_four_values():
     for n_values in ([5, 11, 21], [1, 3, 5, 7], [5, 5, 5, 5], [3, 5, 7, 8]):
         with pytest.raises(ValueError):
             scaling_study(n_values)
+    # a count that is not an integer is refused, not truncated
+    for n_values in ([5, 11, 21, 41.9], [5, 11, 21, 41.0], [True, 5, 7, 9]):
+        with pytest.raises(ValueError, match="N must be an integer >= 3"):
+            scaling_study(n_values)
 
 
 def test_scaling_exponent_near_half():
@@ -103,9 +108,9 @@ def test_scaling_study_memory_is_linear_in_n():
 
 
 def ac_segments_by_scan(fam):
-    """AC's segments by a scan of every fine edge for two AC vertices."""
+    """AC's segments by a scan of every fine edge for both ends at x = 0."""
     fine = fam.fine
-    segs = np.flatnonzero(np.isin(fine.edges, fam.ac_vertex_col).all(axis=1))
+    segs = np.flatnonzero((fine.vertices[fine.edges, 0] == 0.0).all(axis=1))
     t0, t1 = fine.edge_tris[segs].T
     t0_left = fine.centroids()[t0, 0] < 0
     left, right = np.where(t0_left, t0, t1), np.where(t0_left, t1, t0)
@@ -116,12 +121,23 @@ def ac_segments_by_scan(fam):
 
 @pytest.mark.parametrize("n", [1, 3, 5, 81])
 def test_ac_segments_match_all_edge_scan(n):
-    """The same segments, left/right elements and ymid, in the same order,
-    bit for bit."""
+    """The strip each family records, the band's and the whole diamond's,
+    gives the same segments, left/right elements and ymid as the scan, in
+    the same order, bit for bit."""
+    for fam in (build_family(n), full_criss_cross(n)):
+        got = [tuple(map(float, s)) for s in zip(*ac_segments(fam))]
+        assert len(got) == n
+        assert got == [tuple(map(float, s)) for s in ac_segments_by_scan(fam)]
+
+
+@pytest.mark.parametrize("n", [3, 5, 21])
+def test_validate_refuses_a_shifted_strip(n):
+    """The cells one below the strip in band order hold no segment of AC
+    (the first wraps to the top cell, which does)."""
     fam = build_family(n)
-    got = [tuple(map(float, s)) for s in zip(*ac_segments(fam))]
-    assert len(got) == n
-    assert got == [tuple(map(float, s)) for s in ac_segments_by_scan(fam)]
+    _validate(fam)
+    with pytest.raises(RuntimeError, match="ac_cells"):
+        _validate(dataclasses.replace(fam, ac_cells=fam.ac_cells - 1))
 
 
 # (N, repr(boundary_sum), repr(grad_norm_sq), repr(C)) of

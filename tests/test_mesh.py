@@ -84,6 +84,18 @@ def test_bisect_genealogy():
 def test_uniform_refine_counts():
     tri = unit_square(0)
     assert uniform_refine(tri, 3).num_triangles == 2 * 8
+    assert uniform_refine(tri, np.int64(0)) is tri
+
+
+@pytest.mark.parametrize("rounds", [-1, True, 1.0, 2.5])
+def test_refinement_rounds_must_be_a_count(rounds):
+    """A negative or non-integer number of rounds is refused, not read as
+    none (or a bool as one round)."""
+    with pytest.raises(ValueError, match="rounds must be an integer >= 0"):
+        uniform_refine(unit_square(0), rounds)
+    for domain in (unit_square, l_shape):
+        with pytest.raises(ValueError, match="rounds must be an integer"):
+            domain(rounds)
 
 
 @settings(max_examples=25, deadline=None)
@@ -142,6 +154,11 @@ BAD_TRIANGULATIONS = {
     "negative_id": ([(0, 0), (1, 0), (0, 1)], [(0, 1, -1)], "integers in"),
     "four_columns": ([(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 1, 2, 3)],
                      r"connectivity must be \(nt, 3\)"),
+    # vertices: one check for both builders too
+    "flat_vertices": ([0, 1, 0, 1, 0], [(0, 1, 2)],
+                      r"vertices must be \(nv, 2\)"),
+    "three_columns": ([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 1, 2)],
+                      r"vertices must be \(nv, 2\)"),
 }
 
 
