@@ -109,22 +109,18 @@ class LoopParams:
     check_reduction: bool = True
 
     def __post_init__(self):
-        # the one place the loop's parameters are checked; frozen, so a
-        # checked value cannot be replaced by an unchecked one
-        for f in fields(self):
-            # a bool passes every numeric check below (True == 1), so the
-            # numeric fields reject it; the flag accepts nothing else
-            flag = f.name == "check_reduction"
-            value = getattr(self, f.name)
-            if isinstance(value, bool) != flag:
-                raise ValueError(f"{f.name} must be "
-                                 f"{'a bool' if flag else 'a number'}, "
-                                 f"got {value!r}")
+        # the one place the loop's parameters are checked, each by name;
+        # frozen, so a checked value cannot be replaced by an unchecked one
         _check_theta(self.theta)
-        if not self.eps >= 0.0:
-            raise ValueError(f"eps must be nonnegative, got {self.eps}")
+        # a bool passes `>= 0` as 0 or 1, numpy's too
+        if isinstance(self.eps, (bool, np.bool_)) or not self.eps >= 0.0:
+            raise ValueError("eps must be a nonnegative number, "
+                             f"got {self.eps!r}")
         check_count("element_cap", self.element_cap, 1)
         check_count("max_iterations", self.max_iterations, 1)
+        if not isinstance(self.check_reduction, bool):
+            raise ValueError("check_reduction must be a bool, "
+                             f"got {self.check_reduction!r}")
 
 
 def _solve_level(values: PointValues, it: int, gamma: float):

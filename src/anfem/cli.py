@@ -14,7 +14,7 @@ import json
 import os
 import platform
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 import numpy as np
 import scipy
@@ -59,8 +59,8 @@ def build_parser():
                           help="criss-cross scaling study")
     p_ce.add_argument("--n", type=int, nargs="+",
                       default=[81, 161, 321, 641, 1281],
-                      help="odd grid parameters (at least four distinct "
-                           "odd N ≥ 3)")
+                      help="odd grid parameters (at least four odd N ≥ 3, "
+                           "none repeated)")
     p_ce.add_argument("--out", default=".")
     return ap
 
@@ -115,10 +115,6 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     if args.command == "adapt":
-        # LoopParams checks every loop parameter adapt takes, the load mu
-        given = {f.name: getattr(args, f.name)
-                 for f in fields(adaptive.LoopParams)
-                 if hasattr(args, f.name)}
         try:
             mesh0 = (read_mesh(args.mesh) if args.mesh
                      else get_domain(args.domain))
@@ -127,7 +123,9 @@ def main(argv=None) -> int:
         except (MeshError, OSError) as exc:
             ap.error(f"--mesh: {exc}")
         try:
-            params = adaptive.LoopParams(**given)
+            params = adaptive.LoopParams(
+                theta=args.theta, eps=args.eps, element_cap=args.element_cap,
+                max_iterations=args.max_iterations)
             load = get_solution(args.solution, args.mu)
             check_no_slip(mesh0, load)
         except ValueError as exc:

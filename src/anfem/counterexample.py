@@ -137,9 +137,10 @@ def scaling_study(n_values) -> dict:
     """Fit the growth exponent against N of the pairing constant
     C = boundary_sum / (COARSE_JUMP_TERM^(1/2) ||grad v||)."""
     n_values = sorted(check_count("N", n, 3) for n in n_values)
-    if len(set(n_values)) < 4 or any(n % 2 == 0 for n in n_values):
-        raise ValueError(f"need at least 4 distinct odd N >= 3, got "
-                         f"{n_values}")
+    if (len(set(n_values)) < max(4, len(n_values))
+            or any(n % 2 == 0 for n in n_values)):
+        raise ValueError("need at least 4 odd N >= 3, none repeated, "
+                         f"got {n_values}")
     rows = []
     for n in n_values:
         fam = build_family(n)

@@ -60,8 +60,9 @@ class LoadFunction:
     mu: float = 1.0                 # the viscosity of -mu Lap(u) - grad(p) = g
 
     def __post_init__(self):
-        # a bool is a number to every comparison (True == 1)
-        if isinstance(self.mu, bool) or not 0.0 < self.mu < np.inf:
+        # a bool is a number to every comparison (True == 1), numpy's too
+        if (isinstance(self.mu, (bool, np.bool_))
+                or not 0.0 < self.mu < np.inf):
             raise ValueError(f"viscosity mu must be positive and finite, "
                              f"got {self.mu!r}")
         kinds = {f if f is None else callable(f)
@@ -84,8 +85,8 @@ class LoadFunction:
     def evaluate(self, x, y, names) -> dict:
         """{name: the callable `name` at (x, y)} for the named fields: one
         joint pass when every named callable is a view of the same one,
-        else one call each, so that a callable replaced after construction
-        (`dataclasses.replace`, `setattr`) is the one evaluated."""
+        else one call each: a plain callable (`constant_load`'s g) or
+        one replaced after construction is evaluated as it is."""
         fns = [getattr(self, name) for name in names]
         if all(isinstance(f, _View) and f.joint is fns[0].joint
                for f in fns):

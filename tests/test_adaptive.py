@@ -107,7 +107,9 @@ BAD_LOOP_PARAMS = [("theta", 1.0), ("theta", float("nan")), ("eps", -1e-3),
                    ("element_cap", 0), ("element_cap", 1.5),
                    ("max_iterations", 0), ("max_iterations", 2.5),
                    ("max_iterations", True), ("element_cap", True),
-                   ("check_reduction", "no"), ("check_reduction", 0)]
+                   ("eps", True), ("eps", np.True_),
+                   ("check_reduction", "no"), ("check_reduction", 0),
+                   ("check_reduction", np.False_)]
 
 
 @pytest.mark.parametrize("name,value", BAD_LOOP_PARAMS)
@@ -118,6 +120,13 @@ def test_loop_params_rejects_out_of_range(name, value):
         LoopParams(**{name: value})
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(LoopParams(), name, value)
+
+
+@pytest.mark.parametrize("name", ["element_cap", "max_iterations"])
+def test_loop_params_refuses_bool_count(name):
+    # refused once, by the count check every count parameter shares
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+        LoopParams(**{name: True})
 
 
 def test_zero_load_terminates_immediately():
@@ -300,8 +309,11 @@ def test_uniform_trace_checks_solver_invariants(monkeypatch):
     # each gate failed inside solve_saddle, so every path that solves
     # raises it: a factor whose solves are 1e-4 too large leaves
     # A u + B^T p = F broken after the closing step (the Galerkin gate runs
-    # first), and gradients shifted by 1e-6 I give every element a
-    # divergence of 2e-6
+    # first); one whose solves add a flat 5e-11 to the right-hand side
+    # keeps every row's Galerkin defect under its max-norm gate but leaves
+    # the saddle residual, a 2-norm over all rows, at about 1.4e-10, over
+    # its 1e-10 gate (the last gate); and gradients shifted by 1e-6 I give
+    # every element a divergence of 2e-6
     factor, grads = spaces.spd_factor, spaces.cr_gradients
 
     def scaled(matrix):
@@ -309,12 +321,17 @@ def test_uniform_trace_checks_solver_invariants(monkeypatch):
         return SimpleNamespace(nnz=lu.nnz,
                                solve=lambda b: (1.0 + 1e-4) * lu.solve(b))
 
+    def shifted(matrix):
+        lu = factor(matrix)
+        return SimpleNamespace(nnz=lu.nnz, solve=lambda b: lu.solve(b + 5e-11))
+
     runs = (lambda: uniform_trace(unit_square(1), load, levels=3),
             lambda: anfem_loop(unit_square(1), load,
                                LoopParams(max_iterations=3)),
             lambda: solve(unit_square(1), load))
     for name, patch, check in (
             ("spd_factor", scaled, "Galerkin identity violated"),
+            ("spd_factor", shifted, "linear solve residual too large"),
             ("cr_gradients", lambda mesh, u: grads(mesh, u) + 1e-6 * np.eye(2),
              "discrete divergence too large")):
         with monkeypatch.context() as m:

@@ -51,8 +51,10 @@ def test_counterexample_even_n_usage_error(tmp_path, capsys):
 
 
 def test_counterexample_too_few_n(tmp_path):
-    # N = 1 has C = 0 (log -inf), and repeated N leave the fit rank-deficient
-    for n in (["5", "7", "9"], ["1", "3", "5", "7"], ["5", "5", "5", "5"]):
+    # N = 1 has C = 0 (log -inf), repeated N leave the fit rank-deficient,
+    # and one repeated N among four distinct ones would count twice in it
+    for n in (["5", "7", "9"], ["1", "3", "5", "7"], ["5", "5", "5", "5"],
+              ["5", "5", "11", "21", "41"]):
         rc = main(["counterexample", "--n", *n, "--out", str(tmp_path)])
         assert rc == EXIT_USAGE
 

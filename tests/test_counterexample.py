@@ -70,7 +70,8 @@ def test_coarse_jump_term_value():
 
 
 def test_scaling_study_needs_four_values():
-    for n_values in ([5, 11, 21], [1, 3, 5, 7], [5, 5, 5, 5], [3, 5, 7, 8]):
+    for n_values in ([5, 11, 21], [1, 3, 5, 7], [5, 5, 5, 5], [3, 5, 7, 8],
+                     [5, 5, 11, 21, 41]):
         with pytest.raises(ValueError):
             scaling_study(n_values)
     # a count that is not an integer is refused, not truncated

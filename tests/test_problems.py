@@ -199,11 +199,12 @@ LOAD_CONSTRUCTORS = {
     "get_solution": lambda mu: get_solution("zero", mu)}
 
 
-@pytest.mark.parametrize("mu", [0.0, -1.0, float("nan"), float("inf"), True])
+@pytest.mark.parametrize("mu", [0.0, -1.0, float("nan"), float("inf"), True,
+                                np.True_])
 @pytest.mark.parametrize("make", sorted(LOAD_CONSTRUCTORS))
 def test_load_rejects_bad_viscosity(make, mu):
     """The load is the one owner of mu and the one place it is checked; a
-    bool is rejected although True == 1."""
+    bool, Python's or numpy's, is rejected although True == 1."""
     with pytest.raises(ValueError, match="viscosity"):
         LOAD_CONSTRUCTORS[make](mu)
 
