@@ -16,8 +16,8 @@ from .problems import LoadFunction, constant_load, get_solution, smooth1
 from .spaces import (DiscreteSolution, SaddleSystem, SolverError,
                      assemble_saddle, solve, solve_saddle)
 from .transfer import (conservative_interpolation, mixed_prolongation,
-                       naive_prolongation, nodal_averaging,
-                       prolongation_defect_constant, restriction)
+                       naive_prolongation, prolongation_defect_constant,
+                       restriction)
 
 __version__ = "0.1.0"
 
@@ -30,7 +30,7 @@ __all__ = [
     "conservative_interpolation", "constant_load", "diamond", "dorfler_mark",
     "estimate", "estimate_frozen", "get_domain", "get_solution", "l_shape",
     "mixed_prolongation", "naive_prolongation", "nesting_sets",
-    "nodal_averaging", "prolongation_defect_constant", "rate_fit", "read_mesh",
-    "restriction", "scaling_study", "smooth1", "solve", "solve_saddle",
-    "uniform_refine", "uniform_trace", "unit_square",
+    "prolongation_defect_constant", "rate_fit", "read_mesh", "restriction",
+    "scaling_study", "smooth1", "solve", "solve_saddle", "uniform_refine",
+    "uniform_trace", "unit_square",
 ]

@@ -6,7 +6,7 @@ reliability and empirical convergence rates.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .spaces import (DiscreteSolution, assemble_saddle, num_velocity_dofs,
 ESTIMATOR_REDUCTION_RHO = 1.0 - 2.0 ** -0.5
 # the paper's weights, devices of its convergence proof, in the modified
 # estimator eta~^2 (eta_tilde2) and the contraction quantity Lambda (lam)
-BETA1 = 1.0     # eta~^2 = sum_K (BETA1 h_K^2 ||g||_K^2 + eta_K^2)
+BETA1 = 1.0     # eta~^2 = sum_K (BETA1 mu^-2 h_K^2 ||g||_K^2 + eta_K^2)
 GAMMA1 = 1.0    # Lambda = ||grad_h(u - u_k)||^2 + GAMMA1 ||p - p_k||^2
 GAMMA2 = 1.0    #          + GAMMA2 eta~^2
 # relative rounding allowance of the estimator-reduction check
@@ -92,12 +92,12 @@ class AdaptiveTrace:
 
     def to_csv(self, path):
         """`anfem-trace-v4`: one column per `IterationRecord` field."""
+        names = [c.name for c in fields(IterationRecord)]
         with open(path, "w") as f:
-            f.write("anfem-trace-v4\n")
-            f.write(",".join(c.name for c in fields(IterationRecord)) + "\n")
-            for r in self.records:
+            f.write("anfem-trace-v4\n" + ",".join(names) + "\n")
+            for row in ([getattr(r, n) for n in names] for r in self.records):
                 f.write(",".join(f"{v:.17g}" if isinstance(v, float)
-                                 else str(v) for v in astuple(r)) + "\n")
+                                 else str(v) for v in row) + "\n")
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import quadrature as quad
 from .mesh import Triangulation, build_initial, check_count
-from .transfer import p1_gradients
 
 
 @dataclass
@@ -61,14 +61,14 @@ def build_family(n: int) -> CrissCrossFamily:
 
 
 def _validate(fam: CrissCrossFamily):
-    n, fine, right = fam.n, fam.fine, 2 * fam.ac_cells
+    n, fine = fam.n, fam.fine
     want = 2 * max(3 * n - 3, 1)
     if fine.num_triangles != want:
         raise RuntimeError(f"criss-cross band has {fine.num_triangles} "
                            f"elements, not {want}")
     # N cells, each with both elements on the sides of one edge on x = 0
-    segs = fine.tri_edges[right, 2]
-    if (len(segs) != n or np.any(fine.tri_edges[right + 1, 2] != segs)
+    segs, left = ac_segments(fam)[:2]
+    if (len(segs) != n or np.any(fine.tri_edges[left, 2] != segs)
             or np.any(fine.vertices[fine.edges[segs], 0] != 0.0)):
         raise RuntimeError("ac_cells is not the strip of cells along AC")
     zx = fine.vertices[fam.sign_nodes]
@@ -100,6 +100,14 @@ def ac_segments(fam: CrissCrossFamily):
     segs = fine.tri_edges[right, 2]
     ymid = 0.5 * fine.vertices[fine.edges[segs], 1].sum(axis=1)
     return segs, right + 1, right, ymid
+
+
+def p1_gradients(nodal: np.ndarray, mesh: Triangulation,
+                 elems=slice(None)) -> np.ndarray:
+    """(..., 2, 2) gradients of a P1 nodal field on the elements `elems`."""
+    vals = nodal.reshape(-1, 2).take(mesh.triangles[elems], axis=0)
+    return quad.combine3(vals.transpose(0, 2, 1),
+                         mesh.bary_grads[elems][:, None])
 
 
 def boundary_sum(fam: CrissCrossFamily, nodal: np.ndarray) -> float:

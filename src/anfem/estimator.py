@@ -1,6 +1,7 @@
 """Residual-based a posteriori estimator and oscillation.
 
-Per element: eta_K = h_K ||g||_K + (sum_{E in dK} h_K ||[grad u tau_E]||_E^2)^{1/2}.
+Per element: eta_K = mu^-1 h_K ||g||_K + (sum_{E in dK} h_K ||[grad u tau_E]||_E^2)^{1/2},
+with the load's viscosity mu: the mu = 1 estimator of (g / mu, u, p / mu).
 Boundary edges contribute the full tangential trace (jump against zero).
 Each is a function of one discrete solution: the volume terms ||g||_K and
 the oscillation come from the per-element integrals of g and |g|^2 in the
@@ -23,8 +24,8 @@ from .spaces import DiscreteSolution
 @dataclass
 class EstimatorReport:
     eta: np.ndarray           # (nt,) eta_K of the module docstring
-    osc_sq: np.ndarray        # (nt,) h_K^2 ||g - g_K||_K^2
-    vol_sq: np.ndarray        # (nt,) h_K^2 ||g||_K^2
+    osc_sq: np.ndarray        # (nt,) mu^-2 h_K^2 ||g - g_K||_K^2
+    vol_sq: np.ndarray        # (nt,) mu^-2 h_K^2 ||g||_K^2
 
     @property
     def eta_sq(self) -> np.ndarray:
@@ -40,7 +41,7 @@ def tangential_jumps(mesh: Triangulation, grads: np.ndarray) -> np.ndarray:
     return (d * d).sum(axis=1)
 
 
-def _element_jump_sq(mesh: Triangulation, grads: np.ndarray) -> np.ndarray:
+def element_jump_sq(mesh: Triangulation, grads: np.ndarray) -> np.ndarray:
     """sum_{E subset dK} h_K ||[grad u tau_E]||^2_{L2(E)} per element."""
     jump_e = tangential_jumps(mesh, grads) * mesh.edge_length
     per_elem = jump_e[mesh.tri_edges].sum(axis=1)
@@ -50,11 +51,12 @@ def _element_jump_sq(mesh: Triangulation, grads: np.ndarray) -> np.ndarray:
 def _report(grads: np.ndarray, values: PointValues) -> EstimatorReport:
     """The estimator of element-wise gradients `grads` on the mesh of the
     record `values`."""
-    mesh, g_l2sq = values.mesh, values.moments["g2"]    # ||g||^2_K
-    g_mean = values.moments["g"] / mesh.area[:, None]
-    osc_raw = np.maximum(    # ||g - g_K||^2_K
+    mesh, mu = values.mesh, values.load.mu
+    g_l2sq = values.moments["g2"] / mu ** 2             # ||g / mu||^2_K
+    g_mean = values.moments["g"] / (mu * mesh.area[:, None])
+    osc_raw = np.maximum(    # ||g / mu - (g / mu)_K||^2_K
         g_l2sq - mesh.area * np.einsum("tc,tc->t", g_mean, g_mean), 0.0)
-    eta = mesh.h * np.sqrt(g_l2sq) + np.sqrt(_element_jump_sq(mesh, grads))
+    eta = mesh.h * np.sqrt(g_l2sq) + np.sqrt(element_jump_sq(mesh, grads))
     return EstimatorReport(eta=eta, osc_sq=mesh.h ** 2 * osc_raw,
                            vol_sq=mesh.h ** 2 * g_l2sq)
 

@@ -245,13 +245,6 @@ def cr_gradients(mesh: Triangulation, u: np.ndarray) -> np.ndarray:
                          -2.0 * mesh.bary_grads[:, None])
 
 
-def cr_vertex_values(mesh: Triangulation, u: np.ndarray) -> np.ndarray:
-    """One-sided values at element corners, (nt, 3, 2): psi_i = 1 - 2
-    lambda_i at the barycentric corners."""
-    c0, c1, c2 = cr_element_coeffs(mesh, u).transpose(1, 0, 2)
-    return np.stack([c1 - c0 + c2, c0 - c1 + c2, c0 + c1 - c2], axis=1)
-
-
 # ---------------------------------------------------------------------------
 # broken norms
 

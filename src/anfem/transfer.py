@@ -8,11 +8,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import quadrature as quad
-from .estimator import _element_jump_sq
+from .estimator import element_jump_sq
 from .mesh import (MeshError, NestingSets, Triangulation, barycentric,
                    descent_maps)
-from .spaces import (cr_element_coeffs, cr_gradients, cr_vertex_values,
-                     edge_values)
+from .spaces import cr_element_coeffs, cr_gradients, edge_values
 
 
 # ---------------------------------------------------------------------------
@@ -109,10 +108,12 @@ def nodal_averaging(v: np.ndarray, mesh: Triangulation) -> np.ndarray:
 
     Returns (2 * nv,) nodal values of a continuous piecewise linear field.
     """
-    vv = cr_vertex_values(mesh, v)                  # (nt, 3, 2)
+    # one-sided values psi_i = 1 - 2 lambda_i at the corners, (3, nt, 2),
     # onto dof 2 * vertex + c, corner by corner, then element by element
-    dof = 2 * mesh.triangles.T[..., None] + np.arange(2)     # (3, nt, 2)
-    sums = np.bincount(dof.ravel(), vv.transpose(1, 0, 2).ravel(),
+    c0, c1, c2 = cr_element_coeffs(mesh, v).transpose(1, 0, 2)
+    vv = np.stack([c1 - c0 + c2, c0 - c1 + c2, c0 + c1 - c2])
+    dof = 2 * mesh.triangles.T[..., None] + np.arange(2)
+    sums = np.bincount(dof.ravel(), vv.ravel(),
                        minlength=2 * mesh.num_vertices).reshape(-1, 2)
     counts = np.bincount(mesh.triangles.ravel(), minlength=len(sums))
     nodal = sums / np.maximum(counts, 1.0)[:, None]
@@ -126,14 +127,6 @@ def p1_eval(nodal: np.ndarray, mesh: Triangulation, elems,
     lam = barycentric(mesh, elems, points)
     return quad.combine3(lam, nodal.reshape(-1, 2).take(mesh.triangles[elems],
                                                         axis=0))
-
-
-def p1_gradients(nodal: np.ndarray, mesh: Triangulation,
-                 elems=slice(None)) -> np.ndarray:
-    """(..., 2, 2) gradients of a P1 nodal field on the elements `elems`."""
-    vals = nodal.reshape(-1, 2).take(mesh.triangles[elems], axis=0)
-    return quad.combine3(vals.transpose(0, 2, 1),
-                         mesh.bary_grads[elems][:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +181,7 @@ def prolongation_defect_constant(coarse: Triangulation, fine: Triangulation,
     Gc = cr_gradients(coarse, v_coarse)
     diff = cr_gradients(fine, pv) - Gc[nesting.ancestors]
     num = float((fine.area * np.einsum("tij,tij->t", diff, diff)).sum())
-    jumps = _element_jump_sq(coarse, Gc)
+    jumps = element_jump_sq(coarse, Gc)
     den = float(jumps[nesting.neighborhood].sum())
     if den == 0.0:
         return 0.0 if num < 1e-24 else np.inf

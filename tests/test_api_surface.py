@@ -43,7 +43,8 @@ DELETED = ("MarkingParams", "ContractionParams", "FineFunction", "patches",
            "refinement_ratio", "values_at", "modified_eta",
            "edge_means_of_field", "MarkingError", "interior_dofs",
            "gauss_edge", "consistency_error", "EXIT_TRUNCATED",
-           "_check_solve_invariants", "scatter")
+           "_check_solve_invariants", "scatter", "cr_vertex_values",
+           "_element_jump_sq")
 # (class, attribute) pairs deleted from the public classes
 DELETED_MEMBERS = (("counterexample.CrissCrossFamily", "coarse"),
                    ("counterexample.CrissCrossFamily", "ac_vertex_col"),
@@ -205,6 +206,32 @@ def test_package_has_no_unused_imports():
                     if name not in used:
                         found.append(f"{path.name}:{node.lineno} {name}")
     assert not found, found
+
+
+def test_transfer_is_a_leaf_and_no_private_name_is_imported():
+    """`transfer` holds the analysis operators of the paper's proofs, which
+    no step of the solver applies: no module but the package root imports
+    it. And no module imports a `_`-prefixed name of another."""
+    transfer, private = [], []
+    for path in sorted((ROOT / "src" / "anfem").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = (".".join(filter(None, ("anfem", node.module)))
+                          if node.level else node.module)
+                targets = [f"{module}.{alias.name}" for alias in node.names]
+                private += [f"{path.name}:{node.lineno} {alias.name}"
+                            for alias in node.names
+                            if alias.name.startswith("_")]
+            else:
+                continue
+            if path.name != "__init__.py" and any(
+                    t == "anfem.transfer" or t.startswith("anfem.transfer.")
+                    for t in targets):
+                transfer.append(f"{path.name}:{node.lineno}")
+    assert not transfer, transfer
+    assert not private, private
 
 
 def _annotated(cls):

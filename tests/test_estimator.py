@@ -7,7 +7,8 @@ from anfem.adaptive import LoopParams, anfem_loop
 from anfem.domains import l_shape, unit_square
 from anfem.estimator import estimate, estimate_frozen, tangential_jumps
 from anfem.mesh import bisect, uniform_refine
-from anfem.problems import PointValues, constant_load, get_solution
+from anfem.problems import (PointValues, constant_load, get_solution,
+                            lshape_singular)
 from anfem.spaces import (assemble_saddle, cr_gradients, pressure_error_sq,
                           solve, velocity_error_sq)
 from anfem import quadrature as quad
@@ -121,6 +122,31 @@ def test_modified_eta(smooth_solution, smooth):
     assert np.isclose(rec.eta_tilde2,
                       report.vol_sq.sum() + report.eta_sq.sum())
     assert rec.eta_tilde2 > rec.eta2 > 0.0
+
+
+def _adaptive_meshes(load, check_reduction):
+    trace = anfem_loop(l_shape(), load, LoopParams(
+        max_iterations=20, check_reduction=check_reduction))
+    mesh = trace.final_solution.mesh
+    return list(trace.column("nelems")), mesh.triangles, mesh.vertices
+
+
+@pytest.mark.parametrize("mu", [1e-2, 1e2])
+@pytest.mark.parametrize("make, check_reduction", [
+    (lshape_singular, False),
+    (lambda mu: constant_load(mu=mu), True)],
+    ids=["lshape_singular", "constant_load"])
+def test_marking_does_not_depend_on_the_viscosity(make, check_reduction, mu):
+    """Both loads rescale with mu: lshape_singular(mu) is the mu = 1 problem
+    with p and g times mu, and a constant load divides u by mu. The volume
+    term's weight mu^-1 makes eta the mu = 1 estimator of the rescaled
+    problem, so the 20-step loop builds the mu = 1 meshes bit for bit."""
+    nelems, triangles, vertices = _adaptive_meshes(make(mu), check_reduction)
+    ref_nelems, ref_triangles, ref_vertices = _adaptive_meshes(
+        make(1.0), check_reduction)
+    assert nelems == ref_nelems
+    assert np.array_equal(triangles, ref_triangles)
+    assert np.array_equal(vertices, ref_vertices)
 
 
 def test_frozen_estimator_identity(smooth_solution):

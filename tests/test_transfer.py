@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from anfem.counterexample import p1_gradients
 from anfem.domains import l_shape, unit_square
 from anfem.mesh import MeshError, bisect, descent_maps, nesting_sets
 from anfem.problems import get_solution
 from anfem.spaces import cr_gradients, num_velocity_dofs, solve
 from anfem.transfer import (conservative_interpolation, mixed_prolongation,
-                            naive_prolongation, nodal_averaging, p1_gradients,
+                            naive_prolongation, nodal_averaging,
                             prolongation_defect_constant, restriction)
 from oracles import edge_means_of_field, p1_to_cr
 
