@@ -1,7 +1,8 @@
 """Bulk marking, the adaptive solve-estimate-mark-refine loop, and monitors
 for estimator reduction, contraction (under the paper's weights, the
 constants BETA1, GAMMA1 and GAMMA2), quasi-orthogonality, discrete
-reliability and empirical convergence rates.
+reliability and empirical convergence rates.  Like the estimator, the
+monitors are those of the problem rescaled to mu = 1, (g / mu, u, p / mu).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ ESTIMATOR_REDUCTION_RHO = 1.0 - 2.0 ** -0.5
 # the paper's weights, devices of its convergence proof, in the modified
 # estimator eta~^2 (eta_tilde2) and the contraction quantity Lambda (lam)
 BETA1 = 1.0     # eta~^2 = sum_K (BETA1 mu^-2 h_K^2 ||g||_K^2 + eta_K^2)
-GAMMA1 = 1.0    # Lambda = ||grad_h(u - u_k)||^2 + GAMMA1 ||p - p_k||^2
+GAMMA1 = 1.0    # Lambda = ||grad_h(u - u_k)||^2 + GAMMA1 mu^-2 ||p - p_k||^2
 GAMMA2 = 1.0    #          + GAMMA2 eta~^2
 # relative rounding allowance of the estimator-reduction check
 REDUCTION_SLACK = 1e-9
@@ -165,7 +166,7 @@ def anfem_loop(mesh0: Triangulation, load: LoadFunction,
         sol, report, rec = _solve_level(
             values, it, 1.0 if prev is None else prev[2].gamma)
         if load.has_exact:
-            rec.lam = rec.err_u2 + GAMMA1 * rec.err_p2 \
+            rec.lam = rec.err_u2 + GAMMA1 * rec.err_p2 / load.mu ** 2 \
                 + GAMMA2 * rec.eta_tilde2
             if trace.records and 0.0 < trace.records[-1].lam < np.inf:
                 rec.alpha = rec.lam / trace.records[-1].lam
@@ -214,13 +215,13 @@ def _cross_level_monitors(prev, sol, rec):
     from the exact values in the solution's record, the empirical
     quasi-orthogonality constants (skipped without an exact solution)."""
     sol_prev, report_prev, ns = prev
-    mesh, grads = sol.mesh, sol.grads
+    mesh, grads, mu = sol.mesh, sol.grads, sol.values.load.mu
     W = grads - sol_prev.grads[ns.ancestors]  # grad(u_k - u_{k-1}) on T_k
     wnorm = float(np.sqrt((mesh.area * np.einsum(
         "tij,tij->t", W, W)).sum()))
-    dp = sol.p - sol_prev.p[ns.ancestors]    # p_k - p_{k-1} on T_k
+    dp = (sol.p - sol_prev.p[ns.ancestors]) / mu  # (p_k - p_{k-1}) / mu
     dpnorm = float(np.sqrt((mesh.area * dp ** 2).sum()))
-    # (A3): ||u_k - u_{k-1}|| + ||p_k - p_{k-1}|| <= C eta_{k-1}(R_k)
+    # (A3): ||u_k - u_{k-1}|| + ||p_k - p_{k-1}|| / mu <= C eta_{k-1}(R_k)
     den = np.sqrt(float(report_prev.eta_sq[ns.neighborhood].sum()))
     rec.drel = (wnorm + dpnorm) / den if den > 0 else np.nan
     if not sol.values.load.has_exact:
@@ -230,15 +231,15 @@ def _cross_level_monitors(prev, sol, rec):
     # a_k(u - u_k, u_k - u_{k-1}), grad w element-wise constant
     a_exact = float(np.einsum("tij,tij->", exact["grad_velocity"], W))
     a_disc = float((mesh.area * np.einsum("tij,tij->t", grads, W)).sum())
-    qo_num = abs(sol.values.load.mu * (a_exact - a_disc))
+    qo_num = abs(a_exact - a_disc)
     err_u = np.sqrt(rec.err_u2)
     den = err_u * np.sqrt(vol_refined)
     rec.qo_velocity = qo_num / den if den > 0 else np.nan
-    # (p - p_k, p_k - p_{k-1})
+    # (p - p_k, p_k - p_{k-1}) / mu^2
     p_exact = float((exact["pressure"] * dp).sum())
     p_disc = float((mesh.area * sol.p * dp).sum())
-    qp_num = abs(p_exact - p_disc)
-    err_p = np.sqrt(rec.err_p2)
+    qp_num = abs(p_exact - p_disc) / mu
+    err_p = np.sqrt(rec.err_p2) / mu
     den_p = (np.sqrt(vol_refined) + wnorm) * err_p
     rec.qo_pressure = qp_num / den_p if den_p > 0 else np.nan
 

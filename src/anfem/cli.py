@@ -39,14 +39,16 @@ def build_parser():
 
     p_adapt = sub.add_parser("adapt", help="run the adaptive loop")
     p_adapt.add_argument("--theta", type=float, default=0.3)
-    p_adapt.add_argument("--mu", type=float, default=1.0)
+    p_adapt.add_argument("--mu", type=float, default=1.0, help="viscosity")
     p_adapt.add_argument("--element-cap", type=int, default=200_000)
     p_adapt.add_argument("--out", default=".", help="output directory")
     p_adapt.add_argument("--domain", default="square",
                          choices=["square", "lshape", "diamond"])
     p_adapt.add_argument("--mesh", default=None,
                          help="mesh file overriding --domain")
-    p_adapt.add_argument("--eps", type=float, default=1e-2)
+    p_adapt.add_argument("--eps", type=float, default=1e-2, help=(
+        "target for eta, the estimator of the problem rescaled to mu = 1: "
+        "for a load that rescales, the same accuracy at every --mu"))
     p_adapt.add_argument(
         "--solution", default="smooth1",
         choices=["smooth1", "constant", "zero"],

@@ -227,7 +227,6 @@ def bisect(tri: Triangulation, marked) -> Triangulation:
     marked = np.unique(marked.astype(np.int64))
     if len(marked) and (marked[0] < 0 or marked[-1] >= tri.num_triangles):
         raise MeshError("marked set contains invalid element ids")
-    nt = tri.num_triangles
     te = tri.tri_edges
     refine_edge = np.zeros(tri.num_edges, dtype=bool)
     refine_edge[te[marked, 2]] = True
@@ -246,28 +245,22 @@ def bisect(tri: Triangulation, marked) -> Triangulation:
     new_vid[ref_ids] = tri.num_vertices + np.arange(len(ref_ids))
     vertices = np.vstack([tri.vertices, mids])
 
-    # children in parent order: an untouched element is kept; a split one
-    # emits (v2, v0, m2) then (v1, v2, m2), each bisected once more when its
-    # refinement edge (parent edge 1, resp. 0) is refined
-    r = refine_edge[te]
-    split = r.any(axis=1)
-    n_a = np.where(split, 1 + r[:, 1], 1)
-    count = n_a + np.where(split, 1 + r[:, 0], 0)
-    parent = np.repeat(np.arange(nt), count)
-    first = np.cumsum(count) - count
-    second = first + n_a
-    out = np.empty((len(parent), 3), dtype=np.int64)
-    t0, t1, t2 = tri.triangles.T
-    m0, m1, m2 = new_vid[te].T
-    out[first[~split]] = tri.triangles[~split]
-    for sel, at, child in (
-            (split & ~r[:, 1], first, (t2, t0, m2)),
-            (split & r[:, 1], first, (m2, t2, m1)),
-            (split & r[:, 1], first + 1, (t0, m2, m1)),
-            (split & ~r[:, 0], second, (t1, t2, m2)),
-            (split & r[:, 0], second, (m2, t1, m0)),
-            (split & r[:, 0], second + 1, (t2, m2, m0))):
-        out[at[sel]] = np.stack([c[sel] for c in child], axis=1)
+    # children in parent order, by the rule applied in two rounds: a row
+    # whose refinement edge carries a new vertex m becomes (v2, v0, m) and
+    # then (v1, v2, m).  `mid` holds the new vertex on each row's local
+    # edges, -1 for none; a child's refinement edge is parent edge 1, resp.
+    # 0, and its other edges carry none
+    out, mid, parent = tri.triangles, new_vid[te], np.arange(len(te))
+    for _ in range(2):
+        split = mid[:, 2] >= 0
+        at = np.cumsum(1 + split)[split] - 2    # first child of a split row
+        (v0, v1, v2), (m0, m1, m2) = out[split].T, mid[split].T
+        out, mid, parent = (np.repeat(a, 1 + split, axis=0)
+                            for a in (out, mid, parent))
+        out[at] = np.stack([v2, v0, m2], axis=1)
+        out[at + 1] = np.stack([v1, v2, m2], axis=1)
+        mid[at] = mid[at + 1] = -1
+        mid[at, 2], mid[at + 1, 2] = m1, m0
 
     mesh = Triangulation(vertices, out)
     mesh.lineage = ((tri.token, parent, _edge_parents(tri, mesh, ref_ids)),) \

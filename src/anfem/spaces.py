@@ -29,7 +29,6 @@ element K, and the full saddle residual at 1e-10 relative to max(||F||, 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sparse
@@ -90,18 +89,14 @@ class DiscreteSolution:
     # 1e-15), so it moves with the order of the floating-point operations
     # and is not comparable across commits
     residual: float
+    # (nt, 2, 2) `cr_gradients` of u, formed by the solve for its divergence
+    # gate: the one copy the estimators, the error norm and the loop's
+    # monitors read
+    grads: np.ndarray
 
     @property
     def mesh(self) -> Triangulation:
         return self.values.mesh
-
-    @cached_property
-    def grads(self) -> np.ndarray:
-        """`cr_gradients` of u, computed on first use: the one copy the
-        checks, the estimators, the error norm and the loop's monitors
-        read. It is not recomputed, so u must not change after the first
-        read."""
-        return cr_gradients(self.mesh, self.u)
 
 
 def assemble_saddle(mesh: Triangulation, load: LoadFunction, *,
@@ -206,14 +201,12 @@ def solve_saddle(system: SaddleSystem) -> DiscreteSolution:
     r = F - A @ u - BT @ p
     resid = np.hypot(np.linalg.norm(r), np.linalg.norm(B @ u))
     resid /= max(np.linalg.norm(F), 1.0)
-    sol = DiscreteSolution(values=system.values, u=u, p=p, iterations=steps,
-                           lu_fill=lu.nnz, residual=resid)
     # "not <=" fails a NaN; a CR divergence's round-off scales with the
     # element's own gradient (dof differences over h_K), not the global norm
     gal = float(np.abs(r).max())
     if not gal <= 1e-10 * max(1.0, float(np.abs(F).max())):
         raise SolverError(f"Galerkin identity violated: {gal:.3e}")
-    G = sol.grads
+    G = cr_gradients(mesh, u)
     div = np.abs(G[:, 0, 0] + G[:, 1, 1])
     bound = 1e-10 * (1.0 + np.abs(G).max(axis=(1, 2)))
     if not np.all(div <= bound):
@@ -222,7 +215,8 @@ def solve_saddle(system: SaddleSystem) -> DiscreteSolution:
                           f"> {bound[k]:.3e} on element {k}")
     if not resid <= 1e-10:
         raise SolverError(f"linear solve residual too large: {resid:.3e}")
-    return sol
+    return DiscreteSolution(values=system.values, u=u, p=p, iterations=steps,
+                            lu_fill=lu.nnz, residual=resid, grads=G)
 
 
 def solve(mesh: Triangulation, load: LoadFunction) -> DiscreteSolution:

@@ -80,8 +80,8 @@ def test_contraction_params_validation():
 
 def test_records_weigh_with_the_papers_constants(monkeypatch):
     """eta~^2, Lambda and alpha of each step, bit for bit, with the paper's
-    weights at 1: eta~^2 = sum_K (h_K^2 ||g||_K^2 + eta_K^2),
-    Lambda = err_u2 + err_p2 + eta~^2 and alpha = Lambda / previous
+    weights at 1 and mu = 2: eta~^2 = sum_K (mu^-2 h_K^2 ||g||_K^2 + eta_K^2),
+    Lambda = err_u2 + mu^-2 err_p2 + eta~^2 and alpha = Lambda / previous
     Lambda."""
     reports = []
 
@@ -96,7 +96,7 @@ def test_records_weigh_with_the_papers_constants(monkeypatch):
     assert len(reports) == len(recs) == 5
     for rec, report in zip(recs, reports):
         assert rec.eta_tilde2 == float((report.vol_sq + report.eta_sq).sum())
-        assert rec.lam == rec.err_u2 + rec.err_p2 + rec.eta_tilde2
+        assert rec.lam == rec.err_u2 + rec.err_p2 / 2.0 ** 2 + rec.eta_tilde2
     assert np.isnan(recs[0].alpha)
     for prev, rec in zip(recs, recs[1:]):
         assert rec.alpha == rec.lam / prev.lam

@@ -124,11 +124,19 @@ def test_modified_eta(smooth_solution, smooth):
     assert rec.eta_tilde2 > rec.eta2 > 0.0
 
 
-def _adaptive_meshes(load, check_reduction):
+# the monitors of IterationRecord that carry the weights of mu
+MU_WEIGHTED_MONITORS = ("lam", "alpha", "qo_velocity", "qo_pressure", "drel")
+
+
+def _adaptive_run(load, check_reduction):
     trace = anfem_loop(l_shape(), load, LoopParams(
         max_iterations=20, check_reduction=check_reduction))
     mesh = trace.final_solution.mesh
-    return list(trace.column("nelems")), mesh.triangles, mesh.vertices
+    monitors = [trace.column(name) for name in MU_WEIGHTED_MONITORS]
+    monitors.append(trace.column("reduction_lhs")
+                    / trace.column("reduction_rhs"))
+    return (list(trace.column("nelems")), mesh.triangles, mesh.vertices,
+            monitors)
 
 
 @pytest.mark.parametrize("mu", [1e-2, 1e2])
@@ -140,13 +148,21 @@ def test_marking_does_not_depend_on_the_viscosity(make, check_reduction, mu):
     """Both loads rescale with mu: lshape_singular(mu) is the mu = 1 problem
     with p and g times mu, and a constant load divides u by mu. The volume
     term's weight mu^-1 makes eta the mu = 1 estimator of the rescaled
-    problem, so the 20-step loop builds the mu = 1 meshes bit for bit."""
-    nelems, triangles, vertices = _adaptive_meshes(make(mu), check_reduction)
-    ref_nelems, ref_triangles, ref_vertices = _adaptive_meshes(
+    problem, so the 20-step loop builds the mu = 1 meshes bit for bit; the
+    monitors' weights make Lambda, alpha, qo_*, drel and the reduction
+    ratio those of the rescaled problem too, equal to mu = 1's up to
+    rounding (NaN where mu = 1's is NaN)."""
+    nelems, triangles, vertices, monitors = _adaptive_run(
+        make(mu), check_reduction)
+    ref_nelems, ref_triangles, ref_vertices, ref_monitors = _adaptive_run(
         make(1.0), check_reduction)
     assert nelems == ref_nelems
     assert np.array_equal(triangles, ref_triangles)
     assert np.array_equal(vertices, ref_vertices)
+    for name, got, ref in zip(MU_WEIGHTED_MONITORS + ("reduction ratio",),
+                              monitors, ref_monitors):
+        np.testing.assert_allclose(got, ref, rtol=1e-9, atol=0,
+                                   equal_nan=True, err_msg=name)
 
 
 def test_frozen_estimator_identity(smooth_solution):

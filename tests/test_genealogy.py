@@ -83,6 +83,31 @@ def test_bisect_chain_matches_oracles(data):
         map(tuple, fine.triangles))
 
 
+def test_bisect_matches_oracle_on_every_child_pattern():
+    """One bisect of a locally refined l_shape(3) with a fixed, seeded mark
+    set splits elements into 1, 2, 3 and 4 children, with the first or the
+    second child bisected again among the 3s: the result equals the loop
+    version array for array."""
+    rng = np.random.default_rng(3)
+    coarse = l_shape(3)
+    coarse = bisect(coarse, rng.choice(coarse.num_triangles, 8,
+                                       replace=False))
+    marked = rng.choice(coarse.num_triangles, coarse.num_triangles // 2,
+                        replace=False)
+    fine = bisect(coarse, marked)
+    # refined coarse edges are those that two fine edges lie on
+    edge = descent_maps(coarse, fine)[1]
+    halves = np.bincount(edge[edge >= 0], minlength=coarse.num_edges) == 2
+    patterns = set(map(tuple, halves[coarse.tri_edges].tolist()))
+    assert patterns == {(False, False, False), (False, False, True),
+                        (False, True, True), (True, False, True),
+                        (True, True, True)}
+    assert set(np.bincount(fine.parent).tolist()) == {1, 2, 3, 4}
+    ref = reference_bisect(coarse, marked)
+    for a, b in zip(ref, (fine.vertices, fine.triangles, fine.parent)):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
 def refined_subset_ratio(coarse, fine):
     """max h_K / h_T over the subdivided coarse elements K only, 1 without
     one, with ancestors by point location."""
