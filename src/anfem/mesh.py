@@ -353,24 +353,17 @@ def ancestor_map(coarse: Triangulation, fine: Triangulation) -> np.ndarray:
     return anc
 
 
-def kept_rows(coarse: Triangulation, fine: Triangulation):
-    """(element source, edge source) of a fine mesh descending from
-    `coarse` by bisect: the coarse element with each fine element's corner
-    coordinates in the same order, and the coarse edge with each fine
-    edge's end coordinates, -1 for an element or edge bisect created.
+def kept_rows(coarse: Triangulation, fine: Triangulation) -> np.ndarray:
+    """(nt_fine,) element source of a fine mesh descending from `coarse` by
+    bisect: the coarse element with each fine element's corner coordinates
+    in the same order, -1 for an element bisect created.
 
     The candidates come from the genealogy (`descent_maps`) and are kept
-    only where the coordinates are equal, so anything computed from a
-    kept row's points on `coarse` is, bit for bit, its value on `fine`.
+    only where the coordinates are equal, so anything computed from a kept
+    element's points on `coarse` is, bit for bit, its value on `fine`.
     """
-    anc, edge = descent_maps(coarse, fine)
-    on = np.flatnonzero(edge >= 0)
-    same = (fine.vertices.take(fine.edges[on], axis=0)
-            == coarse.vertices.take(coarse.edges[edge[on]], axis=0)).all(
-                axis=(1, 2))
-    edge_src = np.full(fine.num_edges, -1, dtype=np.int64)
-    edge_src[on[same]] = edge[on[same]]
-    return np.where(_same_corners(coarse, fine, anc), anc, -1), edge_src
+    anc = descent_maps(coarse, fine)[0]
+    return np.where(_same_corners(coarse, fine, anc), anc, -1)
 
 
 def nesting_sets(coarse: Triangulation, fine: Triangulation) -> NestingSets:

@@ -22,9 +22,9 @@ Each manufactured solution is one joint pass, (x, y, names) -> {name:
 values}, that shares the points, the jets and the corner powers between
 the fields it is asked for; its callables `g`, `velocity`,
 `grad_velocity` and `pressure` are views of that pass (`_View`), one field
-each. `PointValues` is a mesh's one record of a load's values at the edge
-midpoints and of its per-element degree-4 integrals; `PointValues.descend`
-derives the record of a refined mesh from it.
+each. `PointValues` is a mesh's one record of a load's per-element
+degree-4 integrals, against the CR basis functions too (the load vector);
+`PointValues.descend` derives the record of a refined mesh from it.
 """
 
 from __future__ import annotations
@@ -336,87 +336,75 @@ def lshape_singular(mu: float = 1.0) -> LoadFunction:
 # ---------------------------------------------------------------------------
 # one record of a load's values per mesh
 
-# elements or edges per call of a load in `PointValues`: a joint pass at the
+# elements per call of a load in `PointValues`: a joint pass at the
 # degree-4 points holds several times its results in temporaries, so
 # evaluating in blocks keeps those to one block's worth
 EVAL_BLOCK = 2048
 
 
 class PointValues:
-    """A load's values on one mesh, each part built on first use as {field
-    name: array}: `at_midpoints`, g at the edge midpoints (the load
-    vector), and `moments`, the per-element degree-4 integrals every
-    functional takes. `descend` gives the record of the same load on a
+    """A load's per-element degree-4 integrals on one mesh, `moments`, built
+    on first use as {field name: array}: the load vector and every
+    functional take them. `descend` gives the record of the same load on a
     refined mesh.
     """
 
     def __init__(self, mesh: Triangulation, load: LoadFunction):
         self.mesh, self.load = mesh, load
-        # part -> (the previous record's part, the source row there of each
-        # row here, -1 for a new one); a part drops its entry once built
-        self._carry = {}
+        # (the previous record's moments, the source element there of each
+        # element here, -1 for a new one), or None; dropped once built
+        self._carry = None
 
     def descend(self, fine: Triangulation) -> PointValues:
         """The record of this load on `fine`, a mesh that descends from this
-        record's mesh by `bisect` (else `MeshError`). Each part copies from
-        this record's (if that one is built) the rows of the elements and
-        edges whose corner coordinates `bisect` kept (`kept_rows`) and
-        computes only the others, so the values equal a full evaluation
-        bit for bit."""
+        record's mesh by `bisect` (else `MeshError`). Its `moments` copy
+        from this record's (if that one is built) the rows of the elements
+        whose corner coordinates `bisect` kept (`kept_rows`) and compute
+        only the others, so the values equal a full evaluation bit for
+        bit."""
         out = PointValues(fine, self.load)
-        elements, edges = kept_rows(self.mesh, fine)
-        for part, source in (("at_midpoints", edges),
-                             ("moments", elements)):
-            if part in vars(self):
-                out._carry[part] = (vars(self)[part], source)
+        source = kept_rows(self.mesh, fine)
+        if "moments" in vars(self):
+            out._carry = (self.moments, source)
         return out
 
-    def _rows(self, part, count, block) -> dict:
-        """The `count` rows of `part`: the carried rows copied, the others
-        from `block(rows)`, `EVAL_BLOCK` rows at a time."""
-        carried, source = self._carry.pop(part, ({}, np.full(count, -1)))
+    @cached_property
+    def moments(self) -> dict:
+        """Per element K, the degree-4 integrals over K of g (`g`), |g|^2
+        (`g2`) and g psi_i for the CR basis functions psi_i = 1 - 2 lambda_i
+        (`g_psi`, (nt, 3, 2)) and, with an exact solution, of grad u,
+        |grad u|^2, p and p^2 (`grad_velocity`, `grad_velocity2`,
+        `pressure`, `pressure2`). The carried rows are copied, the others
+        evaluated `EVAL_BLOCK` elements at a time."""
+        names = ("g", "grad_velocity", "pressure") if self.load.has_exact \
+            else ("g",)
+        nt = self.mesh.num_triangles
+        carried, source = self._carry or ({}, np.full(nt, -1))
+        self._carry = None
+        psi = (1.0 - 2.0 * quad.DEG4_BARY)[None, :, :, None]
         new = np.flatnonzero(source < 0)
         out = {}
         # at least one pass, so that the fields' shapes are known
         for start in range(0, max(len(new), 1), EVAL_BLOCK):
             rows = new[start:start + EVAL_BLOCK]
-            for name, values in block(rows).items():
+            pts = quad.tri_points(self.mesh, quad.DEG4_BARY, rows)
+            area = self.mesh.area[rows]
+            values = self.load.evaluate(pts[..., 0], pts[..., 1], names)
+            block = {"g_psi": quad.integrate_values(
+                area, psi * values["g"][:, :, None])}
+            for name, v in values.items():
+                flat = v.reshape(v.shape[:2] + (-1,))   # (n, nq, components)
+                block[name] = quad.integrate_values(area, v)
+                block[name + "2"] = quad.integrate_values(
+                    area, np.einsum("...c,...c->...", flat, flat))
+            for name, v in block.items():
                 if name not in out:
-                    out[name] = np.empty((count,) + values.shape[1:])
-                out[name][rows] = values
+                    out[name] = np.empty((nt,) + v.shape[1:])
+                out[name][rows] = v
         kept = source >= 0
         for name, values in carried.items():
             out[name][kept] = values[source[kept]]
         return out
-
-    @cached_property
-    def at_midpoints(self) -> dict:
-        mids = self.mesh.edge_midpoints()
-        return self._rows(
-            "at_midpoints", self.mesh.num_edges,
-            lambda rows: self.load.evaluate(mids[rows, 0], mids[rows, 1],
-                                            ("g",)))
-
-    @cached_property
-    def moments(self) -> dict:
-        """Per element K, the degree-4 integrals over K of g (`g`) and |g|^2
-        (`g2`) and, with an exact solution, of grad u, |grad u|^2, p and p^2
-        (`grad_velocity`, `grad_velocity2`, `pressure`, `pressure2`)."""
-        names = ("g", "grad_velocity", "pressure") if self.load.has_exact \
-            else ("g",)
-
-        def block(rows):
-            pts = quad.tri_points(self.mesh, quad.DEG4_BARY, rows)
-            area = self.mesh.area[rows]
-            out = {}
-            for name, v in self.load.evaluate(pts[..., 0], pts[..., 1],
-                                              names).items():
-                flat = v.reshape(v.shape[:2] + (-1,))   # (n, nq, components)
-                out[name] = quad.integrate_values(area, v)
-                out[name + "2"] = quad.integrate_values(
-                    area, np.einsum("...c,...c->...", flat, flat))
-            return out
-        return self._rows("moments", self.mesh.num_triangles, block)
 
 
 def check_no_slip(mesh: Triangulation, load: LoadFunction) -> None:

@@ -4,13 +4,14 @@ Velocity dofs: two components per interior edge (edge-mean values); boundary
 edge means are zero and carry no dof.  `element_dofs` and `edge_values` are
 the only code that knows this layout.  Pressure: one value per element.
 Assembly scatters each element's entries onto the interior dofs, dropping
-those of boundary edges, and takes g at the edge midpoints from the mesh's
-`PointValues` record (built here when the caller passes none); `solve` first
-checks that an exact velocity is zero on the boundary (`check_no_slip`).
-The system and its solution carry that record, so the error norms and the
-estimator take the per-element integrals of the exact grad u and p and of g
-from the record the solve used (`moments`), and the viscosity mu from its
-load (`LoadFunction.mu`).
+those of boundary edges, and takes the load vector's integrals of g against
+the CR basis functions from the mesh's `PointValues` record (`moments`, built
+here when the caller passes none); `solve` first checks that an exact
+velocity is zero on the boundary (`check_no_slip`). The system and its
+solution carry that record, so the error norms and the estimator take the
+per-element integrals of the exact grad u and p and of g from the same
+evaluation the solve used, and the viscosity mu from its load
+(`LoadFunction.mu`).
 
 The solve is augmented-Lagrangian Uzawa iteration (Fortin & Glowinski 1983):
 with the diagonal P0 mass matrix M_p and r = 1e6 * mu it factors the SPD
@@ -133,11 +134,8 @@ def assemble_saddle(mesh: Triangulation, load: LoadFunction, *,
         ((mesh.area[:, None, None] * gpsi)[on], (np.nonzero(on)[0], edof[on])),
         shape=(nt, nu))
 
-    # load vector by the edge-midpoint rule, psi_i(m_j) = delta_ij, with g
-    # evaluated once per edge
-    gvals = values.at_midpoints["g"].take(mesh.tri_edges, axis=0)  # (nt,3,2)
-    F = np.bincount(edof[on], ((mesh.area / 3.0)[:, None, None] * gvals)[on],
-                    nu)
+    # load vector: the record's degree-4 integrals of g psi_i
+    F = np.bincount(edof[on], values.moments["g_psi"][on], nu)
 
     return SaddleSystem(values=values, A=A, B=B, F=F)
 

@@ -6,6 +6,7 @@ genealogy: geometric point location for ancestor maps, midpoint-on-edge
 classification for edge maps, and loop versions of `build_initial`'s
 orientation, `bisect`'s child emission and the topology fill. For the CR/P0
 system: assembly through a per-element dof map masked on boundary edges,
+the load vector by the degree-4 rule on each element's red children,
 the consistency error through the same map and assembly, the solve
 with a Lagrange multiplier row for the zero-mean pressure, and the
 edge-midpoint values of a continuous P1 field as CR coefficients. For
@@ -25,8 +26,6 @@ from anfem.mesh import build_initial
 
 # local edge i is opposite local vertex i
 LOCAL_EDGES = ((1, 2), (2, 0), (0, 1))
-# barycentric coordinates of the midpoint of local edge i, row i
-MIDPOINT_BARY = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
 
 
 def point_barycentric(mesh, k, point):
@@ -232,9 +231,10 @@ def reference_dofs(mesh):
 
 def reference_assembly(mesh, load):
     """(A, B, F) over the interior-edge dofs, scattered element by element
-    with boundary edges masked out of a per-element dof map; the load is
-    evaluated at each element's three edge midpoints."""
-    from anfem.quadrature import tri_points
+    with boundary edges masked out of a per-element dof map; F integrates
+    g psi_i, psi_i = 1 - 2 lambda_i the CR basis function of local edge i,
+    by the degree-4 rule, one local edge at a time."""
+    from anfem.quadrature import DEG4_BARY, integrate_values, tri_points
     ldof = reference_dofs(mesh)
     nt, nu = mesh.num_triangles, 2 * len(mesh.interior_edges)
     gpsi = -2.0 * mesh.bary_grads
@@ -261,15 +261,48 @@ def reference_assembly(mesh, load):
     B = sparse.csr_matrix(
         (np.concatenate(bvals), (np.concatenate(brows), np.concatenate(bcols))),
         shape=(nt, nu))
-    mids = tri_points(mesh, MIDPOINT_BARY)
-    gvals = load.g(mids[..., 0], mids[..., 1])
+    pts = tri_points(mesh, DEG4_BARY)
+    gvals = load.g(pts[..., 0], pts[..., 1])
     F = np.zeros(nu)
     for i in range(3):
         mask = ldof[:, i] >= 0
-        contrib = (mesh.area[mask] / 3.0)[:, None] * gvals[mask, i]
+        psi = 1.0 - 2.0 * DEG4_BARY[:, i]
+        contrib = integrate_values(mesh.area[mask],
+                                   psi[None, :, None] * gvals[mask])
         np.add.at(F, 2 * ldof[mask, i], contrib[:, 0])
         np.add.at(F, 2 * ldof[mask, i] + 1, contrib[:, 1])
     return A, B, F
+
+
+# the red refinement of a triangle: its four children's corners in the
+# parent's barycentric coordinates, MID[i] the midpoint of local edge i
+MID = 0.5 * (1.0 - np.eye(3))
+RED_CHILDREN = np.array([[np.eye(3)[0], MID[2], MID[1]],
+                         [MID[2], np.eye(3)[1], MID[0]],
+                         [MID[1], MID[0], np.eye(3)[2]],
+                         [MID[0], MID[1], MID[2]]])
+
+
+def red_load_vector(mesh, load):
+    """The load vector (g, psi_i) over the interior-edge dofs, element by
+    element, by the degree-4 rule on each of the element's four red
+    children: exact, like the rule on the whole element, for a cubic g, but
+    at other points."""
+    from anfem.quadrature import DEG4_BARY, DEG4_WEIGHTS
+    ldof = reference_dofs(mesh)
+    F = np.zeros(2 * len(mesh.interior_edges))
+    for t in range(mesh.num_triangles):
+        corners = mesh.vertices[mesh.triangles[t]]
+        for child in RED_CHILDREN:
+            bary = DEG4_BARY @ child              # (6, 3) in the parent
+            pts = bary @ corners
+            g = load.g(pts[:, 0], pts[:, 1])
+            for i in range(3):
+                if ldof[t, i] >= 0:
+                    w = DEG4_WEIGHTS * (1.0 - 2.0 * bary[:, i])
+                    k = 2 * ldof[t, i]
+                    F[k:k + 2] += 0.25 * mesh.area[t] * (w @ g)
+    return F
 
 
 def consistency_error(mesh, load):

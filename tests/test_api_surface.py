@@ -77,6 +77,7 @@ DELETED_MEMBERS = (("counterexample.CrissCrossFamily", "coarse"),
                    ("estimator.EstimatorReport", "total_vol_sq"),
                    ("problems.PointValues", "at_points"),
                    ("problems.PointValues", "volume_terms"),
+                   ("problems.PointValues", "at_midpoints"),
                    ("adaptive.AdaptiveTrace", "truncated"))
 # the constructors of a load: the only public callables or dataclasses that
 # take or hold a viscosity `mu`, as the load is its one owner

@@ -91,8 +91,7 @@ def test_volume_terms_evaluate_load_once(smooth):
     mesh = unit_square(3)
     sol = solve(mesh, _counted(smooth, ("g",), calls))
     report = estimate(sol)
-    assert calls == [("g", (mesh.num_edges,)),
-                     ("g", (mesh.num_triangles, len(quad.DEG4_WEIGHTS)))]
+    assert calls == [("g", (mesh.num_triangles, len(quad.DEG4_WEIGHTS)))]
 
     def gsq(x, y):
         v = smooth.g(x, y)
@@ -184,9 +183,9 @@ def test_frozen_estimator_reduction(smooth_solution, smooth):
 
 
 def test_solution_functionals_share_one_evaluation(smooth):
-    """After one solve, the estimator and both error norms evaluate g once
-    at the edge midpoints (the solve's) and g, grad u and p once at the
-    degree-4 points: all from the solution's record."""
+    """After one solve, the estimator and both error norms evaluate g,
+    grad u and p once each, at the degree-4 points: the load vector and
+    every functional read the solution's record."""
     calls = []
     mesh = unit_square(3)
     sol = solve(mesh, _counted(smooth, ("g", "grad_velocity", "pressure"),
@@ -195,8 +194,8 @@ def test_solution_functionals_share_one_evaluation(smooth):
     velocity_error_sq(sol)
     pressure_error_sq(sol)
     points = (mesh.num_triangles, len(quad.DEG4_WEIGHTS))
-    assert calls == [("g", (mesh.num_edges,)), ("g", points),
-                     ("grad_velocity", points), ("pressure", points)]
+    assert calls == [("g", points), ("grad_velocity", points),
+                     ("pressure", points)]
 
 
 def test_records_of_another_mesh_or_load_are_rejected(smooth):

@@ -214,25 +214,21 @@ def test_geometric_check_rejects_moved_kept_and_new_vertices():
 
 
 def test_kept_rows_follow_the_coordinates():
-    """After one bisection the kept elements are the only children and the
-    kept edges those between two old vertices; moving only new vertices
-    keeps them, moving every vertex keeps none."""
+    """After one bisection the kept elements are the only children; moving
+    only new vertices keeps them, moving every vertex keeps none."""
     coarse = unit_square(2)
     fine = bisect(coarse, [3])
-    elements, edges = kept_rows(coarse, fine)
+    elements = kept_rows(coarse, fine)
     only = np.bincount(fine.parent)[fine.parent] == 1
     assert np.array_equal(elements, np.where(only, fine.parent, -1))
-    old = fine.edges[:, 1] < coarse.num_vertices
-    assert np.array_equal(edges, np.where(old, fine.lineage[0][2], -1))
     assert 0 < (elements >= 0).sum() < fine.num_triangles
     vertices = fine.vertices.copy()
     vertices[coarse.num_vertices:] += [0.01, 0.013]
     moved = Triangulation(vertices, fine.triangles, lineage=fine.lineage)
-    for got, ref in zip(kept_rows(coarse, moved), (elements, edges)):
-        assert np.array_equal(got, ref)
+    assert np.array_equal(kept_rows(coarse, moved), elements)
     moved = Triangulation(fine.vertices + 0.25, fine.triangles,
                           lineage=fine.lineage)
-    assert all((rows == -1).all() for rows in kept_rows(coarse, moved))
+    assert (kept_rows(coarse, moved) == -1).all()
 
 
 def test_bisect_rejects_non_integer_marks():

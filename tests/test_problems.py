@@ -285,8 +285,8 @@ def test_replaced_callable_is_evaluated():
     values = PointValues(mesh, doubled)
     assert np.array_equal(values.moments["g"], 2.0 * ref.moments["g"])
     assert np.array_equal(values.moments["g2"], 4.0 * ref.moments["g2"])
-    assert np.array_equal(values.at_midpoints["g"],
-                          2.0 * ref.at_midpoints["g"])
+    assert np.array_equal(values.moments["g_psi"],
+                          2.0 * ref.moments["g_psi"])
     for field in ("grad_velocity", "grad_velocity2", "pressure",
                   "pressure2"):
         assert np.array_equal(values.moments[field], ref.moments[field])
@@ -307,7 +307,7 @@ def test_record_carries_only_unmoved_rows():
     load = lshape_singular()
     coarse = l_shape(1)
     values = PointValues(coarse, load)
-    values.at_midpoints, values.moments
+    values.moments
     fine = bisect(coarse, [0, 5])
     new_moved = fine.vertices.copy()
     new_moved[coarse.num_vertices:] += [0.01, 0.013]
@@ -317,31 +317,28 @@ def test_record_carries_only_unmoved_rows():
                                fine.lineage)):
         carried, fresh = values.descend(mesh), PointValues(mesh, load)
         assert carried.load is load
-        for part in ("at_midpoints", "moments"):
-            for name, ref in getattr(fresh, part).items():
-                assert np.array_equal(getattr(carried, part)[name], ref)
+        assert "g_psi" in fresh.moments
+        for name, ref in fresh.moments.items():
+            assert np.array_equal(carried.moments[name], ref), name
     with pytest.raises(MeshError):
         values.descend(l_shape(1))
 
 
 def test_point_values_evaluate_in_blocks():
-    """Above `EVAL_BLOCK` rows a record calls the load block by block: each
-    part equals one pass over all its points bit for bit (the integrals of
-    each field and of its square by `quad.integrate`'s rule), and g is
-    called on at most `EVAL_BLOCK` edges at a time, each edge exactly
-    once."""
+    """Above `EVAL_BLOCK` elements a record calls the load block by block:
+    `moments` equals one pass over all the degree-4 points bit for bit (the
+    integrals of each field, of its square and of g against the CR basis
+    functions by `quad.integrate`'s rule), and g is called on at most
+    `EVAL_BLOCK` elements' points at a time, each element's points once."""
     mesh = uniform_refine(l_shape(), 10)
     assert mesh.num_triangles > EVAL_BLOCK
     load = lshape_singular()
     values = PointValues(mesh, load)
-    mids = mesh.edge_midpoints()
-    ref = load.evaluate(mids[:, 0], mids[:, 1], ("g",))
-    assert np.array_equal(values.at_midpoints["g"], ref["g"])
     pts = quad.tri_points(mesh, quad.DEG4_BARY)
     names = ("g", "grad_velocity", "pressure")
     ref = load.evaluate(pts[..., 0], pts[..., 1], names)
     assert sorted(values.moments) == sorted(
-        names + tuple(name + "2" for name in names))
+        names + tuple(name + "2" for name in names) + ("g_psi",))
     for name in names:
         flat = ref[name].reshape(ref[name].shape[:2] + (-1,))
         squares = np.einsum("...c,...c->...", flat, flat)
@@ -349,6 +346,9 @@ def test_point_values_evaluate_in_blocks():
                               quad.integrate_values(mesh.area, ref[name]))
         assert np.array_equal(values.moments[name + "2"],
                               quad.integrate_values(mesh.area, squares)), name
+    psi = 1.0 - 2.0 * quad.DEG4_BARY
+    assert np.array_equal(values.moments["g_psi"], quad.integrate_values(
+        mesh.area, psi[None, :, :, None] * ref["g"][:, :, None]))
 
     calls = []
 
@@ -356,9 +356,11 @@ def test_point_values_evaluate_in_blocks():
         calls.append(np.stack([x, y], axis=-1))
         return load.g(x, y)
 
-    PointValues(mesh, dataclasses.replace(load, g=g)).at_midpoints
+    PointValues(mesh, dataclasses.replace(load, g=g)).moments
     assert len(calls) > 1
     assert max(len(c) for c in calls) <= EVAL_BLOCK
-    # the called points, sorted, are the midpoints, sorted: every edge once
-    seen = np.concatenate(calls)
-    assert np.array_equal(seen[np.lexsort(seen.T)], mids[np.lexsort(mids.T)])
+    # the called points, sorted, are the degree-4 points, sorted: every
+    # element's points once
+    seen = np.concatenate(calls).reshape(-1, 2)
+    every = pts.reshape(-1, 2)
+    assert np.array_equal(seen[np.lexsort(seen.T)], every[np.lexsort(every.T)])

@@ -16,7 +16,7 @@ from anfem.spaces import (SolverError, assemble_saddle, broken_grad_norm_sq,
                           solve_saddle, velocity_error_sq)
 from anfem import quadrature as quad, spaces
 from oracles import (multiplier_solve, pointwise_exact_terms,
-                     reference_assembly)
+                     red_load_vector, reference_assembly)
 
 
 @pytest.fixture(scope="module")
@@ -173,16 +173,29 @@ def test_solve_holds_no_copy_of_its_factor():
     assert peak < 8 * sol.lu_fill, (peak, sol.lu_fill)
 
 
-def test_load_evaluated_once_per_edge(smooth):
+def test_load_evaluated_once_per_quadrature_point(smooth):
     mesh = l_shape(2)
     calls = []
 
     def g(x, y):
-        calls.append(np.size(x))
+        calls.append(np.shape(x))
         return smooth.g(x, y)
 
     assemble_saddle(mesh, LoadFunction(g=g))
-    assert calls == [mesh.num_edges]
+    assert calls == [(mesh.num_triangles, len(quad.DEG4_WEIGHTS))]
+
+
+@pytest.mark.parametrize(
+    "mesh", [unit_square(2), bisect(l_shape(1), [0, 3])],
+    ids=["unit_square2", "bisected_l_shape1"])
+def test_load_vector_exact_for_cubic_load(mesh):
+    """F integrates a cubic g against the CR basis functions exactly: it
+    equals the degree-4 rule on each element's red children to round-off."""
+    load = LoadFunction(g=lambda x, y: np.stack(
+        [x ** 3 - 2.0 * x * y * y, x * x * y + y ** 3], axis=-1))
+    F = assemble_saddle(mesh, load).F
+    ref = red_load_vector(mesh, load)
+    assert np.abs(F - ref).max() <= 1e-14 * np.abs(F).max()
 
 
 def test_divergence_free_and_galerkin(smooth):
