@@ -127,8 +127,7 @@ class LoopParams:
 def _solve_level(values: PointValues, it: int, gamma: float):
     """Solve the load of the record `values` on its mesh (`solve_saddle`
     runs the gates) and estimate; returns the solution, the estimator and
-    the level's record (nothing marked yet). The record's degree-4 part is
-    first needed after the solve, so it is built then."""
+    the level's record (nothing marked yet)."""
     mesh = values.mesh
     sol = solve_saddle(assemble_saddle(mesh, values.load, values=values))
     report = estimate(sol)
@@ -152,8 +151,8 @@ def anfem_loop(mesh0: Triangulation, load: LoadFunction,
     or the last iteration; the run ends with a solve, never a refinement.
 
     Each mesh has one `PointValues` record of the load, descended from the
-    previous mesh's record: only the elements and edges `bisect` created
-    are evaluated."""
+    previous mesh's record along their `NestingSets`: only the elements
+    `bisect` created are evaluated."""
     check_no_slip(mesh0, load)
     p = params or LoopParams()
     trace = AdaptiveTrace()
@@ -186,7 +185,7 @@ def anfem_loop(mesh0: Triangulation, load: LoadFunction,
         rec.nmarked = len(marked)
         refined = bisect(sol.mesh, marked)
         ns = nesting_sets(sol.mesh, refined)
-        values = values.descend(refined)
+        values = values.descend(ns)
 
         if p.check_reduction:
             # its volume terms on `refined` are the next step's

@@ -302,9 +302,14 @@ def uniform_refine(tri: Triangulation, rounds: int = 1) -> Triangulation:
 
 @dataclass
 class NestingSets:
+    coarse: Triangulation
+    fine: Triangulation
     refined: np.ndarray      # coarse element ids that were subdivided
     neighborhood: np.ndarray  # coarse elements touching the refined region
     ancestors: np.ndarray    # (nt_fine,) coarse ancestor of each fine element
+    # (nt_fine,) whether each fine element is its ancestor's only
+    # descendant: one bisect kept, with its ancestor's corner coordinates
+    kept: np.ndarray
     # max over fine T of h_K / h_T, K the ancestor of T: exactly 1 without
     # refinement, as a kept element keeps its vertices and so its h
     gamma: float
@@ -329,41 +334,25 @@ def descent_maps(coarse: Triangulation, fine: Triangulation):
                     "bisect")
 
 
-def _same_corners(coarse: Triangulation, fine: Triangulation,
-                  anc: np.ndarray) -> np.ndarray:
-    """(nt_fine,) whether each fine element has the corner coordinates, in
-    order, of its coarse ancestor `anc`: an element that bisect kept."""
-    return (fine.corners() == coarse.corners(anc)).all(axis=(1, 2))
-
-
 def ancestor_map(coarse: Triangulation, fine: Triangulation) -> np.ndarray:
     """Map each fine element to the coarse element containing it.
 
-    The map comes from bisect's genealogy and is verified geometrically:
-    every fine vertex must lie in its ancestor. A fine element whose corner
-    coordinates are its ancestor's (one that bisect kept) passes without
-    the barycentric solve.
+    The map comes from bisect's genealogy and is verified geometrically. A
+    kept element, its ancestor's only descendant, must have its ancestor's
+    corner coordinates, exactly and in order, as bisect copies an unsplit
+    element; every vertex of the other fine elements must lie in its
+    ancestor.
     """
     anc = descent_maps(coarse, fine)[0]
-    moved = np.flatnonzero(~_same_corners(coarse, fine, anc))
-    lam = barycentric(coarse, np.repeat(anc[moved], 3),
-                      fine.corners(moved).reshape(-1, 2))
+    kept = np.bincount(anc)[anc] == 1
+    if not (fine.corners(kept) == coarse.corners(anc[kept])).all():
+        raise MeshError("a kept element moved from its ancestor's corners")
+    split = np.flatnonzero(~kept)
+    lam = barycentric(coarse, np.repeat(anc[split], 3),
+                      fine.corners(split).reshape(-1, 2))
     if lam.size and lam.min() < -1e-9:
         raise MeshError("fine mesh not nested in coarse mesh")
     return anc
-
-
-def kept_rows(coarse: Triangulation, fine: Triangulation) -> np.ndarray:
-    """(nt_fine,) element source of a fine mesh descending from `coarse` by
-    bisect: the coarse element with each fine element's corner coordinates
-    in the same order, -1 for an element bisect created.
-
-    The candidates come from the genealogy (`descent_maps`) and are kept
-    only where the coordinates are equal, so anything computed from a kept
-    element's points on `coarse` is, bit for bit, its value on `fine`.
-    """
-    anc = descent_maps(coarse, fine)[0]
-    return np.where(_same_corners(coarse, fine, anc), anc, -1)
 
 
 def nesting_sets(coarse: Triangulation, fine: Triangulation) -> NestingSets:
@@ -381,8 +370,9 @@ def nesting_sets(coarse: Triangulation, fine: Triangulation) -> NestingSets:
     touch = np.isin(coarse.triangles,
                     np.unique(coarse.triangles[refined])).any(axis=1)
     neighborhood = np.flatnonzero(touch)
-    return NestingSets(refined=refined, neighborhood=neighborhood,
-                       ancestors=anc,
+    return NestingSets(coarse=coarse, fine=fine, refined=refined,
+                       neighborhood=neighborhood, ancestors=anc,
+                       kept=counts[anc] == 1,
                        gamma=float(np.max(coarse.h[anc] / fine.h)))
 
 

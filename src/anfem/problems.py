@@ -24,20 +24,20 @@ the fields it is asked for; its callables `g`, `velocity`,
 `grad_velocity` and `pressure` are views of that pass (`_View`), one field
 each. `PointValues` is a mesh's one record of a load's per-element
 degree-4 integrals, against the CR basis functions too (the load vector);
-`PointValues.descend` derives the record of a refined mesh from it.
+`PointValues.descend` derives the record of a refined mesh from it, along
+the two meshes' `NestingSets`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import factorial, prod
 from typing import Callable
 
 import numpy as np
 
 from . import quadrature as quad
-from .mesh import Triangulation, kept_rows
+from .mesh import NestingSets, Triangulation
 
 
 class _View:
@@ -131,7 +131,7 @@ def _curl(s):
 
 def _grad_curl(s):
     """grad u, d u_i / d x_j, from the jet s of S."""
-    out =np.empty(s[1, 1].shape + (2, 2))
+    out = np.empty(s[1, 1].shape + (2, 2))
     out[..., 0, 0] = s[1, 1]
     out[..., 0, 1] = 2.0 * s[0, 2]
     out[..., 1, 0] = -2.0 * s[2, 0]
@@ -344,52 +344,48 @@ EVAL_BLOCK = 2048
 
 class PointValues:
     """A load's per-element degree-4 integrals on one mesh, `moments`, built
-    on first use as {field name: array}: the load vector and every
+    with the record as {field name: array}: per element K, the integrals
+    over K of g (`g`), |g|^2 (`g2`) and g psi_i for the CR basis functions
+    psi_i = 1 - 2 lambda_i (`g_psi`, (nt, 3, 2)) and, with an exact
+    solution, of grad u, |grad u|^2, p and p^2 (`grad_velocity`,
+    `grad_velocity2`, `pressure`, `pressure2`). The load vector and every
     functional take them. `descend` gives the record of the same load on a
     refined mesh.
     """
 
     def __init__(self, mesh: Triangulation, load: LoadFunction):
-        self.mesh, self.load = mesh, load
-        # (the previous record's moments, the source element there of each
-        # element here, -1 for a new one), or None; dropped once built
-        self._carry = None
+        self._build(mesh, load, {}, np.full(mesh.num_triangles, -1))
 
-    def descend(self, fine: Triangulation) -> PointValues:
-        """The record of this load on `fine`, a mesh that descends from this
-        record's mesh by `bisect` (else `MeshError`). Its `moments` copy
-        from this record's (if that one is built) the rows of the elements
-        whose corner coordinates `bisect` kept (`kept_rows`) and compute
-        only the others, so the values equal a full evaluation bit for
-        bit."""
-        out = PointValues(fine, self.load)
-        source = kept_rows(self.mesh, fine)
-        if "moments" in vars(self):
-            out._carry = (self.moments, source)
+    def descend(self, nesting: NestingSets) -> PointValues:
+        """The record of this load on `nesting.fine`, for a nesting whose
+        coarse mesh is this record's (else ValueError). Its `moments` copy
+        this record's rows of the elements `bisect` kept (`nesting.kept`)
+        and compute only the others, so the values equal a full evaluation
+        bit for bit."""
+        if nesting.coarse is not self.mesh:
+            raise ValueError("the nesting is not of this record's mesh")
+        out = PointValues.__new__(PointValues)
+        out._build(nesting.fine, self.load, self.moments,
+                   np.where(nesting.kept, nesting.ancestors, -1))
         return out
 
-    @cached_property
-    def moments(self) -> dict:
-        """Per element K, the degree-4 integrals over K of g (`g`), |g|^2
-        (`g2`) and g psi_i for the CR basis functions psi_i = 1 - 2 lambda_i
-        (`g_psi`, (nt, 3, 2)) and, with an exact solution, of grad u,
-        |grad u|^2, p and p^2 (`grad_velocity`, `grad_velocity2`,
-        `pressure`, `pressure2`). The carried rows are copied, the others
-        evaluated `EVAL_BLOCK` elements at a time."""
-        names = ("g", "grad_velocity", "pressure") if self.load.has_exact \
+    def _build(self, mesh, load, carried, source):
+        """Make this the record of `load` on `mesh`: row i of each field is
+        row `source[i]` of `carried` where that is >= 0, and the other rows
+        are evaluated `EVAL_BLOCK` elements at a time."""
+        self.mesh, self.load = mesh, load
+        names = ("g", "grad_velocity", "pressure") if load.has_exact \
             else ("g",)
-        nt = self.mesh.num_triangles
-        carried, source = self._carry or ({}, np.full(nt, -1))
-        self._carry = None
+        nt = mesh.num_triangles
         psi = (1.0 - 2.0 * quad.DEG4_BARY)[None, :, :, None]
         new = np.flatnonzero(source < 0)
         out = {}
         # at least one pass, so that the fields' shapes are known
         for start in range(0, max(len(new), 1), EVAL_BLOCK):
             rows = new[start:start + EVAL_BLOCK]
-            pts = quad.tri_points(self.mesh, quad.DEG4_BARY, rows)
-            area = self.mesh.area[rows]
-            values = self.load.evaluate(pts[..., 0], pts[..., 1], names)
+            pts = quad.tri_points(mesh, quad.DEG4_BARY, rows)
+            area = mesh.area[rows]
+            values = load.evaluate(pts[..., 0], pts[..., 1], names)
             block = {"g_psi": quad.integrate_values(
                 area, psi * values["g"][:, :, None])}
             for name, v in values.items():
@@ -404,7 +400,7 @@ class PointValues:
         kept = source >= 0
         for name, values in carried.items():
             out[name][kept] = values[source[kept]]
-        return out
+        self.moments = out
 
 
 def check_no_slip(mesh: Triangulation, load: LoadFunction) -> None:

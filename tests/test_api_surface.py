@@ -44,7 +44,7 @@ DELETED = ("MarkingParams", "ContractionParams", "FineFunction", "patches",
            "edge_means_of_field", "MarkingError", "interior_dofs",
            "gauss_edge", "consistency_error", "EXIT_TRUNCATED",
            "_check_solve_invariants", "scatter", "cr_vertex_values",
-           "_element_jump_sq")
+           "_element_jump_sq", "kept_rows", "_same_corners")
 # (class, attribute) pairs deleted from the public classes
 DELETED_MEMBERS = (("counterexample.CrissCrossFamily", "coarse"),
                    ("counterexample.CrissCrossFamily", "ac_vertex_col"),

@@ -13,7 +13,7 @@ from scipy.spatial import Delaunay
 from anfem.counterexample import build_family
 from anfem.domains import diamond, l_shape, unit_square
 from anfem.mesh import (MeshError, Triangulation, ancestor_map, bisect,
-                        build_initial, descent_maps, kept_rows, nesting_sets,
+                        build_initial, descent_maps, nesting_sets,
                         uniform_refine)
 from oracles import (brute_topology, full_criss_cross, geometric_edge_map,
                      located_ancestors, reference_bisect,
@@ -31,10 +31,16 @@ def assert_same_topology(mesh):
 
 
 def assert_nested_like_oracles(coarse, fine):
+    """The genealogy equals point location and edge geometry, and the kept
+    elements (their ancestor's only descendants) are exactly those with
+    their located ancestor's corner coordinates, in order."""
     anc = ancestor_map(coarse, fine)
-    assert np.array_equal(anc, located_ancestors(coarse, fine))
+    located = located_ancestors(coarse, fine)
+    assert np.array_equal(anc, located)
     assert np.array_equal(descent_maps(coarse, fine)[1],
                           geometric_edge_map(coarse, fine, anc))
+    same_corners = (fine.corners() == coarse.corners(located)).all(axis=(1, 2))
+    assert np.array_equal(nesting_sets(coarse, fine).kept, same_corners)
 
 
 def draw_marks(data, mesh):
@@ -193,10 +199,9 @@ def test_geometric_check_rejects_moved_vertices():
 
 
 def test_geometric_check_rejects_moved_kept_and_new_vertices():
-    """Kept elements skip the barycentric check only while their corner
-    coordinates are their ancestor's: moving the vertices of a mesh that
-    kept every element, or only the new vertices of a bisection, is still
-    found."""
+    """Kept elements take no barycentric check, but must keep their
+    ancestor's corner coordinates: moving the vertices of a mesh that kept
+    every element, or only the new vertices of a bisection, is found."""
     coarse = unit_square(2)
     kept_all = bisect(coarse, [])
     moved = Triangulation(kept_all.vertices + 0.25, kept_all.triangles,
@@ -213,22 +218,26 @@ def test_geometric_check_rejects_moved_kept_and_new_vertices():
         ancestor_map(coarse, moved)
 
 
-def test_kept_rows_follow_the_coordinates():
-    """After one bisection the kept elements are the only children; moving
-    only new vertices keeps them, moving every vertex keeps none."""
+def test_kept_elements_are_the_only_children():
+    """After one bisection the kept elements are the only children, some
+    but not all. A mesh with bisect's genealogy whose kept elements moved
+    is refused by `ancestor_map` and `nesting_sets`, even when every vertex
+    moved by only 1e-12, far inside the barycentric tolerance; one whose
+    new vertices alone moved fails the barycentric check."""
     coarse = unit_square(2)
     fine = bisect(coarse, [3])
-    elements = kept_rows(coarse, fine)
-    only = np.bincount(fine.parent)[fine.parent] == 1
-    assert np.array_equal(elements, np.where(only, fine.parent, -1))
-    assert 0 < (elements >= 0).sum() < fine.num_triangles
+    kept = nesting_sets(coarse, fine).kept
+    assert np.array_equal(kept, np.bincount(fine.parent)[fine.parent] == 1)
+    assert 0 < kept.sum() < fine.num_triangles
     vertices = fine.vertices.copy()
     vertices[coarse.num_vertices:] += [0.01, 0.013]
-    moved = Triangulation(vertices, fine.triangles, lineage=fine.lineage)
-    assert np.array_equal(kept_rows(coarse, moved), elements)
-    moved = Triangulation(fine.vertices + 0.25, fine.triangles,
-                          lineage=fine.lineage)
-    assert (kept_rows(coarse, moved) == -1).all()
+    for moved, message in ((vertices, "not nested"),
+                           (fine.vertices + 0.25, "a kept element"),
+                           (fine.vertices + [0.0, 1e-12], "a kept element")):
+        mesh = Triangulation(moved, fine.triangles, lineage=fine.lineage)
+        for query in (ancestor_map, nesting_sets):
+            with pytest.raises(MeshError, match=message):
+                query(coarse, mesh)
 
 
 def test_bisect_rejects_non_integer_marks():

@@ -188,11 +188,21 @@ def test_nesting_rejects_a_fine_mesh_that_misses_area():
     only = _claimed_child(coarse, coarse.vertices, coarse.triangles[:1], [0])
     with pytest.raises(MeshError, match="does not cover"):
         nesting_sets(coarse, only)
-    # element 0, and a triangle inside element 1 but smaller than it
+    # element 0, and a triangle inside element 1 but smaller than it: as
+    # element 1's only child it must keep element 1's corners
     inner = coarse.corners(1).mean(axis=0) + 0.1 * (
         coarse.corners(1) - coarse.corners(1).mean(axis=0))
-    part = _claimed_child(coarse, np.vstack([coarse.vertices, inner]),
-                          [coarse.triangles[0], (4, 5, 6)], [0, 1])
+    vertices = np.vstack([coarse.vertices, inner])
+    part = _claimed_child(coarse, vertices, [coarse.triangles[0], (4, 5, 6)],
+                          [0, 1])
+    with pytest.raises(MeshError, match="a kept element"):
+        nesting_sets(coarse, part)
+    # the same triangle bisected: two children inside element 1 that miss
+    # part of its area
+    vertices = np.vstack([vertices, 0.5 * (inner[0] + inner[1])])
+    part = _claimed_child(coarse, vertices,
+                          [coarse.triangles[0], (6, 4, 7), (5, 6, 7)],
+                          [0, 1, 1])
     with pytest.raises(MeshError, match="areas do not match"):
         nesting_sets(coarse, part)
 

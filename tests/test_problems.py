@@ -5,7 +5,7 @@ import pytest
 
 from anfem import quadrature as quad
 from anfem.domains import l_shape
-from anfem.mesh import MeshError, Triangulation, bisect, uniform_refine
+from anfem.mesh import bisect, nesting_sets, uniform_refine
 from anfem.problems import (EVAL_BLOCK, LSHAPE_ALPHA, LoadFunction,
                             PointValues, constant_load, get_solution,
                             lshape_singular, smooth1)
@@ -299,29 +299,25 @@ def test_replaced_callable_is_evaluated():
 
 
 def test_record_carries_only_unmoved_rows():
-    """A record descends to any mesh its own mesh is an ancestor of by
-    bisect, and carries only rows whose points did not move: a mesh with
-    bisect's genealogy but moved vertices still gets the values of a fresh
-    evaluation. A mesh that does not descend from the record's is
-    rejected."""
+    """A record descends along the nesting of a refined mesh in its own
+    mesh, one bisection or two: it copies the rows of the kept elements,
+    and every row equals a fresh evaluation bit for bit. A nesting of
+    another coarse mesh is refused."""
     load = lshape_singular()
     coarse = l_shape(1)
     values = PointValues(coarse, load)
-    values.moments
     fine = bisect(coarse, [0, 5])
-    new_moved = fine.vertices.copy()
-    new_moved[coarse.num_vertices:] += [0.01, 0.013]
-    for mesh in (fine, bisect(fine, [0]),
-                 Triangulation(new_moved, fine.triangles, fine.lineage),
-                 Triangulation(fine.vertices + 0.25, fine.triangles,
-                               fine.lineage)):
-        carried, fresh = values.descend(mesh), PointValues(mesh, load)
-        assert carried.load is load
+    for mesh in (fine, bisect(fine, [0])):
+        ns = nesting_sets(coarse, mesh)
+        assert 0 < ns.kept.sum() < mesh.num_triangles
+        carried, fresh = values.descend(ns), PointValues(mesh, load)
+        assert carried.mesh is mesh and carried.load is load
+        assert sorted(carried.moments) == sorted(fresh.moments)
         assert "g_psi" in fresh.moments
         for name, ref in fresh.moments.items():
             assert np.array_equal(carried.moments[name], ref), name
-    with pytest.raises(MeshError):
-        values.descend(l_shape(1))
+    with pytest.raises(ValueError, match="not of this record's mesh"):
+        values.descend(nesting_sets(fine, bisect(fine, [0])))
 
 
 def test_point_values_evaluate_in_blocks():
